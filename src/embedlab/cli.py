@@ -108,8 +108,6 @@ def run_cmd(expr, stream_path, stages, schedule, phi, psi,
         op = build_operator(expr, phi=phi_s, psi=psi_s, targets=targets)
         name, fn = parse_schedule(schedule)
         log = run_operator(op, stream, stages, fn, name)
-    except SignatureError as exc:
-        _fail(exc)
     except EmbedlabError as exc:
         _fail(exc)
     Path(log_path).write_text(log.to_jsonl(), encoding="utf-8")
@@ -133,8 +131,6 @@ def force(expr, alpha_path, atom, ext, budget, out_path):
         alpha = parse_diagram(Path(alpha_path).read_text(encoding="utf-8"))
         fact = parse_fact(atom)
         verdict = bounded_force(ForcingQuery(op, alpha, fact, ext, budget))
-    except SignatureError as exc:
-        _fail(exc)
     except EmbedlabError as exc:
         _fail(exc)
     record = {
@@ -167,8 +163,6 @@ def classify(log_path, claim, threshold, window, out_path):
         log = RunLog.from_jsonl(Path(log_path).read_text(encoding="utf-8"))
         spec = CanonicalSpec.parse(claim)
         verdict = consistency_verdict(log, spec, threshold, window)
-    except SignatureError as exc:
-        _fail(exc)
     except EmbedlabError as exc:
         _fail(exc)
     record = {"v": 1, "run": f"{log.operator}@{log.provenance}",

@@ -42,26 +42,6 @@ class Replicate(EnumerationOperator):
         self.q = q
         self.name = f"replicate:{q}"
 
-    def budget_deltas(self, alpha, max_budget):
-        deltas: list = [[]]
-        if max_budget < 1:
-            return deltas
-        chain = alpha.chain()
-        facts = []
-        q = self.q
-        for i in range(q):
-            for j, x in enumerate(chain):
-                e = tag(i, x)
-                facts.append(el(e))
-                for y in chain[j + 1:]:
-                    facts.append(("lt", e, tag(i, y)))
-                for i2 in range(i + 1, q):
-                    for y in chain:
-                        facts.append(("lt", e, tag(i2, y)))
-        deltas.append(facts)
-        deltas.extend([] for _ in range(max_budget - 1))
-        return deltas
-
     def make_stream_evaluator(self):
         return _ReplicateStream(self.q)
 
@@ -82,7 +62,7 @@ class _ReplicateStream(StreamEvaluator):
                 e = tag(i, x)
                 new.append(el(e))
                 for y, j in self.placed:
-                    if j < i or (j == i and ("lt", y, x) in diagram.facts):
+                    if j < i or (j == i and diagram.below(y, x)):
                         new.append(("lt", tag(j, y), e))
                     else:
                         new.append(("lt", e, tag(j, y)))
@@ -108,12 +88,6 @@ class Reverse(EnumerationOperator):
         self.input_signature = op.input_signature
         self.output_signature = Signature.LINEAR_ORDER
         self.extension_complete = op.extension_complete
-
-    def budget_deltas(self, alpha, max_budget):
-        return [
-            [_swap_lt(f) for f in delta]
-            for delta in self.op.budget_deltas(alpha, max_budget)
-        ]
 
     def make_stream_evaluator(self):
         return _MappedStream(self.op.make_stream_evaluator(), _swap_lt)
@@ -143,7 +117,7 @@ def fill_positions(budget: int) -> int:
 
 
 class _FillBlocks:
-    """Block bookkeeping shared by interval_fill's budget and stream paths.
+    """Block bookkeeping of interval_fill's stream evaluator.
 
     Each underlying output element owns a block; position 0 is the closed
     endpoint, position r >= 1 the (r-1)-th dyadic.  Facts are emitted
@@ -224,14 +198,6 @@ class IntervalFill(EnumerationOperator):
         self.output_signature = Signature.LINEAR_ORDER
         self.extension_complete = op.extension_complete
 
-    def budget_deltas(self, alpha, max_budget):
-        chain = self.op.eval_chain(alpha, max_budget)
-        blocks = _FillBlocks(self.style)
-        deltas: list = [[]]
-        for n in range(1, max_budget + 1):
-            deltas.append(blocks.advance(chain[n] - chain[n - 1], n))
-        return deltas
-
     def make_stream_evaluator(self):
         return _FillStream(self.style, self.op.make_stream_evaluator())
 
@@ -265,18 +231,6 @@ class Concatenate(EnumerationOperator):
         self.output_signature = Signature.LINEAR_ORDER
         self.extension_complete = op1.extension_complete and op2.extension_complete
 
-    def budget_deltas(self, alpha, max_budget):
-        chains = [self.op1.eval_chain(alpha, max_budget),
-                  self.op2.eval_chain(alpha, max_budget)]
-        merger = _SideMerger(cross=True)
-        deltas: list = [[]]
-        for n in range(1, max_budget + 1):
-            deltas.append(merger.advance(
-                chains[0][n] - chains[0][n - 1],
-                chains[1][n] - chains[1][n - 1],
-            ))
-        return deltas
-
     def make_stream_evaluator(self):
         return _PairedStream(
             self.op1.make_stream_evaluator(),
@@ -299,18 +253,6 @@ class DisjointUnion(EnumerationOperator):
         self.input_signature = op1.input_signature
         self.output_signature = Signature.EQUIVALENCE
 
-    def budget_deltas(self, alpha, max_budget):
-        chains = [self.op1.eval_chain(alpha, max_budget),
-                  self.op2.eval_chain(alpha, max_budget)]
-        merger = _SideMerger(cross=False)
-        deltas: list = [[]]
-        for n in range(1, max_budget + 1):
-            deltas.append(merger.advance(
-                chains[0][n] - chains[0][n - 1],
-                chains[1][n] - chains[1][n - 1],
-            ))
-        return deltas
-
     def make_stream_evaluator(self):
         return _PairedStream(
             self.op1.make_stream_evaluator(),
@@ -332,13 +274,13 @@ class _SideMerger:
 
     def advance(self, new0, new1) -> list:
         out = []
-        new_els = ([], [])
+        new_els = ({}, {})  # dicts used as ordered sets
         for side, new in ((0, new0), (1, new1)):
             for f in new:
                 out.append(_map_side(f, side))
                 for x in f[1:]:
-                    if x not in self.dom[side] and x not in new_els[side]:
-                        new_els[side].append(x)
+                    if x not in self.dom[side]:
+                        new_els[side][x] = True
         if self.cross:
             for x in new_els[0]:
                 for y in self.dom[1]:

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .diagram import (
-    FiniteDiagram,
     InvalidInput,
     InvalidSpec,
     Signature,
     el,
+    sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
 from .pairing import encode_tuple, pair, tag
@@ -131,85 +131,47 @@ class Ord2Eq(EnumerationOperator):
     output_signature = Signature.EQUIVALENCE
     name = "ord2eq"
 
-    def _seed_facts(self, chain: list) -> list:
-        facts = [el(tag(a, 0)) for a in chain]
-        if len(chain) >= 2:
-            for a in chain[1:]:
-                facts.append(("sim",) + _ordered(tag(a, 0), tag(a, 1)))
-            for a in chain[1:-1]:
-                facts.append(("sim",) + _ordered(tag(a, 0), tag(a, 2)))
-        return facts
-
-    def budget_deltas(self, alpha, max_budget):
-        deltas: list = [[]]
-        if max_budget < 1:
-            return deltas
-        chain = alpha.chain()
-        deltas.append(self._seed_facts(chain))
-        for n in range(2, max_budget + 1):
-            deltas.append([
-                ("sim",) + _ordered(tag(a, 0), tag(a, n + 1))
-                for a in chain[1:-1]
-            ])
-        return deltas
-
-    def annotate(self, alpha, budget):
-        chain = alpha.chain()
-        if not chain or budget < 1:
-            return {"pinned_size1": None, "pinned_size2": None}
-        return {
-            "pinned_size1": tag(chain[0], 0),
-            "pinned_size2": tag(chain[-1], 0) if len(chain) >= 2 else None,
-        }
-
     def make_stream_evaluator(self):
         return _Ord2EqStream()
-
-
-def _ordered(a: int, b: int) -> tuple:
-    return (a, b) if a <= b else (b, a)
 
 
 class _Ord2EqStream(StreamEvaluator):
     def __init__(self):
         self.chain: list = []
-        self.rings: dict = {}  # interior element -> highest emitted ring
-        self.non_min: set = set()
-        self.emitted_el: set = set()
+        self.rings: dict = {}  # element -> highest emitted ring
 
-    def _insert(self, x, facts):
-        lo, hi = 0, len(self.chain)
+    def _insert(self, x, diagram):
+        chain = self.chain
+        lo, hi = 0, len(chain)
         while lo < hi:
             mid = (lo + hi) // 2
-            if ("lt", self.chain[mid], x) in facts:
+            if diagram.below(chain[mid], x):
                 lo = mid + 1
             else:
                 hi = mid
-        self.chain.insert(lo, x)
+        chain.insert(lo, x)
 
     def step(self, stage, diagram, delta, budget):
         for f in delta:
             if f[0] == "el":
-                self._insert(f[1], diagram.facts)
+                self._insert(f[1], diagram)
         if budget < 1 or not self.chain:
             return [], self._notes(budget)
         new = []
-        for a in self.chain:
-            if a not in self.emitted_el:
-                self.emitted_el.add(a)
-                new.append(el(tag(a, 0)))
-        # Size-two seed for everything that is not the current minimum.
-        if len(self.chain) >= 2:
-            for a in self.chain[1:]:
-                if a not in self.non_min:
-                    self.non_min.add(a)
-                    new.append(("sim",) + _ordered(tag(a, 0), tag(a, 1)))
-        # Interior classes grow to budget+1 rings.
-        for a in self.chain[1:-1]:
-            top = self.rings.get(a, 1)
-            for j in range(top + 1, budget + 2):
-                new.append(("sim",) + _ordered(tag(a, 0), tag(a, j)))
-            self.rings[a] = max(top, budget + 1)
+        last = len(self.chain) - 1
+        for pos, a in enumerate(self.chain):
+            # Ring 0 is the class root; the minimum keeps size one, the
+            # maximum size two, interior classes grow to budget + 2.
+            want = 0 if pos == 0 else 1 if pos == last else budget + 1
+            have = self.rings.get(a, -1)
+            if have >= want:
+                continue
+            root = tag(a, 0)
+            if have < 0:
+                new.append(el(root))
+            for j in range(max(have, 0) + 1, want + 1):
+                new.append(sim(root, tag(a, j)))
+            self.rings[a] = want
         return new, self._notes(budget)
 
     def _notes(self, budget):
@@ -245,47 +207,25 @@ class Eq2Ord(EnumerationOperator):
             return False
         return sizes[t[-1]] >= self.last_min
 
-    def budget_deltas(self, alpha, max_budget):
-        sizes = _class_sizes(alpha)
-        deltas: list = [[]]
-        admitted: list = []
-        for n in range(1, max_budget + 1):
-            t = absolute_tuple(n - 1)
-            if not self._admissible(t, sizes):
-                deltas.append([])
-                continue
-            e = encode_tuple(t)
-            facts = [el(e)]
-            for u, eu in admitted:
-                if tuple_precedes(t, u):
-                    facts.append(("lt", e, eu))
-                else:
-                    facts.append(("lt", eu, e))
-            admitted.append((t, e))
-            deltas.append(facts)
-        return deltas
-
     def make_stream_evaluator(self):
         return _Eq2OrdStream(self)
-
-
-def _class_sizes(alpha: FiniteDiagram) -> dict:
-    sizes: dict = {}
-    for cls in alpha.sim_classes():
-        for x in cls:
-            sizes[x] = len(cls)
-    return sizes
 
 
 class _Eq2OrdStream(StreamEvaluator):
     def __init__(self, op: Eq2Ord):
         self.op = op
         self.admitted: dict = {}  # tuple -> encoded id
+        self.sizes: dict = {}
+        self.scanned = 0  # tuple indices already checked against self.sizes
 
     def step(self, stage, diagram, delta, budget):
-        sizes = _class_sizes(diagram)
+        if delta:
+            # A grown class can admit a tuple that was skipped before.
+            self.sizes = {x: len(c) for c in diagram.sim_classes() for x in c}
+            self.scanned = 0
+        sizes = self.sizes
         new = []
-        for i in range(budget):
+        for i in range(self.scanned, budget):
             t = absolute_tuple(i)
             if t in self.admitted or not self.op._admissible(t, sizes):
                 continue
@@ -298,6 +238,7 @@ class _Eq2OrdStream(StreamEvaluator):
                     facts.append(("lt", eu, e))
             self.admitted[t] = e
             new.extend(facts)
+        self.scanned = max(self.scanned, budget)
         return new, None
 
 
@@ -326,33 +267,10 @@ class ClassMultiplier(EnumerationOperator):
     def _map(fact, copy: int):
         if fact[0] == "el":
             return el(tag(copy, fact[1]))
-        return ("sim",) + _ordered(tag(copy, fact[1]), tag(copy, fact[2]))
-
-    def budget_deltas(self, alpha, max_budget):
-        base = sorted(alpha.facts)
-        return [[]] + [
-            [self._map(f, n - 1) for f in base] for n in range(1, max_budget + 1)
-        ]
+        return sim(tag(copy, fact[1]), tag(copy, fact[2]))
 
     def make_stream_evaluator(self):
-        return _MultiplierStream()
-
-
-class _MultiplierStream(StreamEvaluator):
-    def __init__(self):
-        self.copies = 0
-        self.seen: list = []
-
-    def step(self, stage, diagram, delta, budget):
-        new = []
-        for f in delta:
-            for i in range(self.copies):
-                new.append(ClassMultiplier._map(f, i))
-        self.seen.extend(delta)
-        while self.copies < budget:
-            new.extend(ClassMultiplier._map(f, self.copies) for f in self.seen)
-            self.copies += 1
-        return new, None
+        return _CopyTracker()
 
 
 def class_multiplier() -> ClassMultiplier:
@@ -365,14 +283,6 @@ def class_multiplier() -> ClassMultiplier:
 
 def _member_id(element: int, disjunct: int, k: int) -> int:
     return pair(element, pair(disjunct, k))
-
-
-def _f2e_members(budget: int, seed_size: int, refuted: bool) -> int:
-    """Class size at a budget: seeds stay put, refuted classes grow one
-    member per two budget steps (unbounded in the limit)."""
-    if not refuted:
-        return seed_size
-    return max(seed_size, budget // 2 + 2)
 
 
 class Formula2Eq(EnumerationOperator):
@@ -398,55 +308,15 @@ class Formula2Eq(EnumerationOperator):
         self.input_signature = sentence.signature
         self.name = name or f"formula2eq:{sentence.name}:{seed_size}"
 
-    def _refuted(self, alpha: FiniteDiagram, c: int, disjunct) -> bool:
-        for m in disjunct.matrices:
-            for fact in alpha.facts:
-                if c in refuting_witness_values(m.literal, fact):
-                    return True
-        return False
-
-    def _base_deltas(self, alpha, max_budget):
-        """Per-budget deltas of the single-copy structure."""
-        elements = sorted(alpha.domain)
-        disjuncts = self.sentence.disjuncts
-        refuted = {
-            (c, i): self._refuted(alpha, c, d)
-            for c in elements
-            for i, d in enumerate(disjuncts)
-        }
-        deltas: list = [[]]
-        have = {key: 0 for key in refuted}
-        for n in range(1, max_budget + 1):
-            facts = []
-            for c in elements:
-                for i in range(len(disjuncts)):
-                    root = _member_id(c, i, 0)
-                    if n == 1:
-                        facts.append(el(root))
-                        if self.seed_size == 2:
-                            facts.append(("sim",) + _ordered(root, _member_id(c, i, 1)))
-                        have[(c, i)] = self.seed_size
-                    want = _f2e_members(n, self.seed_size, refuted[(c, i)])
-                    for k in range(have[(c, i)], want):
-                        facts.append(("sim",) + _ordered(root, _member_id(c, i, k)))
-                    have[(c, i)] = max(have[(c, i)], want)
-            deltas.append(facts)
-        return deltas
-
-    def budget_deltas(self, alpha, max_budget):
-        base = self._base_deltas(alpha, max_budget)
-        copier = _CopyTracker()
-        return [[]] + [
-            copier.advance(base[n], isqrt(n) + 1)
-            for n in range(1, max_budget + 1)
-        ]
-
     def make_stream_evaluator(self):
         return _Formula2EqStream(self)
 
 
-class _CopyTracker:
-    """Replicates a growing fact list into a growing number of tagged copies."""
+class _CopyTracker(StreamEvaluator):
+    """Replicates a growing fact list into a growing number of tagged copies.
+
+    As class_multiplier's evaluator it keeps one copy per budget step.
+    """
 
     def __init__(self):
         self.copies = 0
@@ -465,62 +335,57 @@ class _CopyTracker:
             self.copies += 1
         return out
 
+    def step(self, stage, diagram, delta, budget):
+        return self.advance(delta, budget), None
+
 
 class _Formula2EqStream(StreamEvaluator):
     def __init__(self, op: Formula2Eq):
         self.op = op
-        self.elements: list = []
         self.refuted: set = set()
         self.members: dict = {}  # (c, i) -> member count emitted
         self.copier = _CopyTracker()
-        self.pending: list = []
+        self.pending: list = []  # nothing is emitted before budget 1
 
     def step(self, stage, diagram, delta, budget):
         op = self.op
         disjuncts = op.sentence.disjuncts
         new_elements = [f[1] for f in delta if f[0] == "el"]
-        base_new = []
+        base_new = self.pending
 
         for c in new_elements:
-            self.elements.append(c)
             for i in range(len(disjuncts)):
                 root = _member_id(c, i, 0)
                 base_new.append(el(root))
                 if op.seed_size == 2:
-                    base_new.append(("sim",) + _ordered(root, _member_id(c, i, 1)))
+                    base_new.append(sim(root, _member_id(c, i, 1)))
                 self.members[(c, i)] = op.seed_size
 
-        # Fresh facts can refute old (element, disjunct) pairs.
+        # Fresh facts can refute (element, disjunct) pairs of arrived
+        # elements; an arriving element may be refuted by older facts.
         for f in delta:
-            if f[0] == "el":
-                continue
             for i, d in enumerate(disjuncts):
                 for m in d.matrices:
                     for c in refuting_witness_values(m.literal, f):
-                        if (c, i) not in self.refuted and (c, i) in self.members:
+                        if (c, i) in self.members:
                             self.refuted.add((c, i))
-        # New elements may already be refuted by older facts.
         for c in new_elements:
             for i, d in enumerate(disjuncts):
-                if op._refuted(diagram, c, d):
+                if any(c in refuting_witness_values(m.literal, f)
+                       for m in d.matrices for f in diagram.facts):
                     self.refuted.add((c, i))
 
-        if budget >= 1:
-            want = _f2e_members(budget, op.seed_size, True)
-            for (c, i) in self.refuted:
-                root = _member_id(c, i, 0)
-                have = self.members.get((c, i), op.seed_size)
-                for k in range(have, want):
-                    base_new.append(("sim",) + _ordered(root, _member_id(c, i, k)))
-                self.members[(c, i)] = max(have, want)
-
         if budget < 1:
-            # Nothing is emitted before the first budget step.
-            self.pending.extend(base_new)
             return [], None
-        if self.pending:
-            base_new = self.pending + base_new
-            self.pending = []
+        # Refuted classes grow one member per two budget steps.
+        want = max(op.seed_size, budget // 2 + 2)
+        for (c, i) in self.refuted:
+            root = _member_id(c, i, 0)
+            have = self.members[(c, i)]
+            for k in range(have, want):
+                base_new.append(sim(root, _member_id(c, i, k)))
+            self.members[(c, i)] = max(have, want)
+        self.pending = []
         return self.copier.advance(base_new, isqrt(budget) + 1), None
 
 

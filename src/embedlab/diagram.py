@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -206,6 +207,20 @@ class FiniteDiagram:
             return False
         return True
 
+    def below(self, a: int, b: int) -> bool:
+        """a < b in a total order diagram.  Stored lt facts need not be
+        transitively closed, so a pair without one is decided by chain()
+        positions, which raise InvalidInput if the diagram is not total."""
+        if ("lt", a, b) in self.facts:
+            return True
+        if ("lt", b, a) in self.facts:
+            return False
+        return self._ranks[a] < self._ranks[b]
+
+    @cached_property
+    def _ranks(self) -> dict:
+        return {x: i for i, x in enumerate(self.chain())}
+
     def sim_classes(self) -> list:
         """Partition of the domain by the closure of sim (sorted classes)."""
         if self.signature is not Signature.EQUIVALENCE:
@@ -235,7 +250,7 @@ def format_fact(fact: Fact) -> str:
 
 def parse_fact(line: str) -> Fact:
     parts = line.split()
-    rel = parts[0]
+    rel = parts[0] if parts else ""
     if rel not in ("el", "lt", "sim"):
         raise ParseError(f"unknown relation token {rel!r}")
     want = 1 if rel == "el" else 2

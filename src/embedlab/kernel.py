@@ -7,9 +7,14 @@ laws that together realize a c.e. set of (premise, fact) axioms:
 * budget monotonicity: n <= m         implies  eval(alpha, n) <= eval(alpha, m)
 
 Budget 0 yields the empty diagram; the union over all budgets is the
-operator's full (possibly infinite) output on that input.  Operators are
-defined by their per-budget fact deltas, so budget monotonicity holds by
-construction and scans can walk budget chains cheaply.
+operator's full (possibly infinite) output on that input.  Each operator is
+defined once, by its stream evaluator: a staged ``step(stage, diagram,
+delta, budget)`` that emits only the facts new since the previous step,
+whether they are due to input growth (the delta) or to budget growth.
+Batch evaluation is derived from it: ``eval(alpha, n)`` is one step of a
+fresh evaluator over all of alpha at budget n, and ``budget_deltas`` and
+``eval_chain`` are that step at budget 0 followed by budget-only steps, so
+budget monotonicity holds by construction.
 
 A stage construction consumes a stream of growing input diagrams and emits
 a cumulative output stage plus bookkeeping annotations at each step.
@@ -37,16 +42,24 @@ from .streams import StructureStream, lcg_stream
 
 
 class EnumerationOperator:
-    """Base class; subclasses override ``budget_deltas``."""
+    """Base class; subclasses override ``make_stream_evaluator``."""
 
     name = "operator"
     input_signature = Signature.LINEAR_ORDER
     output_signature = Signature.LINEAR_ORDER
     extension_complete = False
 
-    def budget_deltas(self, alpha: FiniteDiagram, max_budget: int) -> list:
-        """Facts new at each budget 0..max_budget (index 0 must be empty)."""
+    def make_stream_evaluator(self) -> "StreamEvaluator":
+        """A fresh evaluator; its ``step`` is the operator's definition."""
         raise NotImplementedError
+
+    def budget_deltas(self, alpha: FiniteDiagram, max_budget: int) -> list:
+        """Facts new at each budget 0..max_budget (index 0 is empty)."""
+        evaluator = self.make_stream_evaluator()
+        deltas = [evaluator.step(0, alpha, _as_delta(alpha), 0)[0]]
+        for n in range(1, max_budget + 1):
+            deltas.append(evaluator.step(n, alpha, [], n)[0])
+        return deltas
 
     def eval_chain(self, alpha: FiniteDiagram, max_budget: int) -> list:
         """Cumulative fact sets at budgets 0..max_budget."""
@@ -59,19 +72,17 @@ class EnumerationOperator:
         return chain
 
     def eval(self, alpha: FiniteDiagram, budget: int) -> FiniteDiagram:
-        facts: set = set()
-        for delta in self.budget_deltas(alpha, budget):
-            facts.update(delta)
-        return diagram_from_facts(self.output_signature, facts)
-
-    def annotate(self, alpha: FiniteDiagram, budget: int) -> dict | None:
-        return None
-
-    def make_stream_evaluator(self) -> "StreamEvaluator":
-        return GenericStreamEvaluator(self)
+        new, _ = self.make_stream_evaluator().step(0, alpha, _as_delta(alpha), budget)
+        return diagram_from_facts(self.output_signature, new)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
+
+
+def _as_delta(alpha: FiniteDiagram) -> list:
+    """All of alpha as one sorted delta, with an el fact for every element
+    (diagram files may leave them implicit)."""
+    return sorted(alpha.facts.union([("el", x) for x in alpha.domain]))
 
 
 def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDiagram:
@@ -98,21 +109,14 @@ class StreamEvaluator:
     """Incremental evaluation along a stream; emits per-stage new facts."""
 
     def step(self, stage: int, diagram: FiniteDiagram, delta: list, budget: int):
+        """Returns (new output facts, annotations or None).
+
+        diagram is the cumulative input and delta its facts new since the
+        previous step (empty for a budget-only step); budgets never
+        decrease.  The facts returned over all steps so far must equal the
+        operator's output on diagram at budget.
+        """
         raise NotImplementedError
-
-
-class GenericStreamEvaluator(StreamEvaluator):
-    """Fallback: full evaluation at every stage, diffed against the last."""
-
-    def __init__(self, op: EnumerationOperator):
-        self.op = op
-        self.emitted: frozenset = frozenset()
-
-    def step(self, stage, diagram, delta, budget):
-        out = self.op.eval(diagram, budget).facts
-        new = out - self.emitted
-        self.emitted = out
-        return sorted(new), self.op.annotate(diagram, budget)
 
 
 class TuringConstruction:
@@ -128,6 +132,21 @@ class TuringConstruction:
     def step(self, state, diagram: FiniteDiagram, delta: list):
         """Returns (state, new output facts, annotations)."""
         raise NotImplementedError
+
+    def make_stream_evaluator(self) -> StreamEvaluator:
+        return _ConstructionStream(self)
+
+
+class _ConstructionStream(StreamEvaluator):
+    """Holds a construction's state between stages; budgets play no part."""
+
+    def __init__(self, construction: TuringConstruction):
+        self.construction = construction
+        self.state = construction.init_state()
+
+    def step(self, stage, diagram, delta, budget):
+        self.state, new, notes = self.construction.step(self.state, diagram, delta)
+        return new, notes
 
 
 @dataclass
@@ -188,22 +207,28 @@ class RunLog:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty run log")
-        header = json.loads(lines[0])
-        if header.get("type") != "header":
+        header = _json_record(lines[0], 1, ("type", "operator", "signature"))
+        if header["type"] != "header":
             raise ParseError("run log must start with a header record")
+        try:
+            signature = Signature(header["signature"])
+        except ValueError:
+            raise ParseError(f"unknown signature {header['signature']!r}") from None
         log = RunLog(
             operator=header["operator"],
-            signature=Signature(header["signature"]),
+            signature=signature,
             provenance=header.get("provenance", ""),
             schedule=header.get("schedule", ""),
         )
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            log.records.append(StageRecord(
-                stage=rec["stage"],
-                new_facts=[parse_fact(s) for s in rec["new_facts"]],
-                annotations=rec.get("annotations"),
-            ))
+        for n, ln in enumerate(lines[1:], start=2):
+            rec = _json_record(ln, n, ("stage", "new_facts"))
+            if type(rec["stage"]) is not int:
+                raise ParseError(f"run log line {n}: stage must be an integer")
+            try:
+                facts = [parse_fact(f) for f in rec["new_facts"]]
+            except (AttributeError, TypeError):
+                raise ParseError(f"run log line {n}: new_facts must list facts") from None
+            log.records.append(StageRecord(rec["stage"], facts, rec.get("annotations")))
         return log
 
     @staticmethod
@@ -218,6 +243,17 @@ class RunLog:
         for s, delta in enumerate(stream.deltas):
             log.records.append(StageRecord(stage=s, new_facts=sorted(delta)))
         return log
+
+
+def _json_record(line: str, n: int, keys: tuple) -> dict:
+    """One run-log line as a JSON object holding the given keys."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"run log line {n} is not JSON: {exc.msg}") from None
+    if not isinstance(rec, dict) or not all(k in rec for k in keys):
+        raise ParseError(f"run log line {n} needs the keys {', '.join(keys)}")
+    return rec
 
 
 def schedule_identity(s: int) -> int:
@@ -263,15 +299,6 @@ def run(
         provenance=stream.provenance,
         schedule=schedule_name,
     )
-    if isinstance(op, TuringConstruction):
-        state = op.init_state()
-        stage_iter = stream.iter_stages()
-        for s in range(stages):
-            diagram = next(stage_iter)
-            state, new_facts, notes = op.step(state, diagram, stream.deltas[s])
-            log.records.append(StageRecord(s, sorted(new_facts), notes))
-        return log
-
     evaluator = op.make_stream_evaluator()
     stage_iter = stream.iter_stages()
     for s in range(stages):
@@ -383,15 +410,29 @@ class AxiomTableOperator(EnumerationOperator):
         self.output_signature = output_signature
         self.extension_complete = extension_complete
 
-    def budget_deltas(self, alpha, max_budget):
-        deltas: list = [[]]
-        for n in range(1, max_budget + 1):
-            if n - 1 < len(self.axioms):
-                premise, fact = self.axioms[n - 1]
-                deltas.append([fact] if premise <= alpha.facts else [])
-            else:
-                deltas.append([])
-        return deltas
+    def make_stream_evaluator(self):
+        return _AxiomTableStream(self.axioms)
+
+
+class _AxiomTableStream(StreamEvaluator):
+    """Fires each axiom below the budget whose premise facts have arrived."""
+
+    def __init__(self, axioms: list):
+        self.axioms = axioms
+        self.emitted: set = set()
+        self.scanned = 0  # axioms already tested against the current input
+
+    def step(self, stage, diagram, delta, budget):
+        if delta:
+            # New input can satisfy a premise that failed before.
+            self.scanned = 0
+        new = []
+        for premise, fact in self.axioms[self.scanned:budget]:
+            if fact not in self.emitted and premise <= diagram.facts:
+                self.emitted.add(fact)
+                new.append(fact)
+        self.scanned = max(self.scanned, budget)
+        return new, None
 
 
 def parse_axiom_table(text: str, name: str = "axiom-table") -> AxiomTableOperator:
@@ -427,17 +468,6 @@ class ComposedOperator(EnumerationOperator):
         self.name = f"{outer.name}({inner.name})"
         self.input_signature = inner.input_signature
         self.output_signature = outer.output_signature
-
-    def budget_deltas(self, alpha, max_budget):
-        inner_chain = self.inner.eval_chain(alpha, max_budget)
-        deltas: list = [[]]
-        prev: frozenset = frozenset()
-        for n in range(1, max_budget + 1):
-            mid = diagram_from_facts(self.inner.output_signature, inner_chain[n])
-            out = self.outer.eval(mid, n).facts
-            deltas.append(sorted(out - prev))
-            prev = out
-        return deltas
 
     def make_stream_evaluator(self):
         return _ComposedStream(self)

@@ -181,7 +181,7 @@ class StructureStream:
                 continue
             if line.startswith("--"):
                 parts = line.split()
-                if len(parts) != 3 or parts[1] != "stage":
+                if len(parts) != 3 or parts[1] != "stage" or not parts[2].isdecimal():
                     raise ParseError(f"bad stage separator {line!r}")
                 if int(parts[2]) != len(deltas):
                     raise ParseError(f"stage blocks out of order at {line!r}")

@@ -1,0 +1,133 @@
+"""Closed-form definitions of the leaf operators, for tests only.
+
+Each function returns the operator's full output fact set on a finite
+input at one budget, computed from scratch from the operator's definition
+rather than incrementally.  The shipped operators are defined once, by
+their stream evaluators; the agreement tests compare them against these.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+from embedlab.combinators import Replicate, Reverse
+from embedlab.constructions import (
+    ClassMultiplier,
+    Eq2Ord,
+    Formula2Eq,
+    Ord2Eq,
+    absolute_tuple,
+    tuple_precedes,
+)
+from embedlab.diagram import el
+from embedlab.pairing import encode_tuple, pair, tag
+from embedlab.sigma2 import refuting_witness_values
+
+
+def _sim(a: int, b: int) -> tuple:
+    return ("sim", min(a, b), max(a, b))
+
+
+def replicate_facts(q: int, alpha, budget: int) -> frozenset:
+    """q tagged copies of alpha's chain laid in series, from budget 1."""
+    if budget < 1:
+        return frozenset()
+    line = [tag(i, x) for i in range(q) for x in alpha.chain()]
+    facts = {el(e) for e in line}
+    facts.update(
+        ("lt", a, b) for i, a in enumerate(line) for b in line[i + 1:]
+    )
+    return frozenset(facts)
+
+
+def ord2eq_facts(alpha, budget: int) -> frozenset:
+    """Minimum's class of size one, maximum's of size two, interior
+    classes of size budget + 2."""
+    if budget < 1:
+        return frozenset()
+    chain = alpha.chain()
+    facts = {el(tag(a, 0)) for a in chain}
+    if len(chain) >= 2:
+        facts.update(_sim(tag(a, 0), tag(a, 1)) for a in chain[1:])
+        facts.update(
+            _sim(tag(a, 0), tag(a, j))
+            for a in chain[1:-1] for j in range(2, budget + 2)
+        )
+    return frozenset(facts)
+
+
+def eq2ord_facts(interior_min: int, last_min: int, alpha,
+                 budget: int) -> frozenset:
+    """Admissible tuples among the first `budget` absolute tuples, ordered
+    by tuple_precedes."""
+    sizes = {x: len(cls) for cls in alpha.sim_classes() for x in cls}
+    admitted = [
+        t for t in map(absolute_tuple, range(budget))
+        if all(x in sizes for x in t)
+        and all(sizes[x] >= interior_min for x in t[:-1])
+        and sizes[t[-1]] >= last_min
+    ]
+    facts = {el(encode_tuple(t)) for t in admitted}
+    facts.update(
+        ("lt", encode_tuple(t), encode_tuple(u))
+        for t in admitted for u in admitted
+        if t != u and tuple_precedes(t, u)
+    )
+    return frozenset(facts)
+
+
+def _copy(fact, copy: int) -> tuple:
+    if fact[0] == "el":
+        return el(tag(copy, fact[1]))
+    return _sim(tag(copy, fact[1]), tag(copy, fact[2]))
+
+
+def class_multiplier_facts(alpha, budget: int) -> frozenset:
+    """budget tagged copies of the input."""
+    return frozenset(_copy(f, c) for c in range(budget) for f in alpha.facts)
+
+
+def formula2eq_facts(sentence, seed_size: int, alpha,
+                     budget: int) -> frozenset:
+    """One class per (element, disjunct), seed_size members, or
+    max(seed_size, budget // 2 + 2) once refuted; isqrt(budget) + 1
+    copies of everything."""
+    if budget < 1:
+        return frozenset()
+    base = set()
+    for c in alpha.domain:
+        for i, d in enumerate(sentence.disjuncts):
+            refuted = any(
+                c in refuting_witness_values(m.literal, f)
+                for m in d.matrices for f in alpha.facts
+            )
+            members = max(seed_size, budget // 2 + 2) if refuted else seed_size
+            root = pair(c, pair(i, 0))
+            base.add(el(root))
+            base.update(_sim(root, pair(c, pair(i, k))) for k in range(1, members))
+    return frozenset(
+        _copy(f, c) for c in range(isqrt(budget) + 1) for f in base
+    )
+
+
+def _swap(fact) -> tuple:
+    return ("lt", fact[2], fact[1]) if fact[0] == "lt" else fact
+
+
+def reference_facts(op, alpha, budget: int):
+    """Closed-form output of a leaf operator (or its reversal), or None
+    when op is not one."""
+    if isinstance(op, Reverse):
+        inner = reference_facts(op.op, alpha, budget)
+        return None if inner is None else frozenset(map(_swap, inner))
+    if isinstance(op, Replicate):
+        return replicate_facts(op.q, alpha, budget)
+    if isinstance(op, Ord2Eq):
+        return ord2eq_facts(alpha, budget)
+    if isinstance(op, Eq2Ord):
+        return eq2ord_facts(op.interior_min, op.last_min, alpha, budget)
+    if isinstance(op, ClassMultiplier):
+        return class_multiplier_facts(alpha, budget)
+    if isinstance(op, Formula2Eq):
+        return formula2eq_facts(op.sentence, op.seed_size, alpha, budget)
+    return None

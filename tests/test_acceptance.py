@@ -3,15 +3,40 @@
 The experiment suite runs once (module scope) with the reference seed and
 every criterion asserts its stated bound exactly; the determinism check
 runs the suite a second time and compares the JSONL artifacts byte for
-byte.  Each test prints its own pass line so a verbose run reads as a
-checklist.
+byte, and the pinned-digest check compares them with the artifacts of
+earlier versions of the code.  Each test prints its own pass line so a
+verbose run reads as a checklist.
 """
+
+import hashlib
 
 import pytest
 
 from embedlab.experiments import run_suite, write_suite
 
 SEED = 7
+
+# sha256 of each seed-7 JSONL artifact, taken before operators were
+# reduced to a single stream-evaluator definition; a change to any
+# operator's output shows here.
+PINNED_SHA256 = {
+    "divisibility.jsonl":
+        "354f57b7186922d18fce2bfb168e93f24e462f59b5a2e53d481cb791fb35ee92",
+    "eq2ord_oracle.jsonl":
+        "3266050c390cb75a109da3892f83d7bfd30233518465dd44e2e8c0c33fa7d798",
+    "monotonicity.jsonl":
+        "9a706fe40db18e3da34471519649fc2054893575c3b5e3907627c1d5ac22fe82",
+    "ord2eq_limits.jsonl":
+        "54b0598b784878afb5f557490d54aad3e9057e2a3d2d14b7e5825d577b4f2783",
+    "phi_pair.jsonl":
+        "900c1de2ea8de6bde3a949cca034295104fe1e3cb460c8aeff8ed2cfa2e1af94",
+    "phi_sigma2.jsonl":
+        "16d616e0c51debb7d73071e0412ab0d0230e9f2433ac705e40cf3125d316651a",
+    "top_pair.jsonl":
+        "f854c7d1d64bf24ebdd10374efa850029a74b9818f49ad42bfb4f29ab5e04fa0",
+    "trichotomy.jsonl":
+        "05e36a3d39b0173b8a443d4220a534416d6faa91639f3297fd3ef9950f19452d",
+}
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +152,12 @@ def test_criterion_9_determinism(suite, tmp_path):
         9, "suite determinism (byte-identical JSONL)",
         identical, f"({len(names_a)} artifact files)",
     )
+
+
+def test_suite_jsonl_matches_pinned_digests(suite):
+    _, out_dir = suite
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out_dir.glob("*.jsonl")
+    }
+    assert digests == PINNED_SHA256

@@ -64,10 +64,70 @@ def test_run_and_classify_roundtrip(tmp_path):
 
 def test_run_signature_mismatch_exits_3(tmp_path):
     stream = tmp_path / "s.txt"
+    log = tmp_path / "r.jsonl"
     invoke("gen", "--family", "omega", "--stages", "10", "--out", str(stream))
     result = invoke("run", "--op", "eq2ord_v1", "--in", str(stream),
                     "--log", str(tmp_path / "x.jsonl"))
     assert result.exit_code == 3
+    # force: eq2ord_v1 has order outputs but takes equivalence inputs.
+    alpha = tmp_path / "a.txt"
+    alpha.write_text("lt 0 1\n")
+    result = invoke("force", "--op", "eq2ord_v1", "--alpha", str(alpha),
+                    "--atom", "lt 1 2")
+    assert result.exit_code == 3
+    # classify: an order log against an equivalence claim.
+    invoke("run", "--op", "replicate:1", "--in", str(stream), "--log", str(log))
+    result = invoke("classify", "--log", str(log), "--claim", "e_k:2")
+    assert result.exit_code == 3
+
+
+def _assert_usage_error(result):
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert result.output.startswith("error: ")
+
+
+def test_classify_header_without_operator_exits_2(tmp_path):
+    log = tmp_path / "r.jsonl"
+    log.write_text('{"v":1,"type":"header"}\n')
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
+
+
+def test_classify_non_json_log_exits_2(tmp_path):
+    log = tmp_path / "r.jsonl"
+    log.write_text("not json\n")
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
+
+
+def test_classify_unknown_signature_exits_2(tmp_path):
+    log = tmp_path / "r.jsonl"
+    log.write_text(json.dumps({
+        "v": 1, "type": "header", "operator": "x", "signature": "graph",
+    }) + "\n")
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
+
+
+def test_classify_list_valued_signature_exits_2(tmp_path):
+    log = tmp_path / "r.jsonl"
+    log.write_text(json.dumps({
+        "v": 1, "type": "header", "operator": "x", "signature": [],
+    }) + "\n")
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
+
+
+def test_classify_record_without_stage_exits_2(tmp_path):
+    log = tmp_path / "r.jsonl"
+    log.write_text(json.dumps({
+        "v": 1, "type": "header", "operator": "x", "signature": "linear_order",
+    }) + "\n" + json.dumps({"v": 1, "new_facts": []}) + "\n")
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
+
+
+def test_run_non_integer_stage_exits_2(tmp_path):
+    stream = tmp_path / "s.txt"
+    stream.write_text("-- stage x\nel 0\n")
+    _assert_usage_error(invoke("run", "--op", "replicate:1", "--in", str(stream),
+                               "--log", str(tmp_path / "x.jsonl")))
 
 
 def test_run_unknown_operator_exits_2(tmp_path):
@@ -129,6 +189,22 @@ def test_force_command(tmp_path):
     record = json.loads(result.output.splitlines()[-1])
     assert record["outcome"] == "REFUTED"
     assert record["certificate"] == ["el 0", "el 1", "lt 0 1"]
+
+
+def test_force_on_covering_chain_matches_closure(tmp_path):
+    outputs = []
+    for name, text in (("sparse", "lt 0 1\nlt 1 2\n"),
+                       ("closed", "lt 0 1\nlt 0 2\nlt 1 2\n")):
+        alpha = tmp_path / f"{name}.txt"
+        alpha.write_text(text)
+        result = invoke("force", "--op", "replicate:2", "--alpha", str(alpha),
+                        "--atom", "lt 2 1", "--ext", "2", "--budget", "8")
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output.splitlines()[-1])
+        assert record.pop("alpha") == text.splitlines()
+        outputs.append(record)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["outcome"] == "FORCED"
 
 
 def test_force_bad_atom_exits_2(tmp_path):

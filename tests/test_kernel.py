@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from embedlab.combinators import (
     LEFT_CLOSED,
@@ -18,10 +20,12 @@ from embedlab.constructions import (
     pair_formula2eq,
 )
 from embedlab.diagram import (
+    InvalidInput,
     InvalidSchedule,
     InvalidSpec,
     Signature,
     SignatureError,
+    parse_diagram,
     total_order_diagram,
 )
 from embedlab.kernel import (
@@ -35,7 +39,15 @@ from embedlab.kernel import (
     run,
 )
 from embedlab.sigma2 import greatest_element_sentence, least_element_sentence
-from embedlab.streams import CanonicalSpec, generate
+from embedlab.streams import (
+    EQUIV_FAMILIES,
+    ORDER_FAMILIES,
+    CanonicalSpec,
+    StructureStream,
+    generate,
+    restrict,
+)
+from reference_ops import reference_facts
 
 
 def order_ops():
@@ -184,6 +196,59 @@ def test_axiom_table_parse_and_eval():
     assert ("lt", 11, 10) in table.eval(bigger, 10).facts
 
 
+def test_axiom_table_rescans_on_new_input_only():
+    table = parse_axiom_table(
+        "axiom: lt 0 1 => el 10\n"
+        "axiom: el 0 => el 11\n"
+    )
+    # Budget 5 is reached before the premise of the first axiom arrives.
+    stream = StructureStream.from_text(
+        "-- stage 0\nel 0\n-- stage 1\n-- stage 2\nel 1\nlt 0 1\n")
+    log = run(table, stream, 3, lambda s: 5, "const:5")
+    assert [r.new_facts for r in log.records] == [[("el", 11)], [], [("el", 10)]]
+    assert table.budget_deltas(total_order_diagram([0, 1]), 3) == [
+        [], [("el", 10)], [("el", 11)], []]
+
+
+SPARSE_ORDER_OPERATORS = [
+    lambda: replicate(2),
+    lambda: reverse(replicate(3)),
+    lambda: ord2eq(),
+    lambda: compose(class_multiplier(), ord2eq()),
+]
+
+
+@pytest.mark.parametrize("op_factory", SPARSE_ORDER_OPERATORS)
+def test_covering_chain_evaluates_as_its_closure(op_factory):
+    """lt facts need not be transitively closed: a total order given by its
+    covering pairs is the same input as its all-pairs closure."""
+    op = op_factory()
+    sparse = parse_diagram("lt 3 0\nlt 0 2\nlt 2 1")
+    closed = total_order_diagram(sparse.chain())
+    assert evaluate(op, sparse, 4).facts == evaluate(op, closed, 4).facts
+    assert op.eval_chain(sparse, 4) == op.eval_chain(closed, 4)
+    with pytest.raises(InvalidInput):
+        evaluate(op, parse_diagram("lt 0 1\nel 2"), 4)
+
+
+@pytest.mark.parametrize("op_factory", SPARSE_ORDER_OPERATORS)
+def test_covering_chain_stream_runs_as_its_closure(op_factory):
+    def stream(pairs):
+        return StructureStream.from_text("".join(
+            f"-- stage {s}\nel {x}\n" + "".join(f"lt {a} {b}\n" for a, b in new)
+            for s, (x, new) in enumerate(pairs)))
+
+    # Elements arrive as 1, 0, 3, 2, 4 on the chain 0 < 1 < 2 < 3 < 4.
+    sparse = stream([(1, []), (0, [(0, 1)]), (3, [(1, 3)]), (2, [(1, 2), (2, 3)]),
+                     (4, [(3, 4)])])
+    closed = stream([(1, []), (0, [(0, 1)]), (3, [(0, 3), (1, 3)]),
+                     (2, [(0, 2), (1, 2), (2, 3)]),
+                     (4, [(0, 4), (1, 4), (2, 4), (3, 4)])])
+    op = op_factory()
+    assert [r.new_facts for r in run(op, sparse, 5).records] == [
+        r.new_facts for r in run(op, closed, 5).records]
+
+
 def test_run_schedules_and_errors():
     stream = generate(CanonicalSpec("omega"), 10)
     name, fn = parse_schedule("const:4")
@@ -215,6 +280,47 @@ def test_runlog_jsonl_roundtrip():
     ]
 
 
+@st.composite
+def presentations(draw, families):
+    """A canonical stream, possibly restricted to a subset of its elements
+    (which leaves stages with no new facts), and a budget schedule."""
+    spec = CanonicalSpec(
+        draw(st.sampled_from(families)),
+        draw(st.sampled_from(("fair", "permuted"))),
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, 2**16)),
+    )
+    stream = generate(spec, draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        domain = sorted(stream.final().domain)
+        stream = restrict(stream, draw(st.sets(st.sampled_from(domain))))
+    schedule = draw(st.sampled_from(("identity",)) | st.builds(
+        "{}:{}".format, st.sampled_from(("const", "capped")), st.integers(0, 12),
+    ))
+    return stream, schedule
+
+
+AGREEMENT_SETTINGS = settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _check_agreement(op, stream, schedule):
+    """Each stage's cumulative stream output equals a fresh evaluation of
+    that stage's diagram and, for leaf operators, the closed form."""
+    name, fn = parse_schedule(schedule)
+    log = run(op, stream, len(stream), fn, name)
+    stages = stream.iter_stages()
+    for rec, facts in log.iter_cumulative():
+        diagram, budget = next(stages), fn(rec.stage)
+        assert frozenset(facts) == op.eval(diagram, budget).facts, (
+            f"stage {rec.stage}")
+        want = reference_facts(op, diagram, budget)
+        if want is not None:
+            assert frozenset(facts) == want, f"stage {rec.stage} (closed form)"
+
+
 @pytest.mark.parametrize("op_factory", [
     lambda: replicate(2),
     lambda: reverse(replicate(2)),
@@ -225,13 +331,12 @@ def test_runlog_jsonl_roundtrip():
     lambda: pair_formula2eq(least_element_sentence(), greatest_element_sentence()),
     lambda: compose(class_multiplier(), ord2eq()),
 ])
-def test_stream_evaluator_matches_full_eval_orders(op_factory):
-    stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=4), 12)
-    op = op_factory()
-    log = run(op, stream, 12)
-    for rec, facts in log.iter_cumulative():
-        want = op.eval(stream.stage(rec.stage), rec.stage).facts
-        assert frozenset(facts) == want, f"stage {rec.stage}"
+@given(presentations(ORDER_FAMILIES))
+@example(presentation=(
+    generate(CanonicalSpec("omega_k", "permuted", 2, seed=4), 12), "identity"))
+@AGREEMENT_SETTINGS
+def test_stream_evaluator_matches_full_eval_orders(op_factory, presentation):
+    _check_agreement(op_factory(), *presentation)
 
 
 @pytest.mark.parametrize("op_factory", [
@@ -245,13 +350,12 @@ def test_stream_evaluator_matches_full_eval_orders(op_factory):
     ),
     lambda: disjoint_union(class_multiplier(), class_multiplier()),
 ])
-def test_stream_evaluator_matches_full_eval_equivalences(op_factory):
-    stream = generate(CanonicalSpec("e_hat_k", "permuted", 2, seed=4), 12)
-    op = op_factory()
-    log = run(op, stream, 12)
-    for rec, facts in log.iter_cumulative():
-        want = op.eval(stream.stage(rec.stage), rec.stage).facts
-        assert frozenset(facts) == want, f"stage {rec.stage}"
+@given(presentations(EQUIV_FAMILIES))
+@example(presentation=(
+    generate(CanonicalSpec("e_hat_k", "permuted", 2, seed=4), 12), "identity"))
+@AGREEMENT_SETTINGS
+def test_stream_evaluator_matches_full_eval_equivalences(op_factory, presentation):
+    _check_agreement(op_factory(), *presentation)
 
 
 def test_compose_replicates_multiply():
