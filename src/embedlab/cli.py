@@ -21,6 +21,7 @@ from .classify import consistency_verdict
 from .diagram import (
     EmbedlabError,
     SignatureError,
+    format_facts,
     parse_diagram,
     parse_fact,
 )
@@ -136,14 +137,12 @@ def force(expr, alpha_path, atom, ext, budget, out_path):
     record = {
         "v": 1,
         "operator": op.name,
-        "alpha": sorted(" ".join(map(str, f)) for f in alpha.facts),
+        "alpha": sorted(format_facts(alpha.facts)),
         "atom": atom,
         "outcome": verdict.outcome,
     }
     if verdict.certificate is not None:
-        record["certificate"] = sorted(
-            " ".join(map(str, f)) for f in verdict.certificate.facts
-        )
+        record["certificate"] = sorted(format_facts(verdict.certificate.facts))
     line = json.dumps(record, sort_keys=True)
     if out_path:
         Path(out_path).write_text(line + "\n", encoding="utf-8")

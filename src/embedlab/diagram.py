@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
 
@@ -244,31 +244,63 @@ class FiniteDiagram:
         return sorted(sorted(g) for g in groups.values())
 
 
-def format_fact(fact: Fact) -> str:
-    return " ".join(str(p) for p in fact)
+def format_facts(facts: Iterable[Fact]) -> list:
+    """Each fact as its text line, ``rel a`` or ``rel a b``."""
+    return ["%s %s %s" % f if len(f) == 3 else "%s %s" % f for f in facts]
+
+
+# Tokens on a fact line (relation and arguments) by relation name.
+_TOKENS_OF = {"el": 2, "lt": 3, "sim": 3}
+
+
+def parse_facts(lines: Iterable[str]) -> list:
+    """Parse fact lines (no comments); the first bad line raises.
+
+    The one fact decoder behind every file format: diagram, stream and
+    axiom-table files, run logs and CLI atoms.
+    """
+    out = []
+    append = out.append
+    tokens_of = _TOKENS_OF
+    for line in lines:
+        parts = line.split()
+        rel = parts[0] if parts else ""
+        size = tokens_of.get(rel)
+        if size != len(parts):
+            if size is None:
+                raise ParseError(f"unknown relation token {rel!r}")
+            raise ParseError(f"{rel} takes {size - 1} argument(s): {line!r}")
+        try:
+            a = int(parts[1])
+            b = int(parts[-1])  # the same token as a for el
+        except ValueError:
+            raise ParseError(f"non-natural argument in {line!r}") from None
+        if a < 0 or b < 0:
+            raise ParseError(f"negative argument in {line!r}")
+        if size == 2:
+            append(("el", a))
+        elif rel == "lt":
+            if a == b:
+                raise InconsistentDiagram(f"lt {a} {a}")
+            append(("lt", a, b))
+        else:
+            append(("sim", a, b) if a <= b else ("sim", b, a))
+    return out
 
 
 def parse_fact(line: str) -> Fact:
-    parts = line.split()
-    rel = parts[0] if parts else ""
-    if rel not in ("el", "lt", "sim"):
-        raise ParseError(f"unknown relation token {rel!r}")
-    want = 1 if rel == "el" else 2
-    if len(parts) - 1 != want:
-        raise ParseError(f"{rel} takes {want} argument(s): {line!r}")
-    try:
-        args = tuple(int(p) for p in parts[1:])
-    except ValueError:
-        raise ParseError(f"non-natural argument in {line!r}") from None
-    if any(a < 0 for a in args):
-        raise ParseError(f"negative argument in {line!r}")
-    if rel == "el":
-        return el(args[0])
-    if rel == "lt":
-        if args[0] == args[1]:
-            raise InconsistentDiagram(f"lt {args[0]} {args[0]}")
-        return ("lt", args[0], args[1])
-    return sim(args[0], args[1])
+    return parse_facts((line,))[0]
+
+
+def content_lines(text: str) -> Iterator[str]:
+    """The non-empty lines of a text file, with ``#`` comments and
+    surrounding whitespace removed."""
+    for line in text.splitlines():
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.strip()
+        if line:
+            yield line
 
 
 def parse_diagram(text: str, signature: Signature | None = None) -> FiniteDiagram:
@@ -277,12 +309,7 @@ def parse_diagram(text: str, signature: Signature | None = None) -> FiniteDiagra
     The signature is inferred from the facts when not given; a file with
     only ``el`` facts defaults to LINEAR_ORDER.
     """
-    facts = []
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        facts.append(parse_fact(line))
+    facts = parse_facts(content_lines(text))
     rels = {f[0] for f in facts}
     if "lt" in rels and "sim" in rels:
         raise ParseError("diagram mixes lt and sim facts")
@@ -292,7 +319,7 @@ def parse_diagram(text: str, signature: Signature | None = None) -> FiniteDiagra
 
 
 def format_diagram(diagram: FiniteDiagram) -> str:
-    lines = [format_fact(f) for f in sorted(diagram.facts)]
+    lines = format_facts(sorted(diagram.facts))
     # Elements that occur in no fact still need an el declaration.
     covered = set()
     for f in diagram.facts:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .diagram import FiniteDiagram, InvalidSpec, ParseError, Signature
+from .diagram import FiniteDiagram, InvalidSpec, ParseError, Signature, content_lines
 
 
 @dataclass(frozen=True)
@@ -220,10 +220,7 @@ def parse_sentence(text: str, name: str = "sentence") -> Sigma2Sentence:
                 raise ParseError("disjunct with no matrices")
             disjuncts.append(Disjunct(exists_arity, tuple(matrices)))
 
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if parts[0] == "exists":
             if exists_arity is not None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .diagram import (
@@ -24,9 +25,10 @@ from .diagram import (
     InvalidSpec,
     ParseError,
     Signature,
+    content_lines,
     el,
-    parse_fact,
-    format_fact,
+    format_facts,
+    parse_facts,
 )
 
 ORDER_FAMILIES = ("omega", "omega_star", "omega_k", "omega_star_k",
@@ -166,39 +168,70 @@ class StructureStream:
         lines = []
         for s, delta in enumerate(self.deltas):
             lines.append(f"-- stage {s}")
-            for f in sorted(delta):
-                lines.append(format_fact(f))
+            lines += format_facts(sorted(delta))
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str, provenance: str = "file") -> "StructureStream":
+        """Parse a stream file.  An element gets an ``el`` fact at the
+        start of the first stage that names it unless that stage or an
+        earlier one declares it, since evaluators learn elements from
+        ``el`` facts; later ``el`` facts for it are dropped."""
         deltas: list = []
-        current: list | None = None
+        block: list | None = None  # fact lines of the current stage
+        declared: set = set()      # elements with an el fact so far
         rels: set = set()
-        for raw_line in text.splitlines():
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line in content_lines(text):
             if line.startswith("--"):
+                if block is not None:
+                    deltas.append(_stage_delta(block, declared, rels))
                 parts = line.split()
                 if len(parts) != 3 or parts[1] != "stage" or not parts[2].isdecimal():
                     raise ParseError(f"bad stage separator {line!r}")
                 if int(parts[2]) != len(deltas):
                     raise ParseError(f"stage blocks out of order at {line!r}")
-                current = []
-                deltas.append(current)
-                continue
-            if current is None:
+                block = []
+            elif block is None:
                 raise ParseError("facts before first stage separator")
-            fact = parse_fact(line)
-            rels.add(fact[0])
-            current.append(fact)
-        if not deltas:
+            else:
+                block.append(line)
+        if block is None:
             raise ParseError("stream file has no stages")
+        deltas.append(_stage_delta(block, declared, rels))
         if "lt" in rels and "sim" in rels:
             raise ParseError("stream mixes lt and sim facts")
         signature = Signature.EQUIVALENCE if "sim" in rels else Signature.LINEAR_ORDER
         return StructureStream(signature, deltas, provenance)
+
+
+_RELATIONS = frozenset(("el", "lt", "sim"))
+
+
+def _stage_delta(lines: list, declared: set, rels: set) -> list:
+    """One stage's facts, led by an el fact for each element they name
+    that no el fact of this or an earlier stage declares, and without
+    el facts that repeat an earlier declaration.  Adds the
+    stage's relations to rels and its elements to declared."""
+    facts = parse_facts(lines)
+    named = [f[1] for f in facts if f[0] == "el"]
+    if len(set(named) - declared) < len(named):  # an el line repeats one
+        kept = []
+        for f in facts:
+            if f[0] == "el":
+                if f[1] in declared:
+                    continue
+                declared.add(f[1])
+            kept.append(f)
+        facts = kept
+    tokens = set(chain.from_iterable(facts))  # relations and element ids
+    rels.update(tokens & _RELATIONS)
+    declared.update(named)
+    missing = tokens - _RELATIONS - declared
+    if not missing:
+        return facts
+    declared.update(missing)
+    first_named = dict.fromkeys(x for f in facts for x in f[1:] if x in missing)
+    return [el(x) for x in first_named] + facts
 
 
 def _eta_values(count: int) -> list:

@@ -1,9 +1,13 @@
-"""Closed-form definitions of the leaf operators, for tests only.
+"""Reference definitions for tests only: the leaf operators in closed
+form, and the plain fact codec that the shipped one must match.
 
-Each function returns the operator's full output fact set on a finite
-input at one budget, computed from scratch from the operator's definition
-rather than incrementally.  The shipped operators are defined once, by
-their stream evaluators; the agreement tests compare them against these.
+Each operator function returns the operator's full output fact set on a
+finite input at one budget, computed from scratch from the operator's
+definition rather than incrementally.  The shipped operators are defined
+once, by their stream evaluators; the agreement tests compare them against
+these.  ``parse_fact`` and ``format_fact`` are the straightforward codec
+that ``embedlab.diagram`` replaced with a faster one; the codec tests
+require the same results and the same errors.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from embedlab.constructions import (
     absolute_tuple,
     tuple_precedes,
 )
-from embedlab.diagram import el
+from embedlab.diagram import InconsistentDiagram, ParseError, el, sim
 from embedlab.pairing import encode_tuple, pair, tag
 from embedlab.sigma2 import refuting_witness_values
 
@@ -131,3 +135,30 @@ def reference_facts(op, alpha, budget: int):
     if isinstance(op, Formula2Eq):
         return formula2eq_facts(op.sentence, op.seed_size, alpha, budget)
     return None
+
+
+def format_fact(fact) -> str:
+    return " ".join(str(p) for p in fact)
+
+
+def parse_fact(line: str) -> tuple:
+    parts = line.split()
+    rel = parts[0] if parts else ""
+    if rel not in ("el", "lt", "sim"):
+        raise ParseError(f"unknown relation token {rel!r}")
+    want = 1 if rel == "el" else 2
+    if len(parts) - 1 != want:
+        raise ParseError(f"{rel} takes {want} argument(s): {line!r}")
+    try:
+        args = tuple(int(p) for p in parts[1:])
+    except ValueError:
+        raise ParseError(f"non-natural argument in {line!r}") from None
+    if any(a < 0 for a in args):
+        raise ParseError(f"negative argument in {line!r}")
+    if rel == "el":
+        return el(args[0])
+    if rel == "lt":
+        if args[0] == args[1]:
+            raise InconsistentDiagram(f"lt {args[0]} {args[0]}")
+        return ("lt", args[0], args[1])
+    return sim(args[0], args[1])

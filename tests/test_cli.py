@@ -227,6 +227,48 @@ def test_run_logs_are_byte_identical_for_same_config(tmp_path):
     assert logs[0] == logs[1]
 
 
+def test_run_on_stream_with_implicit_elements(tmp_path):
+    """Elements named only by lt facts are declared at the first stage that
+    names them, as if their el lines opened that stage block."""
+    implicit = tmp_path / "implicit.txt"
+    implicit.write_text("-- stage 0\n-- stage 1\nlt 0 1\n"
+                        "-- stage 2\nlt 2 0\nlt 2 1\n")
+    explicit = tmp_path / "explicit.txt"
+    explicit.write_text("-- stage 0\n-- stage 1\nel 0\nel 1\nlt 0 1\n"
+                        "-- stage 2\nel 2\nlt 2 0\nlt 2 1\n")
+    for op in ("replicate:1", "ord2eq"):
+        records = []
+        for stream in (implicit, explicit):
+            log = tmp_path / "r.jsonl"
+            result = invoke("run", "--op", op, "--in", str(stream), "--log", str(log))
+            assert result.exit_code == 0
+            # The header names the input file; the stage records must match.
+            records.append(log.read_text().splitlines()[1:])
+        assert records[0] == records[1]
+        assert json.loads(records[0][-1])["new_facts"]
+
+
+def test_run_on_stream_with_late_el_lines(tmp_path):
+    """el lines in a stage after the one that first names their elements
+    are ignored: the log equals that of the file declaring them up front."""
+    late = tmp_path / "late.txt"
+    late.write_text("-- stage 0\nlt 0 1\n-- stage 1\nel 0\nel 1\n")
+    upfront = tmp_path / "upfront.txt"
+    upfront.write_text("-- stage 0\nel 0\nel 1\nlt 0 1\n-- stage 1\n")
+    for op in ("replicate:1", "ord2eq"):
+        records = []
+        for stream in (late, upfront):
+            log = tmp_path / "r.jsonl"
+            result = invoke("run", "--op", op, "--in", str(stream), "--log", str(log))
+            assert result.exit_code == 0
+            records.append(log.read_text().splitlines()[1:])
+        assert records[0] == records[1]
+        facts = [f for r in records[0] for f in json.loads(r)["new_facts"]]
+        assert len(facts) == len(set(facts))
+        assert not any(f.split()[0] == "lt" and f.split()[1] == f.split()[2]
+                       for f in facts)
+
+
 def test_suite_single_experiment(tmp_path):
     out_dir = tmp_path / "suite"
     result = invoke("suite", "--only", "phi_pair", "--seed", "7",

@@ -1,0 +1,203 @@
+"""The fact codec against its plain reference, and round trips of the text
+formats built on it (stream files and run logs)."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import reference_ops as ref
+from embedlab.diagram import (
+    ParseError,
+    Signature,
+    format_facts,
+    parse_fact,
+    parse_facts,
+)
+from embedlab.kernel import RunLog, run
+from embedlab.registry import build_operator
+from embedlab.streams import (
+    EQUIV_FAMILIES,
+    ORDER_FAMILIES,
+    CanonicalSpec,
+    StructureStream,
+    generate,
+    restrict,
+)
+
+CODEC_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True)
+ROUND_TRIP_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+RELATION_TOKENS = st.sampled_from(["el", "lt", "sim"]) | st.sampled_from(
+    ["EL", "Lt", "lt:", "sims", "x", "٣", "--"])
+ARGUMENT_TOKENS = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.sampled_from(["00", "+4", "-0", "1_0", "_1", "1__0", "٣", "١٢",
+                     "0x1", "1.0", "1e3", "lt"]),
+    st.integers(0, 10**40).map(str),
+    st.text(max_size=3),
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "　"])
+
+
+@st.composite
+def fact_lines(draw):
+    """Token strings near the fact grammar: a relation token, 0-3
+    arguments (so wrong arities too), mixed whitespace, and now and then
+    an empty or blank line."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", " ", "\t", "\t \t"]))
+    tokens = [draw(RELATION_TOKENS)] + draw(st.lists(ARGUMENT_TOKENS, max_size=3))
+    line = draw(st.sampled_from(["", " ", "\t"]))
+    for i, token in enumerate(tokens):
+        line += (draw(SEPARATORS) if i else "") + token
+    return line + draw(st.sampled_from(["", " ", "\t "]))
+
+
+def outcome(fn, arg):
+    """What fn(arg) gives: its value, or the class and message it raised."""
+    try:
+        return "value", fn(arg)
+    except Exception as exc:  # the class is part of what is compared
+        return type(exc), str(exc)
+
+
+def reference_parse_all(lines):
+    return [ref.parse_fact(line) for line in lines]
+
+
+@given(fact_lines() | st.text(max_size=12))
+@CODEC_SETTINGS
+def test_parse_fact_matches_reference(line):
+    assert outcome(parse_fact, line) == outcome(ref.parse_fact, line)
+
+
+@given(st.lists(fact_lines(), max_size=6))
+@CODEC_SETTINGS
+def test_parse_facts_matches_reference(lines):
+    """Batch parsing gives every fact, or the first bad line's error."""
+    assert outcome(parse_facts, lines) == outcome(reference_parse_all, lines)
+
+
+@pytest.mark.parametrize("line", [
+    "lt 1 2", "lt\t1\t2", "  sim   4    3 ", "el +4", "el -0", "lt -0 0",
+    "el 1_0", "el ٣", "sim ٣ 1_0", "", "   ", "el", "el 1 2", "lt 1",
+    "lt 1 2 3", "sim 1", "le 1 2", "lt 1 x", "lt -1 2", "lt 1 -2", "sim 0 -0",
+    "lt 3 3", "el " + "9" * 5000,
+])
+def test_parse_fact_edge_cases_match_reference(line):
+    assert outcome(parse_fact, line) == outcome(ref.parse_fact, line)
+
+
+@pytest.mark.parametrize("value", [5, None, ["lt", "1", "2"], b"lt 1 2"])
+def test_parse_fact_rejects_non_strings_as_before(value):
+    assert outcome(parse_fact, value) == outcome(ref.parse_fact, value)
+
+
+NATURALS = st.integers(0, 10**30)
+FACTS = st.one_of(
+    st.tuples(st.just("el"), NATURALS),
+    st.tuples(st.just("lt"), NATURALS, NATURALS).filter(lambda f: f[1] != f[2]),
+    st.tuples(st.just("sim"), NATURALS, NATURALS).map(
+        lambda f: ("sim", min(f[1:]), max(f[1:]))),
+)
+
+
+@given(st.lists(FACTS, max_size=8))
+@CODEC_SETTINGS
+def test_format_matches_reference_and_round_trips(facts):
+    lines = format_facts(facts)
+    assert lines == [ref.format_fact(f) for f in facts]
+    assert parse_facts(lines) == facts
+
+
+def test_run_log_rejects_non_string_facts():
+    log = RunLog.from_jsonl(
+        '{"type": "header", "operator": "x", "signature": "linear_order"}\n'
+        '{"stage": 0, "new_facts": ["el 0"]}\n')
+    assert log.records[0].new_facts == [("el", 0)]
+    for bad in ("[5]", "[null]", '[["el", 0]]', "7"):
+        with pytest.raises(ParseError, match="new_facts must list facts"):
+            RunLog.from_jsonl(
+                '{"type": "header", "operator": "x", "signature": "linear_order"}\n'
+                f'{{"stage": 0, "new_facts": {bad}}}\n')
+
+
+@st.composite
+def streams(draw):
+    """A canonical stream, possibly restricted to some of its elements."""
+    spec = CanonicalSpec(
+        draw(st.sampled_from(ORDER_FAMILIES + EQUIV_FAMILIES)),
+        draw(st.sampled_from(("fair", "permuted"))),
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, 2**16)),
+    )
+    stream = generate(spec, draw(st.integers(1, 16)))
+    if draw(st.booleans()):
+        domain = sorted(stream.final().domain)
+        stream = restrict(stream, draw(st.sets(st.sampled_from(domain))))
+    return stream
+
+
+def reference_stream_text(stream):
+    lines = []
+    for s, delta in enumerate(stream.deltas):
+        lines.append(f"-- stage {s}")
+        lines.extend(ref.format_fact(f) for f in sorted(delta))
+    return "\n".join(lines) + "\n"
+
+
+@given(streams())
+@ROUND_TRIP_SETTINGS
+def test_stream_text_round_trip(stream):
+    text = stream.to_text()
+    assert text == reference_stream_text(stream)
+    again = StructureStream.from_text(text)
+    if any(f[0] != "el" for delta in stream.deltas for f in delta):
+        # A file with el facts only reads as a linear order.
+        assert again.signature is stream.signature
+    assert again.deltas == [sorted(d) for d in stream.deltas]
+    assert again.to_text() == text
+
+
+ORDER_EXPRESSIONS = ("replicate:2", "rev(replicate:1)", "ord2eq",
+                     "concat(replicate:1, replicate:2)", "pair_formula2eq")
+EQUIV_EXPRESSIONS = ("eq2ord_v1", "class_multiplier",
+                     "concat(eq2ord_v1|fill:left, eq2ord_v2|fill:right)")
+
+
+def reference_jsonl(log):
+    """The run-log encoding written with the reference formatter."""
+    lines = [json.dumps({
+        "v": 1, "type": "header", "operator": log.operator,
+        "signature": log.signature.value, "provenance": log.provenance,
+        "schedule": log.schedule,
+    }, sort_keys=True)]
+    for rec in log.records:
+        lines.append(json.dumps({
+            "v": 1, "stage": rec.stage,
+            "new_facts": [ref.format_fact(f) for f in rec.new_facts],
+            "annotations": rec.annotations,
+        }, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+@given(streams(), st.data())
+@ROUND_TRIP_SETTINGS
+def test_run_log_jsonl_round_trip(stream, data):
+    exprs = (ORDER_EXPRESSIONS if stream.signature is Signature.LINEAR_ORDER
+             else EQUIV_EXPRESSIONS)
+    op = build_operator(data.draw(st.sampled_from(exprs)))
+    log = run(op, stream, len(stream))
+    text = log.to_jsonl()
+    assert text == reference_jsonl(log)
+    again = RunLog.from_jsonl(text)
+    assert (again.operator, again.signature, again.provenance, again.schedule) == (
+        log.operator, log.signature, log.provenance, log.schedule)
+    assert [(r.stage, r.new_facts, r.annotations) for r in again.records] == [
+        (r.stage, r.new_facts, r.annotations) for r in log.records]
+    assert again.to_jsonl() == text

@@ -321,7 +321,7 @@ def _check_agreement(op, stream, schedule):
             assert frozenset(facts) == want, f"stage {rec.stage} (closed form)"
 
 
-@pytest.mark.parametrize("op_factory", [
+ORDER_AGREEMENT_OPERATORS = [
     lambda: replicate(2),
     lambda: reverse(replicate(2)),
     lambda: interval_fill(replicate(1), LEFT_CLOSED),
@@ -330,16 +330,8 @@ def _check_agreement(op, stream, schedule):
     lambda: formula2eq(least_element_sentence(), 1),
     lambda: pair_formula2eq(least_element_sentence(), greatest_element_sentence()),
     lambda: compose(class_multiplier(), ord2eq()),
-])
-@given(presentations(ORDER_FAMILIES))
-@example(presentation=(
-    generate(CanonicalSpec("omega_k", "permuted", 2, seed=4), 12), "identity"))
-@AGREEMENT_SETTINGS
-def test_stream_evaluator_matches_full_eval_orders(op_factory, presentation):
-    _check_agreement(op_factory(), *presentation)
-
-
-@pytest.mark.parametrize("op_factory", [
+]
+EQUIV_AGREEMENT_OPERATORS = [
     lambda: eq2ord_v1(),
     lambda: eq2ord_v2(),
     lambda: class_multiplier(),
@@ -349,13 +341,42 @@ def test_stream_evaluator_matches_full_eval_orders(op_factory, presentation):
         interval_fill(eq2ord_v2(), RIGHT_CLOSED),
     ),
     lambda: disjoint_union(class_multiplier(), class_multiplier()),
-])
+]
+
+
+@pytest.mark.parametrize("op_factory", ORDER_AGREEMENT_OPERATORS)
+@given(presentations(ORDER_FAMILIES))
+@example(presentation=(
+    generate(CanonicalSpec("omega_k", "permuted", 2, seed=4), 12), "identity"))
+@AGREEMENT_SETTINGS
+def test_stream_evaluator_matches_full_eval_orders(op_factory, presentation):
+    _check_agreement(op_factory(), *presentation)
+
+
+@pytest.mark.parametrize("op_factory", EQUIV_AGREEMENT_OPERATORS)
 @given(presentations(EQUIV_FAMILIES))
 @example(presentation=(
     generate(CanonicalSpec("e_hat_k", "permuted", 2, seed=4), 12), "identity"))
 @AGREEMENT_SETTINGS
 def test_stream_evaluator_matches_full_eval_equivalences(op_factory, presentation):
     _check_agreement(op_factory(), *presentation)
+
+
+@pytest.mark.parametrize(
+    "op_factory", ORDER_AGREEMENT_OPERATORS + EQUIV_AGREEMENT_OPERATORS)
+@given(st.data())
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_budget_law_on_fresh_evaluations(op_factory, data):
+    """eval(beta, n - 1) <= eval(beta, n), each a fresh one-step evaluation
+    (eval_chain is cumulative by construction, so it cannot test this)."""
+    op = op_factory()
+    families = (ORDER_FAMILIES if op.input_signature is Signature.LINEAR_ORDER
+                else EQUIV_FAMILIES)
+    stream, _ = data.draw(presentations(families))
+    beta = stream.final()
+    n = data.draw(st.integers(1, 12))
+    assert op.eval(beta, n - 1).facts <= op.eval(beta, n).facts
 
 
 def test_compose_replicates_multiply():

@@ -146,3 +146,21 @@ def test_lcg_shuffle_is_permutation(seed):
     items = list(range(20))
     out = lcg_shuffle(items, seed)
     assert sorted(out) == items
+
+
+def test_stream_file_elements_may_be_implicit():
+    s = StructureStream.from_text(
+        "-- stage 0\n-- stage 1\nlt 3 1\n-- stage 2\nel 2\nlt 1 2\nlt 3 2\n")
+    # Each element gets an el fact, first in the first stage naming it.
+    assert s.deltas == [
+        [],
+        [("el", 3), ("el", 1), ("lt", 3, 1)],
+        [("el", 2), ("lt", 1, 2), ("lt", 3, 2)],
+    ]
+    # el lines after the first stage naming their element are dropped.
+    late = StructureStream.from_text(
+        "-- stage 0\nlt 0 1\n-- stage 1\nel 0\nel 1\nel 2\nel 2\n")
+    assert late.deltas == [[("el", 0), ("el", 1), ("lt", 0, 1)], [("el", 2)]]
+    equiv = StructureStream.from_text("-- stage 0\nel 0\nsim 1 0\n")
+    assert equiv.signature is Signature.EQUIVALENCE
+    assert equiv.deltas == [[("el", 1), ("el", 0), ("sim", 0, 1)]]
