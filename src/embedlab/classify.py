@@ -11,7 +11,9 @@ window heuristic applies only to logs without pin annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .diagram import FiniteDiagram, Signature, SignatureError, TooLarge
+from itertools import chain as iter_chain
+
+from .diagram import FiniteDiagram, RELATIONS, Signature, SignatureError, TooLarge
 from .kernel import RunLog
 from .streams import CanonicalSpec
 
@@ -150,6 +152,12 @@ class OrderFingerprint:
     stable_greatest: int | None = None
 
 
+def _neighbours(chain: list) -> dict:
+    """Each element's (predecessor, successor) in chain, None at the ends."""
+    ends = [None, *chain, None]
+    return {x: (ends[i], ends[i + 2]) for i, x in enumerate(chain)}
+
+
 def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
     """Replay an order log and count immediate-neighbour changes.
 
@@ -160,42 +168,35 @@ def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
     """
     if log.signature is not Signature.LINEAR_ORDER:
         raise SignatureError("fingerprint requires a linear order log")
-    chain: list = []
-    facts: set = set()
     traces: dict = {}
-    least_change_stage = greatest_change_stage = -1
-
+    arrivals: list = []  # (stage, elements entering at it)
     for rec in log.records:
-        new_elements = []
-        for f in rec.new_facts:
-            facts.add(f)
-            for x in f[1:]:
-                if x not in traces:
-                    traces[x] = ElementTrace(entered_at=rec.stage)
-                    new_elements.append(x)
-        if not new_elements:
-            continue
-        pred_before = {}
-        succ_before = {}
-        for i, x in enumerate(chain):
-            pred_before[x] = chain[i - 1] if i > 0 else None
-            succ_before[x] = chain[i + 1] if i + 1 < len(chain) else None
+        named = set(iter_chain.from_iterable(rec.new_facts)) - RELATIONS
+        new_elements = sorted(x for x in named if x not in traces)
+        for x in new_elements:
+            traces[x] = ElementTrace(entered_at=rec.stage)
+        if new_elements:
+            arrivals.append((rec.stage, new_elements))
+    # Each stage's order is the final order on the elements it has; a
+    # final diagram that is not a total order raises when insert needs it.
+    order = FiniteDiagram.raw(Signature.LINEAR_ORDER, log.final_facts(),
+                              frozenset(traces))
+    chain: list = []
+    least_change_stage = greatest_change_stage = -1
+    for stage, new_elements in arrivals:
+        before = _neighbours(chain)
         old_least = chain[0] if chain else None
         old_greatest = chain[-1] if chain else None
         for x in new_elements:
-            pos = sum(1 for y in chain if ("lt", y, x) in facts)
-            chain.insert(pos, x)
-        for i, x in enumerate(chain):
-            if x not in pred_before:
-                continue
-            if (chain[i - 1] if i > 0 else None) != pred_before[x]:
-                traces[x].pred_changes += 1
-            if (chain[i + 1] if i + 1 < len(chain) else None) != succ_before[x]:
-                traces[x].succ_changes += 1
+            order.insert(chain, x)
+        after = _neighbours(chain)
+        for x, (pred, succ) in before.items():
+            traces[x].pred_changes += after[x][0] != pred
+            traces[x].succ_changes += after[x][1] != succ
         if chain[0] != old_least:
-            least_change_stage = rec.stage
+            least_change_stage = stage
         if chain[-1] != old_greatest:
-            greatest_change_stage = rec.stage
+            greatest_change_stage = stage
 
     final_stage = log.records[-1].stage if log.records else -1
     result = OrderFingerprint(

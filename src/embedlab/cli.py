@@ -20,6 +20,7 @@ import click
 from .classify import consistency_verdict
 from .diagram import (
     EmbedlabError,
+    InvalidSpec,
     SignatureError,
     format_facts,
     parse_diagram,
@@ -45,7 +46,12 @@ def _fail(exc: EmbedlabError) -> None:
 
 def _seed_option(seed: int) -> int:
     env = os.environ.get("EMBEDLAB_SEED")
-    return int(env) if env else seed
+    if not env:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidSpec(f"EMBEDLAB_SEED must be an integer, got {env!r}") from None
 
 
 @click.group()
@@ -188,7 +194,10 @@ def suite(run_all, only, seed, out_dir):
         unknown = [n for n in names if n not in experiments.EXPERIMENTS]
         if unknown:
             raise click.UsageError(f"unknown experiments: {unknown}")
-    result = experiments.run_suite(_seed_option(seed), names)
+    try:
+        result = experiments.run_suite(_seed_option(seed), names)
+    except EmbedlabError as exc:
+        _fail(exc)
     if out_dir:
         experiments.write_suite(result, out_dir)
     click.echo(experiments.summary_table(result))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 from .diagram import (
@@ -140,21 +141,10 @@ class _Ord2EqStream(StreamEvaluator):
         self.chain: list = []
         self.rings: dict = {}  # element -> highest emitted ring
 
-    def _insert(self, x, diagram):
-        chain = self.chain
-        lo, hi = 0, len(chain)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if diagram.below(chain[mid], x):
-                lo = mid + 1
-            else:
-                hi = mid
-        chain.insert(lo, x)
-
     def step(self, stage, diagram, delta, budget):
         for f in delta:
             if f[0] == "el":
-                self._insert(f[1], diagram)
+                diagram.insert(self.chain, f[1])
         if budget < 1 or not self.chain:
             return [], self._notes(budget)
         new = []
@@ -421,11 +411,11 @@ class StagePair:
 
 
 class _TargetReader:
-    """Incrementally tracks a target stream's chain and insertion ranks."""
+    """Tracks a target stream's chain and the rank at which each stage's
+    element entered it, in the order of the stream's final diagram."""
 
     def __init__(self, stream: StructureStream):
         self.stream = stream
-        self.facts: set = set()
         self.chain: list = []
         self.insert_ranks: list = []
 
@@ -435,15 +425,15 @@ class _TargetReader:
             s = len(self.chain)
             if s >= len(self.stream):
                 raise InvalidInput("target stream is shorter than the run")
-            delta = self.stream.deltas[s]
-            new = [f[1] for f in delta if f[0] == "el"]
+            new = [f[1] for f in self.stream.deltas[s] if f[0] == "el"]
             if new != [s]:
                 raise InvalidInput("target stages must add element s at stage s")
-            self.facts.update(delta)
-            rank = sum(1 for x in self.chain if ("lt", x, s) in self.facts)
-            self.chain.insert(rank, s)
-            self.insert_ranks.append(rank)
+            self.insert_ranks.append(self._order.insert(self.chain, s))
         return self.insert_ranks[t]
+
+    @cached_property
+    def _order(self):
+        return self.stream.final()
 
 
 class PhiPair(TuringConstruction):
@@ -495,8 +485,8 @@ class PhiPair(TuringConstruction):
             state["next_id"] = 1
             facts.append(el(0))
         else:
-            new_l = d if ("lt", d, state["l"]) in diagram.facts else state["l"]
-            new_r = d if ("lt", state["r"], d) in diagram.facts else state["r"]
+            new_l = d if diagram.below(d, state["l"]) else state["l"]
+            new_r = d if diagram.below(state["r"], d) else state["r"]
             if state["building"] == "A" and new_l != state["l"]:
                 state["building"] = "B"
                 switched = True

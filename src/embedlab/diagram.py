@@ -7,9 +7,12 @@ Facts are plain tuples, one of::
     ("lt", a, b)     a strictly below b        (LINEAR_ORDER only)
     ("sim", a, b)    a equivalent to b, a < b  (EQUIVALENCE only)
 
-sim facts are stored unordered (normalized to a < b) and need not be
-transitively closed; their reflexive-symmetric-transitive closure defines
-the class partition.  lt facts must be acyclic under transitive closure.
+sim facts are stored unordered (normalized to a < b); the class partition
+is their reflexive-symmetric-transitive closure.  The order is the
+transitive closure of the lt facts, which must be acyclic.  Neither set
+needs to be closed: covering pairs present the same order as all pairs.
+Code that reads an order or a partition asks FiniteDiagram (chain, below,
+insert, holds, sim_classes) rather than the stored facts.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -87,10 +91,6 @@ _REL_OF_SIGNATURE = {
 }
 
 
-def fact_elements(fact: Fact) -> tuple[int, ...]:
-    return fact[1:]
-
-
 @dataclass(frozen=True)
 class FiniteDiagram:
     """A consistent finite set of facts plus its element domain."""
@@ -154,58 +154,51 @@ class FiniteDiagram:
                 succ[f[1]].append(f[2])
         return succ
 
-    def has_lt_cycle(self) -> bool:
+    @cached_property
+    def _topo(self) -> tuple:
+        """Kahn's pass over the lt facts: the elements in a topological
+        order, and whether every step had a single ready element.  The
+        order is shorter than the domain when the facts contain a cycle.
+        Iterative, so chains of any length pass."""
         succ = self.lt_successors()
-        state: dict = {}
-
-        def visit(x) -> bool:
-            state[x] = 1
+        indeg = dict.fromkeys(succ, 0)
+        for ys in succ.values():
+            for y in ys:
+                indeg[y] += 1
+        ready = [x for x, d in indeg.items() if d == 0]
+        order = []
+        unique = True
+        while ready:
+            unique = unique and len(ready) == 1
+            x = ready.pop()
+            order.append(x)
             for y in succ[x]:
-                s = state.get(y, 0)
-                if s == 1 or (s == 0 and visit(y)):
-                    return True
-            state[x] = 2
-            return False
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    ready.append(y)
+        return order, unique
 
-        return any(state.get(x, 0) == 0 and visit(x) for x in self.domain)
+    def has_lt_cycle(self) -> bool:
+        return len(self._topo[0]) < len(self.domain)
 
     def chain(self) -> list:
         """Topologically sorted domain of a total linear order diagram."""
         if self.signature is not Signature.LINEAR_ORDER:
             raise SignatureError("chain() requires a linear order diagram")
-        indeg = {x: 0 for x in self.domain}
-        succ = self.lt_successors()
-        for xs in succ.values():
-            for y in xs:
-                indeg[y] += 1
-        ready = sorted(x for x, d in indeg.items() if d == 0)
-        out = []
-        while ready:
-            if len(ready) > 1:
-                raise InvalidInput("diagram is not a total order")
-            x = ready.pop()
-            out.append(x)
-            for y in succ[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    ready.append(y)
-        if len(out) != len(self.domain):
+        order, unique = self._topo
+        if len(order) < len(self.domain):
             raise InconsistentDiagram("lt facts contain a cycle")
-        return out
+        if not unique:
+            raise InvalidInput("diagram is not a total order")
+        return list(order)
 
     def is_total(self) -> bool:
-        """True iff lt (transitively) decides every distinct pair.
-
-        A unique topological order exists exactly when consecutive elements
-        are comparable, so chain() succeeding settles it.
-        """
+        """True iff lt (transitively) decides every distinct pair, that is,
+        the topological order is unique: one ready element at every step."""
         if self.signature is not Signature.LINEAR_ORDER:
             return False
-        try:
-            self.chain()
-        except (InvalidInput, InconsistentDiagram):
-            return False
-        return True
+        order, unique = self._topo
+        return unique and len(order) == len(self.domain)
 
     def below(self, a: int, b: int) -> bool:
         """a < b in a total order diagram.  Stored lt facts need not be
@@ -220,6 +213,34 @@ class FiniteDiagram:
     @cached_property
     def _ranks(self) -> dict:
         return {x: i for i, x in enumerate(self.chain())}
+
+    def insert(self, chain: list, x: int) -> int:
+        """Insert x into chain, a list of elements in increasing order, at
+        its place in this diagram's order; returns that index."""
+        lo, hi = 0, len(chain)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.below(chain[mid], x):
+                lo = mid + 1
+            else:
+                hi = mid
+        chain.insert(lo, x)
+        return lo
+
+    def holds(self, fact: Fact) -> bool:
+        """Truth of an lt or sim fact over domain elements in the structure
+        the diagram presents: lt is read through below() and sim through the
+        class partition, so neither needs to be stored or closed."""
+        rel, a, b = fact
+        if a == b:
+            return rel == "sim"
+        if rel == "lt":
+            return self.below(a, b)
+        return sim(a, b) in self.facts or self._class_of[a] == self._class_of[b]
+
+    @cached_property
+    def _class_of(self) -> dict:
+        return {x: i for i, c in enumerate(self.sim_classes()) for x in c}
 
     def sim_classes(self) -> list:
         """Partition of the domain by the closure of sim (sorted classes)."""
@@ -251,6 +272,7 @@ def format_facts(facts: Iterable[Fact]) -> list:
 
 # Tokens on a fact line (relation and arguments) by relation name.
 _TOKENS_OF = {"el": 2, "lt": 3, "sim": 3}
+RELATIONS = frozenset(_TOKENS_OF)
 
 
 def parse_facts(lines: Iterable[str]) -> list:
@@ -318,12 +340,16 @@ def parse_diagram(text: str, signature: Signature | None = None) -> FiniteDiagra
     return FiniteDiagram.make(signature, facts)
 
 
+def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDiagram:
+    """Trusted diagram whose domain is the elements its facts name."""
+    fs = frozenset(facts)
+    return FiniteDiagram.raw(signature, fs, frozenset(chain.from_iterable(fs)) - RELATIONS)
+
+
 def format_diagram(diagram: FiniteDiagram) -> str:
     lines = format_facts(sorted(diagram.facts))
     # Elements that occur in no fact still need an el declaration.
-    covered = set()
-    for f in diagram.facts:
-        covered.update(fact_elements(f))
+    covered = set(chain.from_iterable(diagram.facts))
     for x in sorted(diagram.domain - covered):
         lines.append(f"el {x}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .diagram import (
-    Fact,
     FiniteDiagram,
     InvalidInput,
     InvalidSchedule,
@@ -36,6 +35,7 @@ from .diagram import (
     Signature,
     SignatureError,
     content_lines,
+    diagram_from_facts,
     format_facts,
     parse_fact,
     parse_facts,
@@ -85,14 +85,6 @@ def _as_delta(alpha: FiniteDiagram) -> list:
     """All of alpha as one sorted delta, with an el fact for every element
     (diagram files may leave them implicit)."""
     return sorted(alpha.facts.union([("el", x) for x in alpha.domain]))
-
-
-def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDiagram:
-    fs = frozenset(facts)
-    domain = set()
-    for f in fs:
-        domain.update(f[1:])
-    return FiniteDiagram.raw(signature, fs, frozenset(domain))
 
 
 def evaluate(op: EnumerationOperator, alpha: FiniteDiagram, budget: int) -> FiniteDiagram:
@@ -178,10 +170,7 @@ class RunLog:
             yield rec, facts
 
     def final_facts(self) -> frozenset:
-        facts: set = set()
-        for rec in self.records:
-            facts.update(rec.new_facts)
-        return frozenset(facts)
+        return frozenset().union(*(rec.new_facts for rec in self.records))
 
     def final_diagram(self) -> FiniteDiagram:
         return diagram_from_facts(self.signature, self.final_facts())
@@ -248,12 +237,16 @@ class RunLog:
 
 
 def _json_record(line: str, n: int, keys: tuple) -> dict:
-    """One run-log line as a JSON object holding the given keys."""
+    """One run-log line as a version-1 JSON object holding the given keys."""
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"run log line {n} is not JSON: {exc.msg}") from None
-    if not isinstance(rec, dict) or not all(k in rec for k in keys):
+    if not isinstance(rec, dict):
+        raise ParseError(f"run log line {n} is not a JSON object")
+    if rec.get("v") != 1:
+        raise ParseError(f'run log line {n}: version {rec.get("v")!r}, needs "v": 1')
+    if not all(k in rec for k in keys):
         raise ParseError(f"run log line {n} needs the keys {', '.join(keys)}")
     return rec
 

@@ -72,18 +72,14 @@ def _instantiate(lit: Literal, xs: tuple, ys: tuple):
     vals = []
     for kind, i in lit.args:
         vals.append(xs[i] if kind == "x" else ys[i])
-    if lit.rel == "sim" and len(vals) == 2:
-        vals.sort()
     return (lit.rel, *vals)
 
 
 def literal_holds(diagram: FiniteDiagram, lit: Literal, xs: tuple, ys: tuple) -> bool:
-    """Classical truth at a finite stage; stages store lt transitively closed."""
-    fact = _instantiate(lit, xs, ys)
-    if fact[0] == "lt" and fact[1] == fact[2]:
-        present = False
-    else:
-        present = fact in diagram.facts
+    """Classical truth at a finite stage, in the order or partition the
+    stage presents (``FiniteDiagram.holds``): lt is irreflexive, sim
+    reflexive, and neither needs its facts stored closed."""
+    present = diagram.holds(_instantiate(lit, xs, ys))
     return not present if lit.negated else present
 
 
@@ -135,55 +131,38 @@ class WitnessTracker:
         self.domain: list = []
         self.stage = -1
 
-    def _matrix_holds_all(self, diagram, matrix: Matrix, xs: tuple) -> bool:
-        n = matrix.forall_arity
+    def _matrix_holds(self, diagram, matrix: Matrix, xs: tuple, new=None) -> bool:
+        """matrix holds for xs at every universal tuple over the domain, or
+        at every one that meets the set new when it is given."""
         return all(
             literal_holds(diagram, matrix.literal, xs, ys)
-            for ys in product(self.domain, repeat=n)
+            for ys in product(self.domain, repeat=matrix.forall_arity)
+            if new is None or not new.isdisjoint(ys)
         )
-
-    def _matrix_holds_new(self, diagram, matrix, xs, new_elements) -> bool:
-        n = matrix.forall_arity
-        new_set = set(new_elements)
-        for ys in product(self.domain, repeat=n):
-            if not any(y in new_set for y in ys):
-                continue
-            if not literal_holds(diagram, matrix.literal, xs, ys):
-                return False
-        return True
 
     def update(self, diagram: FiniteDiagram, new_elements: list):
         self.stage += 1
         self.domain.extend(new_elements)
         s = self.stage
+        new = set(new_elements)
         for di, disjunct in enumerate(self.sentence.disjuncts):
             active = disjunct.matrices[: s + 1]
+            alive = self.alive[di]
             # A matrix activating at this stage re-filters every survivor.
             if s < len(disjunct.matrices):
                 matrix = disjunct.matrices[s]
-                self.alive[di] = {
-                    xs: True
-                    for xs in self.alive[di]
-                    if self._matrix_holds_all(diagram, matrix, xs)
-                }
+                alive = {xs: True for xs in alive
+                         if self._matrix_holds(diagram, matrix, xs)}
             # New universal instantiations can kill old witnesses.
-            if new_elements:
-                survivors = {}
-                for xs in self.alive[di]:
-                    if all(
-                        self._matrix_holds_new(diagram, m, xs, new_elements)
-                        for m in active
-                    ):
-                        survivors[xs] = True
-                self.alive[di] = survivors
+            if new:
+                alive = {xs: True for xs in alive if all(
+                    self._matrix_holds(diagram, m, xs, new) for m in active)}
             # New existential tuples must pass every active matrix in full.
-            m_arity = disjunct.exists_arity
-            new_set = set(new_elements)
-            for xs in product(self.domain, repeat=m_arity):
-                if not any(x in new_set for x in xs):
-                    continue
-                if all(self._matrix_holds_all(diagram, m, xs) for m in active):
-                    self.alive[di][xs] = True
+            for xs in product(self.domain, repeat=disjunct.exists_arity):
+                if not new.isdisjoint(xs) and all(
+                        self._matrix_holds(diagram, m, xs) for m in active):
+                    alive[xs] = True
+            self.alive[di] = alive
 
     def witnesses(self) -> list:
         """Alive tuples in the fixed (length, lexicographic) order."""
@@ -225,14 +204,14 @@ def parse_sentence(text: str, name: str = "sentence") -> Sigma2Sentence:
         if parts[0] == "exists":
             if exists_arity is not None:
                 raise ParseError("duplicate exists header")
-            exists_arity = int(parts[1])
+            exists_arity = _header_number(parts, line)
             if exists_arity < 1:
                 raise ParseError("exists arity must be >= 1")
         elif parts[0] == "disjunct":
             if exists_arity is None:
                 raise ParseError("disjunct before exists header")
             expected = len(disjuncts) + (1 if matrices is not None else 0)
-            if int(parts[1]) != expected:
+            if _header_number(parts, line) != expected:
                 raise ParseError(f"disjunct index out of order: {line!r}")
             close_disjunct()
             matrices = []
@@ -240,7 +219,7 @@ def parse_sentence(text: str, name: str = "sentence") -> Sigma2Sentence:
             if matrices is None:
                 raise ParseError("forall line before any disjunct")
             head, _, lit_text = line.partition(":")
-            n = int(head.split()[1])
+            n = _header_number(head.split(), line)
             matrices.append(Matrix(n, _parse_literal(lit_text.strip(),
                                                      exists_arity, n)))
         else:
@@ -249,6 +228,13 @@ def parse_sentence(text: str, name: str = "sentence") -> Sigma2Sentence:
     if not disjuncts:
         raise ParseError("sentence has no disjuncts")
     return Sigma2Sentence(name, tuple(disjuncts))
+
+
+def _header_number(parts: list, line: str) -> int:
+    """The natural number of an ``exists``, ``disjunct`` or ``forall`` header."""
+    if len(parts) != 2 or not parts[1].isdecimal():
+        raise ParseError(f"header needs one natural number: {line!r}")
+    return int(parts[1])
 
 
 def _parse_literal(text: str, exists_arity: int, forall_arity: int) -> Literal:
@@ -265,7 +251,7 @@ def _parse_literal(text: str, exists_arity: int, forall_arity: int) -> Literal:
     args = []
     for tok in parts[1:]:
         kind, idx = tok[0], tok[1:]
-        if kind not in ("x", "y") or not idx.isdigit():
+        if kind not in ("x", "y") or not idx.isdecimal():
             raise ParseError(f"bad variable {tok!r}")
         i = int(idx)
         bound = exists_arity if kind == "x" else forall_arity

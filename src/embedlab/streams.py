@@ -24,8 +24,10 @@ from .diagram import (
     FiniteDiagram,
     InvalidSpec,
     ParseError,
+    RELATIONS,
     Signature,
     content_lines,
+    diagram_from_facts,
     el,
     format_facts,
     parse_facts,
@@ -153,13 +155,8 @@ class StructureStream:
     def stage(self, s: int) -> FiniteDiagram:
         if not 0 <= s < len(self.deltas):
             raise IndexError(f"stage {s} out of range")
-        facts: set = set()
-        domain: set = set()
-        for delta in self.deltas[: s + 1]:
-            facts.update(delta)
-            for f in delta:
-                domain.update(f[1:])
-        return FiniteDiagram.raw(self.signature, frozenset(facts), frozenset(domain))
+        return diagram_from_facts(
+            self.signature, chain.from_iterable(self.deltas[: s + 1]))
 
     def final(self) -> FiniteDiagram:
         return self.stage(len(self.deltas) - 1)
@@ -176,15 +173,16 @@ class StructureStream:
         """Parse a stream file.  An element gets an ``el`` fact at the
         start of the first stage that names it unless that stage or an
         earlier one declares it, since evaluators learn elements from
-        ``el`` facts; later ``el`` facts for it are dropped."""
+        ``el`` facts.  A fact that repeats one read before is dropped, so
+        every delta holds only new facts."""
         deltas: list = []
         block: list | None = None  # fact lines of the current stage
-        declared: set = set()      # elements with an el fact so far
+        seen: set = set()          # facts read so far
         rels: set = set()
         for line in content_lines(text):
             if line.startswith("--"):
                 if block is not None:
-                    deltas.append(_stage_delta(block, declared, rels))
+                    deltas.append(_stage_delta(block, seen, rels))
                 parts = line.split()
                 if len(parts) != 3 or parts[1] != "stage" or not parts[2].isdecimal():
                     raise ParseError(f"bad stage separator {line!r}")
@@ -197,41 +195,32 @@ class StructureStream:
                 block.append(line)
         if block is None:
             raise ParseError("stream file has no stages")
-        deltas.append(_stage_delta(block, declared, rels))
+        deltas.append(_stage_delta(block, seen, rels))
         if "lt" in rels and "sim" in rels:
             raise ParseError("stream mixes lt and sim facts")
         signature = Signature.EQUIVALENCE if "sim" in rels else Signature.LINEAR_ORDER
         return StructureStream(signature, deltas, provenance)
 
 
-_RELATIONS = frozenset(("el", "lt", "sim"))
-
-
-def _stage_delta(lines: list, declared: set, rels: set) -> list:
-    """One stage's facts, led by an el fact for each element they name
-    that no el fact of this or an earlier stage declares, and without
-    el facts that repeat an earlier declaration.  Adds the
-    stage's relations to rels and its elements to declared."""
-    facts = parse_facts(lines)
-    named = [f[1] for f in facts if f[0] == "el"]
-    if len(set(named) - declared) < len(named):  # an el line repeats one
-        kept = []
-        for f in facts:
-            if f[0] == "el":
-                if f[1] in declared:
-                    continue
-                declared.add(f[1])
-            kept.append(f)
-        facts = kept
+def _stage_delta(lines: list, seen: set, rels: set) -> list:
+    """One stage's facts without those read before, in this stage or an
+    earlier one (``sim b a`` repeats ``sim a b``), led by an el fact for
+    each element they name that no el fact read so far declares.  Adds
+    the stage's facts, implicit el facts included, to seen and its
+    relations to rels."""
+    facts = list(dict.fromkeys(parse_facts(lines)))
+    if not seen.isdisjoint(facts):
+        facts = [f for f in facts if f not in seen]
+    seen.update(facts)
     tokens = set(chain.from_iterable(facts))  # relations and element ids
-    rels.update(tokens & _RELATIONS)
-    declared.update(named)
-    missing = tokens - _RELATIONS - declared
+    rels.update(tokens & RELATIONS)
+    missing = {x for x in tokens - RELATIONS if ("el", x) not in seen}
     if not missing:
         return facts
-    declared.update(missing)
-    first_named = dict.fromkeys(x for f in facts for x in f[1:] if x in missing)
-    return [el(x) for x in first_named] + facts
+    implicit = [el(x) for x in dict.fromkeys(
+        x for f in facts for x in f[1:] if x in missing)]
+    seen.update(implicit)
+    return implicit + facts
 
 
 def _eta_values(count: int) -> list:

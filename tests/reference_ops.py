@@ -7,13 +7,17 @@ definition rather than incrementally.  The shipped operators are defined
 once, by their stream evaluators; the agreement tests compare them against
 these.  ``parse_fact`` and ``format_fact`` are the straightforward codec
 that ``embedlab.diagram`` replaced with a faster one; the codec tests
-require the same results and the same errors.
+require the same results and the same errors.  ``fingerprint`` is the
+classifier replay that places each new element by counting the stored
+``lt`` facts below it, which is right on all-pairs logs only; the shipped
+one must give the same fingerprint on them.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
+from embedlab.classify import ElementTrace, OrderFingerprint
 from embedlab.combinators import Replicate, Reverse
 from embedlab.constructions import (
     ClassMultiplier,
@@ -162,3 +166,58 @@ def parse_fact(line: str) -> tuple:
             raise InconsistentDiagram(f"lt {args[0]} {args[0]}")
         return ("lt", args[0], args[1])
     return sim(args[0], args[1])
+
+
+def fingerprint(log, threshold: int) -> OrderFingerprint:
+    """Immediate-neighbour changes of an all-pairs order log."""
+    chain: list = []
+    facts: set = set()
+    traces: dict = {}
+    least_change_stage = greatest_change_stage = -1
+    for rec in log.records:
+        new_elements = []
+        for f in rec.new_facts:
+            facts.add(f)
+            for x in f[1:]:
+                if x not in traces:
+                    traces[x] = ElementTrace(entered_at=rec.stage)
+                    new_elements.append(x)
+        if not new_elements:
+            continue
+        pred_before = {}
+        succ_before = {}
+        for i, x in enumerate(chain):
+            pred_before[x] = chain[i - 1] if i > 0 else None
+            succ_before[x] = chain[i + 1] if i + 1 < len(chain) else None
+        old_least = chain[0] if chain else None
+        old_greatest = chain[-1] if chain else None
+        for x in new_elements:
+            pos = sum(1 for y in chain if ("lt", y, x) in facts)
+            chain.insert(pos, x)
+        for i, x in enumerate(chain):
+            if x not in pred_before:
+                continue
+            if (chain[i - 1] if i > 0 else None) != pred_before[x]:
+                traces[x].pred_changes += 1
+            if (chain[i + 1] if i + 1 < len(chain) else None) != succ_before[x]:
+                traces[x].succ_changes += 1
+        if chain[0] != old_least:
+            least_change_stage = rec.stage
+        if chain[-1] != old_greatest:
+            greatest_change_stage = rec.stage
+
+    final_stage = log.records[-1].stage if log.records else -1
+    result = OrderFingerprint(
+        stages=len(log.records), threshold=threshold, elements=traces
+    )
+    result.pred_unstable = sorted(
+        x for x, t in traces.items() if t.pred_changes >= threshold
+    )
+    result.succ_unstable = sorted(
+        x for x, t in traces.items() if t.succ_changes >= threshold
+    )
+    if chain and least_change_stage <= final_stage - threshold:
+        result.stable_least = chain[0]
+    if chain and greatest_change_stage <= final_stage - threshold:
+        result.stable_greatest = chain[-1]
+    return result

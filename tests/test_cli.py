@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from embedlab.cli import main
@@ -287,3 +288,85 @@ def test_suite_requires_selection():
 def test_suite_unknown_experiment():
     result = invoke("suite", "--only", "nope")
     assert result.exit_code == 2
+
+
+def test_force_on_long_covering_chain(tmp_path):
+    """Order checks are one iterative pass: a covering chain longer than
+    the recursion limit is a valid input.  (1,200 elements: replicate's
+    all-pairs output grows as the square, and this is enough to fail a
+    recursive search.)"""
+    from embedlab.pairing import tag
+
+    alpha = tmp_path / "a.txt"
+    alpha.write_text("".join(f"lt {i} {i + 1}\n" for i in range(1199)))
+    result = invoke("force", "--op", "replicate:1", "--alpha", str(alpha),
+                    "--atom", f"lt {tag(0, 0)} {tag(0, 1199)}",
+                    "--ext", "0", "--budget", "1")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output.splitlines()[-1])["outcome"] == "FORCED"
+
+
+@pytest.mark.parametrize("text", [
+    "lt 0 1\nlt 1 2\nlt 2 0\n",       # a cycle
+    "lt 0 1\nlt 0 2\n",               # 1 and 2 unordered
+    "lt 0 1\nlt 1 0\nel 2\n",         # both
+])
+def test_force_on_bad_order_exits_2(tmp_path, text):
+    alpha = tmp_path / "a.txt"
+    alpha.write_text(text)
+    _assert_usage_error(invoke("force", "--op", "replicate:1", "--alpha",
+                               str(alpha), "--atom", "lt 0 2"))
+
+
+def test_run_drops_repeated_stream_facts(tmp_path):
+    """A fact repeating one read before (sim 1 0 repeats sim 0 1) is not
+    new input, so class_multiplier emits nothing twice."""
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("-- stage 0\nel 0\nel 1\nel 2\nel 3\n-- stage 1\nsim 0 1\n"
+                        "-- stage 2\nsim 0 1\nsim 2 3\n-- stage 3\nsim 1 0\n")
+    clean = tmp_path / "clean.txt"
+    clean.write_text("-- stage 0\nel 0\nel 1\nel 2\nel 3\n-- stage 1\nsim 0 1\n"
+                     "-- stage 2\nsim 2 3\n-- stage 3\n")
+    records = []
+    for stream in (repeated, clean):
+        log = tmp_path / "r.jsonl"
+        result = invoke("run", "--op", "class_multiplier", "--in", str(stream),
+                        "--log", str(log))
+        assert result.exit_code == 0
+        records.append(log.read_text().splitlines()[1:])
+    assert records[0] == records[1]
+    facts = [f for r in records[0] for f in json.loads(r)["new_facts"]]
+    assert len(facts) == len(set(facts))
+
+
+@pytest.mark.parametrize("header", [
+    "exists x\ndisjunct 0\nforall 1: not lt y0 x0\n",
+    "exists\ndisjunct 0\nforall 1: not lt y0 x0\n",
+    "exists 1\ndisjunct z\nforall 1: not lt y0 x0\n",
+    "exists 1\ndisjunct 0\nforall q: not lt y0 x0\n",
+])
+def test_run_bad_sentence_header_exits_2(tmp_path, header):
+    stream = tmp_path / "s.txt"
+    invoke("gen", "--family", "omega", "--stages", "5", "--out", str(stream))
+    sentence = tmp_path / "phi.txt"
+    sentence.write_text(header)
+    _assert_usage_error(invoke("run", "--op", "phi_sigma2", "--phi", str(sentence),
+                               "--in", str(stream), "--log", str(tmp_path / "r.jsonl")))
+
+
+def test_bad_env_seed_exits_2(tmp_path):
+    env = {"EMBEDLAB_SEED": "abc"}
+    _assert_usage_error(invoke("gen", "--family", "omega", "--stages", "5",
+                               "--out", str(tmp_path / "s.txt"), env=env))
+    _assert_usage_error(invoke("suite", "--only", "phi_pair", env=env))
+
+
+@pytest.mark.parametrize("records", [
+    [{"v": 2, "type": "header", "operator": "x", "signature": "linear_order"}],
+    [{"v": 1, "type": "header", "operator": "x", "signature": "linear_order"},
+     {"stage": 0, "new_facts": ["el 0"]}],
+])
+def test_classify_log_version_other_than_1_exits_2(tmp_path, records):
+    log = tmp_path / "r.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))

@@ -117,14 +117,14 @@ def test_format_matches_reference_and_round_trips(facts):
 
 def test_run_log_rejects_non_string_facts():
     log = RunLog.from_jsonl(
-        '{"type": "header", "operator": "x", "signature": "linear_order"}\n'
-        '{"stage": 0, "new_facts": ["el 0"]}\n')
+        '{"v": 1, "type": "header", "operator": "x", "signature": "linear_order"}\n'
+        '{"v": 1, "stage": 0, "new_facts": ["el 0"]}\n')
     assert log.records[0].new_facts == [("el", 0)]
     for bad in ("[5]", "[null]", '[["el", 0]]', "7"):
         with pytest.raises(ParseError, match="new_facts must list facts"):
             RunLog.from_jsonl(
-                '{"type": "header", "operator": "x", "signature": "linear_order"}\n'
-                f'{{"stage": 0, "new_facts": {bad}}}\n')
+                '{"v": 1, "type": "header", "operator": "x", "signature": "linear_order"}\n'
+                f'{{"v": 1, "stage": 0, "new_facts": {bad}}}\n')
 
 
 @st.composite

@@ -403,3 +403,38 @@ def test_compose_replicates_multiply():
 def test_compose_signature_mismatch():
     with pytest.raises(SignatureError):
         compose(replicate(2), ord2eq())
+
+
+@pytest.mark.parametrize(
+    "op_factory", ORDER_AGREEMENT_OPERATORS + EQUIV_AGREEMENT_OPERATORS)
+@given(st.data())
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_repeated_stream_facts_are_not_new_input(op_factory, data):
+    """A stream file that repeats facts read before (in the same stage or
+    an earlier one, sim reversed or not) reads as the file without them."""
+    op = op_factory()
+    families = (ORDER_FAMILIES if op.input_signature is Signature.LINEAR_ORDER
+                else EQUIV_FAMILIES)
+    stream, schedule = data.draw(presentations(families))
+    read: list = []
+    blocks = []
+    for s, delta in enumerate(stream.deltas):
+        earlier = data.draw(st.lists(st.sampled_from(read), max_size=3)) if read else []
+        read.extend(delta)
+        again = data.draw(st.lists(st.sampled_from(read), max_size=3)) if read else []
+        lines = [f"-- stage {s}\n"]
+        for f in earlier + sorted(delta) + again:
+            if f[0] == "sim" and data.draw(st.booleans()):
+                f = ("sim", f[2], f[1])
+            lines.append(" ".join(map(str, f)) + "\n")
+        blocks.append("".join(lines))
+    # A stream with el facts only reads as an order; keep the drawn signature.
+    repeated, clean = (
+        StructureStream(stream.signature, StructureStream.from_text(text).deltas, "")
+        for text in ("".join(blocks), stream.to_text()))
+    assert repeated.deltas == clean.deltas
+    name, fn = parse_schedule(schedule)
+    logs = [run(op_factory(), s, len(s), fn, name) for s in (repeated, clean)]
+    assert [(r.new_facts, r.annotations) for r in logs[0].records] == [
+        (r.new_facts, r.annotations) for r in logs[1].records]

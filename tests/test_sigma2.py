@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embedlab.diagram import ParseError, total_order_diagram
+from embedlab.diagram import EmbedlabError, ParseError, total_order_diagram
 from embedlab.sigma2 import (
     Literal,
     WitnessTracker,
@@ -117,3 +119,35 @@ def test_resolve_sentence_builtin_and_file(tmp_path):
 
     with pytest.raises(InvalidSpec):
         resolve_sentence("no_such_sentence")
+
+
+SENTENCE_TOKENS = st.sampled_from([
+    "exists", "disjunct", "forall", "forall 1:", "forall 0:", ":", "not",
+    "lt", "sim", "gt", "x0", "x1", "y0", "y1", "x", "y", "x\u00b2", "y\u0663",
+    "0", "1", "2", "-1", "+1", "\u0663", "\u00b2", "1_0", "q", "#",
+])
+SENTENCE_LINES = st.lists(SENTENCE_TOKENS, max_size=6).map(" ".join) | st.text(
+    max_size=12)
+
+
+@given(st.lists(SENTENCE_LINES, max_size=8).map("\n".join))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_parse_sentence_fuzz(text):
+    """Sentence text either parses or raises an EmbedlabError."""
+    try:
+        sentence = parse_sentence(text)
+    except EmbedlabError:
+        return
+    assert parse_sentence(format_sentence(sentence)).disjuncts == sentence.disjuncts
+
+
+@pytest.mark.parametrize("text", [
+    "exists x\ndisjunct 0\nforall 1: not lt y0 x0\n",
+    "exists\ndisjunct 0\nforall 1: not lt y0 x0\n",
+    "exists 1\ndisjunct z\nforall 1: not lt y0 x0\n",
+    "exists 1\ndisjunct 0\nforall q: not lt y0 x0\n",
+    "exists 1\ndisjunct 0\nforall 1: not lt y\u00b2 x0\n",
+])
+def test_parse_bad_numbers_raise_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_sentence(text)
