@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 
-from .diagram import FiniteDiagram, RELATIONS, Signature, SignatureError, TooLarge
+from .diagram import (
+    FiniteDiagram,
+    InconsistentDiagram,
+    RELATIONS,
+    Signature,
+    SignatureError,
+    TooLarge,
+)
 from .kernel import RunLog
 from .streams import CanonicalSpec
 
@@ -197,6 +204,11 @@ def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
             least_change_stage = stage
         if chain[-1] != old_greatest:
             greatest_change_stage = stage
+    # insert compares only the pairs its binary search visits, so a cycle
+    # among the stored facts shows as a fact against the replayed chain.
+    rank = {x: i for i, x in enumerate(chain)}
+    if any(rank[f[1]] > rank[f[2]] for f in order.facts if f[0] == "lt"):
+        raise InconsistentDiagram("lt facts contain a cycle")
 
     final_stage = log.records[-1].stage if log.records else -1
     result = OrderFingerprint(

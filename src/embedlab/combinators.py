@@ -16,6 +16,7 @@ from .diagram import (
     Signature,
     SignatureError,
     el,
+    place,
 )
 from .kernel import EnumerationOperator, StreamEvaluator
 from .pairing import tag
@@ -49,24 +50,20 @@ class Replicate(EnumerationOperator):
 class _ReplicateStream(StreamEvaluator):
     def __init__(self, q: int):
         self.q = q
-        self.placed: list = []  # (input element, copy index)
+        self.chain: list = []   # placed input elements in input order
+        self.output: list = []  # the q copies of chain laid in series
         self.pending: list = []
 
-    def step(self, stage, diagram, delta, budget):
+    def step(self, diagram, delta, budget):
         self.pending.extend(f[1] for f in delta if f[0] == "el")
         if budget < 1:
             return [], None
         new = []
         for x in self.pending:
+            r = diagram.insert(self.chain, x)
+            n = len(self.chain)
             for i in range(self.q):
-                e = tag(i, x)
-                new.append(el(e))
-                for y, j in self.placed:
-                    if j < i or (j == i and diagram.below(y, x)):
-                        new.append(("lt", tag(j, y), e))
-                    else:
-                        new.append(("lt", e, tag(j, y)))
-                self.placed.append((x, i))
+                new += place(self.output, tag(i, x), i * n + r)
         self.pending = []
         return new, None
 
@@ -98,8 +95,8 @@ class _MappedStream(StreamEvaluator):
         self.inner = inner
         self.fn = fn
 
-    def step(self, stage, diagram, delta, budget):
-        new, notes = self.inner.step(stage, diagram, delta, budget)
+    def step(self, diagram, delta, budget):
+        new, notes = self.inner.step(diagram, delta, budget)
         return [self.fn(f) for f in new], notes
 
 
@@ -207,8 +204,8 @@ class _FillStream(StreamEvaluator):
         self.blocks = _FillBlocks(style)
         self.inner = inner
 
-    def step(self, stage, diagram, delta, budget):
-        inner_new, _ = self.inner.step(stage, diagram, delta, budget)
+    def step(self, diagram, delta, budget):
+        inner_new, _ = self.inner.step(diagram, delta, budget)
         return self.blocks.advance(inner_new, budget), None
 
 
@@ -303,9 +300,9 @@ class _PairedStream(StreamEvaluator):
         self.inner2 = inner2
         self.merger = merger
 
-    def step(self, stage, diagram, delta, budget):
-        new1, _ = self.inner1.step(stage, diagram, delta, budget)
-        new2, _ = self.inner2.step(stage, diagram, delta, budget)
+    def step(self, diagram, delta, budget):
+        new1, _ = self.inner1.step(diagram, delta, budget)
+        new2, _ = self.inner2.step(diagram, delta, budget)
         return self.merger.advance(new1, new2), None
 
 

@@ -26,15 +26,17 @@ comparison between two sentences.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import inf, isqrt
 
 from .diagram import (
     InvalidInput,
     InvalidSpec,
     Signature,
     el,
+    place,
     sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
@@ -111,16 +113,15 @@ def absolute_tuple(index: int) -> tuple:
     return _TUPLE_CACHE[index]
 
 
+def precedence_key(t: tuple) -> tuple:
+    """Sort key of tuple_precedes.  A proper extension of u has a natural
+    where u + (inf,) has inf, so it sorts before u."""
+    return t + (inf,)
+
+
 def tuple_precedes(t: tuple, u: tuple) -> bool:
     """t before u: proper extensions first, else first difference decides."""
-    if len(t) > len(u) and t[: len(u)] == u:
-        return True
-    if len(u) > len(t) and u[: len(t)] == t:
-        return False
-    for a, b in zip(t, u):
-        if a != b:
-            return a < b
-    return False
+    return precedence_key(t) < precedence_key(u)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,7 @@ class _Ord2EqStream(StreamEvaluator):
         self.chain: list = []
         self.rings: dict = {}  # element -> highest emitted ring
 
-    def step(self, stage, diagram, delta, budget):
+    def step(self, diagram, delta, budget):
         for f in delta:
             if f[0] == "el":
                 diagram.insert(self.chain, f[1])
@@ -204,30 +205,29 @@ class Eq2Ord(EnumerationOperator):
 class _Eq2OrdStream(StreamEvaluator):
     def __init__(self, op: Eq2Ord):
         self.op = op
-        self.admitted: dict = {}  # tuple -> encoded id
+        self.keys: list = []   # precedence keys of the admitted tuples, sorted
+        self.chain: list = []  # their encoded ids in the same order
         self.sizes: dict = {}
         self.scanned = 0  # tuple indices already checked against self.sizes
 
-    def step(self, stage, diagram, delta, budget):
+    def step(self, diagram, delta, budget):
         if delta:
             # A grown class can admit a tuple that was skipped before.
             self.sizes = {x: len(c) for c in diagram.sim_classes() for x in c}
             self.scanned = 0
         sizes = self.sizes
+        keys = self.keys
         new = []
         for i in range(self.scanned, budget):
             t = absolute_tuple(i)
-            if t in self.admitted or not self.op._admissible(t, sizes):
+            key = precedence_key(t)
+            rank = bisect_left(keys, key)
+            if rank < len(keys) and keys[rank] == key:
+                continue  # admitted before
+            if not self.op._admissible(t, sizes):
                 continue
-            e = encode_tuple(t)
-            facts = [el(e)]
-            for u, eu in self.admitted.items():
-                if tuple_precedes(t, u):
-                    facts.append(("lt", e, eu))
-                else:
-                    facts.append(("lt", eu, e))
-            self.admitted[t] = e
-            new.extend(facts)
+            keys.insert(rank, key)
+            new += place(self.chain, encode_tuple(t), rank)
         self.scanned = max(self.scanned, budget)
         return new, None
 
@@ -325,7 +325,7 @@ class _CopyTracker(StreamEvaluator):
             self.copies += 1
         return out
 
-    def step(self, stage, diagram, delta, budget):
+    def step(self, diagram, delta, budget):
         return self.advance(delta, budget), None
 
 
@@ -337,7 +337,7 @@ class _Formula2EqStream(StreamEvaluator):
         self.copier = _CopyTracker()
         self.pending: list = []  # nothing is emitted before budget 1
 
-    def step(self, stage, diagram, delta, budget):
+    def step(self, diagram, delta, budget):
         op = self.op
         disjuncts = op.sentence.disjuncts
         new_elements = [f[1] for f in delta if f[0] == "el"]
@@ -463,8 +463,7 @@ class PhiPair(TuringConstruction):
                 "A": _TargetReader(self.targets.a),
                 "B": _TargetReader(self.targets.b),
             },
-            "chain": [],
-            "next_id": 0,
+            "chain": [],  # output elements in output order, ids from 0 up
         }
 
     def step(self, state, diagram, delta):
@@ -481,9 +480,7 @@ class PhiPair(TuringConstruction):
         if state["t"] is None:
             state.update(t=0, l=d, r=d)
             state["readers"]["A"].rank_of_stage(0)
-            state["chain"] = [0]
-            state["next_id"] = 1
-            facts.append(el(0))
+            facts = place(state["chain"], 0, 0)
         else:
             new_l = d if diagram.below(d, state["l"]) else state["l"]
             new_r = d if diagram.below(state["r"], d) else state["r"]
@@ -498,18 +495,8 @@ class PhiPair(TuringConstruction):
                 state["t"] = t
                 reader = state["readers"][state["building"]]
                 insert_rank = reader.rank_of_stage(t)
-                e = state["next_id"]
-                state["next_id"] += 1
                 chain = state["chain"]
-                chain.insert(insert_rank, e)
-                facts.append(el(e))
-                for i, x in enumerate(chain):
-                    if x == e:
-                        continue
-                    if i < insert_rank:
-                        facts.append(("lt", x, e))
-                    else:
-                        facts.append(("lt", e, x))
+                facts = place(chain, len(chain), insert_rank)
             state["l"], state["r"] = new_l, new_r
 
         notes = {
@@ -559,15 +546,11 @@ class PhiSigma2(TuringConstruction):
         state["psi"].update(diagram, new_elements)
         chain = state["chain"]
         e = len(chain)
-        facts = [el(e)]
         least_phi = state["phi"].least()
         least_psi = state["psi"].least()
 
-        if not chain:
-            placement = None
-            case = None
-            chain.append(e)
-        else:
+        placement = case = None
+        if chain:
             if least_phi is None and least_psi is None:
                 case, top = 1, True
             elif least_phi is not None and least_psi is None:
@@ -578,12 +561,7 @@ class PhiSigma2(TuringConstruction):
                 case = 4
                 top = (len(least_phi), least_phi) < (len(least_psi), least_psi)
             placement = "top" if top else "bottom"
-            if top:
-                facts.extend(("lt", x, e) for x in chain)
-                chain.append(e)
-            else:
-                facts.extend(("lt", e, x) for x in chain)
-                chain.insert(0, e)
+        facts = place(chain, e, len(chain) if placement == "top" else 0)
 
         notes = {
             "case": case,

@@ -12,7 +12,10 @@ is their reflexive-symmetric-transitive closure.  The order is the
 transitive closure of the lt facts, which must be acyclic.  Neither set
 needs to be closed: covering pairs present the same order as all pairs.
 Code that reads an order or a partition asks FiniteDiagram (chain, below,
-insert, holds, sim_classes) rather than the stored facts.
+insert, holds, sim_classes) rather than the stored facts.  Code that
+writes an order places each new element with place(), the one function
+that decides which lt facts present it (today: one against every element
+already placed).
 """
 
 from __future__ import annotations
@@ -140,10 +143,6 @@ class FiniteDiagram:
         """Trusted constructor for internally generated fact sets (no checks)."""
         return FiniteDiagram(signature, facts, domain)
 
-    @staticmethod
-    def empty(signature: Signature) -> "FiniteDiagram":
-        return FiniteDiagram(signature, frozenset(), frozenset())
-
     def __le__(self, other: "FiniteDiagram") -> bool:
         return self.signature is other.signature and self.facts <= other.facts
 
@@ -265,6 +264,20 @@ class FiniteDiagram:
         return sorted(sorted(g) for g in groups.values())
 
 
+def place(chain: list, x: int, rank: int) -> list:
+    """Insert x into chain, a list of elements in increasing order, at
+    index rank; returns the facts that present the grown order given the
+    old one: ``el x`` and one lt fact between x and each element of the
+    old chain.  The counterpart of FiniteDiagram.insert for writers."""
+    facts = [el(x)]
+    for y in chain[:rank]:
+        facts.append(("lt", y, x))
+    for y in chain[rank:]:
+        facts.append(("lt", x, y))
+    chain.insert(rank, x)
+    return facts
+
+
 def format_facts(facts: Iterable[Fact]) -> list:
     """Each fact as its text line, ``rel a`` or ``rel a b``."""
     return ["%s %s %s" % f if len(f) == 3 else "%s %s" % f for f in facts]
@@ -357,11 +370,10 @@ def format_diagram(diagram: FiniteDiagram) -> str:
 
 def total_order_diagram(chain: Iterable[int]) -> FiniteDiagram:
     """All-pairs total order diagram for the given element sequence."""
-    xs = list(chain)
-    facts = {el(x) for x in xs}
-    for i, a in enumerate(xs):
-        for b in xs[i + 1:]:
-            facts.add(("lt", a, b))
+    xs: list = []
+    facts: list = []
+    for x in chain:
+        facts += place(xs, x, len(xs))
     return FiniteDiagram.raw(Signature.LINEAR_ORDER, frozenset(facts), frozenset(xs))
 
 

@@ -28,7 +28,13 @@ from .constructions import (
     phi_pair,
     phi_sigma2,
 )
-from .diagram import FiniteDiagram, Signature, total_order_diagram
+from .diagram import (
+    FiniteDiagram,
+    Signature,
+    diagram_from_facts,
+    partition_diagram,
+    total_order_diagram,
+)
 from .forcing import trichotomy_scan
 from .kernel import run
 from .pairing import encode_tuple
@@ -171,13 +177,11 @@ def experiment_monotonicity(seed: int) -> ExperimentResult:
         records.append(_rec("monotonicity", operator=op.name,
                             input="orders", status="scanned"))
 
-    equiv_diagrams = []
-    for k in range(1, p["max_size"] + 1):
-        for part in _set_partitions(list(range(k))):
-            equiv_diagrams.append(
-                FiniteDiagram.make(Signature.EQUIVALENCE, _partition_facts(part))
-            )
-    from .kernel import diagram_from_facts
+    equiv_diagrams = [
+        partition_diagram(part)
+        for k in range(1, p["max_size"] + 1)
+        for part in _set_partitions(list(range(k)))
+    ]
 
     for op_idx, op in enumerate(shipped_equiv_operators(), start=100):
         for beta in equiv_diagrams:
@@ -195,18 +199,6 @@ def experiment_monotonicity(seed: int) -> ExperimentResult:
         "monotonicity", not violations,
         {"pairs_checked": pairs_checked, "violations": violations}, records,
     )
-
-
-def _partition_facts(part: list) -> list:
-    facts = []
-    for cls in part:
-        members = sorted(cls)
-        for x in members:
-            facts.append(("el", x))
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                facts.append(("sim", a, b))
-    return facts
 
 
 def experiment_trichotomy(seed: int) -> ExperimentResult:

@@ -61,15 +61,16 @@ def gamma_pairs(op: EnumerationOperator, alpha: FiniteDiagram,
 
 
 def extensions(alpha: FiniteDiagram, ext_bound: int):
-    """All total orders extending alpha by at most ext_bound fresh elements.
+    """The chains of all total orders extending alpha by at most ext_bound
+    fresh elements.
 
     Fresh ids are canonical (max id + 1 upward); each arrangement is
-    produced exactly once, alpha itself first.
+    produced exactly once, alpha's own chain first.
     """
     base = alpha.chain()
     next_id = (max(alpha.domain) + 1) if alpha.domain else 0
     frontier = [base]
-    yield total_order_diagram(base)
+    yield base
     for j in range(ext_bound):
         fresh = next_id + j
         new_frontier = []
@@ -77,20 +78,22 @@ def extensions(alpha: FiniteDiagram, ext_bound: int):
             for pos in range(len(chain) + 1):
                 ext = chain[:pos] + [fresh] + chain[pos:]
                 new_frontier.append(ext)
-                yield total_order_diagram(ext)
+                yield ext
         frontier = new_frontier
 
 
 class _EvalCache:
+    """Checked evaluations of all-pairs total orders, keyed by chain."""
+
     def __init__(self, op: EnumerationOperator, budget: int):
         self.op = op
         self.budget = budget
         self.cache: dict = {}
 
-    def facts(self, beta: FiniteDiagram) -> frozenset:
-        key = tuple(beta.chain())
+    def eval(self, chain: list) -> FiniteDiagram:
+        key = tuple(chain)
         if key not in self.cache:
-            self.cache[key] = self.op.eval(beta, self.budget).facts
+            self.cache[key] = evaluate(self.op, total_order_diagram(key), self.budget)
         return self.cache[key]
 
 
@@ -103,15 +106,17 @@ def bounded_force(query: ForcingQuery, _cache: _EvalCache | None = None) -> Forc
         raise InvalidSpec(f"atom must be lt over distinct elements: {atom!r}")
     if not alpha.is_total():
         raise InvalidInput("alpha must be a total linear order")
-    out = evaluate(op, alpha, query.budget)
+    # Operators may read stored facts, so alpha is evaluated as its
+    # all-pairs closure, the first extension searched: one evaluation.
+    cache = _cache or _EvalCache(op, query.budget)
+    out = cache.eval(alpha.chain())
     x, y = atom[1], atom[2]
     if x not in out.domain or y not in out.domain:
         raise NotInOutput(f"atom elements not in the output of alpha: {atom!r}")
     complement = ("lt", y, x)
-    cache = _cache or _EvalCache(op, query.budget)
-    for beta in extensions(alpha, query.ext_bound):
-        if complement in cache.facts(beta):
-            return ForcingVerdict(REFUTED, certificate=beta)
+    for chain in extensions(alpha, query.ext_bound):
+        if complement in cache.eval(chain).facts:
+            return ForcingVerdict(REFUTED, certificate=total_order_diagram(chain))
     if op.extension_complete:
         return ForcingVerdict(FORCED)
     return ForcingVerdict(UNKNOWN)
@@ -150,8 +155,8 @@ def _refuted_pairs(op, alpha, elements, ext_bound, budget) -> set:
     """
     wanted = set(elements)
     seen = set()
-    for beta in extensions(alpha, ext_bound):
-        for f in op.eval(beta, budget).facts:
+    for chain in extensions(alpha, ext_bound):
+        for f in op.eval(total_order_diagram(chain), budget).facts:
             if f[0] == "lt" and f[1] in wanted and f[2] in wanted:
                 seen.add((f[1], f[2]))
     return seen
@@ -265,15 +270,12 @@ def disjoint_agreement_scan(
     for i, chain_a in enumerate(orders):
         dom_a = set(chain_a)
         alpha = total_order_diagram(chain_a)
-        out_a = cache.facts(alpha)
-        elems_a = {x for f in out_a for x in f[1:]}
+        elems_a = cache.eval(chain_a).domain
         for chain_b in orders[i + 1:]:
             if dom_a & set(chain_b):
                 continue
             beta = total_order_diagram(chain_b)
-            out_b = cache.facts(beta)
-            elems_b = {x for f in out_b for x in f[1:]}
-            shared = sorted(elems_a & elems_b)
+            shared = sorted(elems_a & cache.eval(chain_b).domain)
             for j, x in enumerate(shared):
                 for y in shared[j + 1:]:
                     shared_pairs += 1

@@ -8,9 +8,9 @@ laws that together realize a c.e. set of (premise, fact) axioms:
 
 Budget 0 yields the empty diagram; the union over all budgets is the
 operator's full (possibly infinite) output on that input.  Each operator is
-defined once, by its stream evaluator: a staged ``step(stage, diagram,
-delta, budget)`` that emits only the facts new since the previous step,
-whether they are due to input growth (the delta) or to budget growth.
+defined once, by its stream evaluator: a ``step(diagram, delta, budget)``
+that emits only the facts new since the previous step, whether they are
+due to input growth (the delta) or to budget growth.
 Batch evaluation is derived from it: ``eval(alpha, n)`` is one step of a
 fresh evaluator over all of alpha at budget n, and ``budget_deltas`` and
 ``eval_chain`` are that step at budget 0 followed by budget-only steps, so
@@ -36,9 +36,11 @@ from .diagram import (
     SignatureError,
     content_lines,
     diagram_from_facts,
+    el,
     format_facts,
     parse_fact,
     parse_facts,
+    total_order_diagram,
 )
 from .streams import StructureStream, lcg_stream
 
@@ -58,9 +60,9 @@ class EnumerationOperator:
     def budget_deltas(self, alpha: FiniteDiagram, max_budget: int) -> list:
         """Facts new at each budget 0..max_budget (index 0 is empty)."""
         evaluator = self.make_stream_evaluator()
-        deltas = [evaluator.step(0, alpha, _as_delta(alpha), 0)[0]]
+        deltas = [evaluator.step(alpha, _as_delta(alpha), 0)[0]]
         for n in range(1, max_budget + 1):
-            deltas.append(evaluator.step(n, alpha, [], n)[0])
+            deltas.append(evaluator.step(alpha, [], n)[0])
         return deltas
 
     def eval_chain(self, alpha: FiniteDiagram, max_budget: int) -> list:
@@ -74,7 +76,7 @@ class EnumerationOperator:
         return chain
 
     def eval(self, alpha: FiniteDiagram, budget: int) -> FiniteDiagram:
-        new, _ = self.make_stream_evaluator().step(0, alpha, _as_delta(alpha), budget)
+        new, _ = self.make_stream_evaluator().step(alpha, _as_delta(alpha), budget)
         return diagram_from_facts(self.output_signature, new)
 
     def __repr__(self):
@@ -102,7 +104,7 @@ def evaluate(op: EnumerationOperator, alpha: FiniteDiagram, budget: int) -> Fini
 class StreamEvaluator:
     """Incremental evaluation along a stream; emits per-stage new facts."""
 
-    def step(self, stage: int, diagram: FiniteDiagram, delta: list, budget: int):
+    def step(self, diagram: FiniteDiagram, delta: list, budget: int):
         """Returns (new output facts, annotations or None).
 
         diagram is the cumulative input and delta its facts new since the
@@ -138,7 +140,7 @@ class _ConstructionStream(StreamEvaluator):
         self.construction = construction
         self.state = construction.init_state()
 
-    def step(self, stage, diagram, delta, budget):
+    def step(self, diagram, delta, budget):
         self.state, new, notes = self.construction.step(self.state, diagram, delta)
         return new, notes
 
@@ -298,7 +300,7 @@ def run(
     stage_iter = stream.iter_stages()
     for s in range(stages):
         diagram = next(stage_iter)
-        new_facts, notes = evaluator.step(s, diagram, stream.deltas[s], budgets[s])
+        new_facts, notes = evaluator.step(diagram, stream.deltas[s], budgets[s])
         log.records.append(StageRecord(s, sorted(new_facts), notes))
     return log
 
@@ -313,8 +315,6 @@ class MonotonicityReport:
 
 
 def _random_order_pair(rng, max_size: int):
-    from .diagram import total_order_diagram
-
     size = 1 + next(rng) % max_size
     universe = list(range(2 * max_size))
     elements = []
@@ -333,8 +333,6 @@ def _random_order_pair(rng, max_size: int):
 
 
 def _random_equiv_pair(rng, max_size: int):
-    from .diagram import FiniteDiagram, el
-
     size = 1 + next(rng) % max_size
     elements = sorted({next(rng) % (2 * max_size) for _ in range(size)})
     facts = {el(x) for x in elements}
@@ -411,7 +409,7 @@ class _AxiomTableStream(StreamEvaluator):
         self.emitted: set = set()
         self.scanned = 0  # axioms already tested against the current input
 
-    def step(self, stage, diagram, delta, budget):
+    def step(self, diagram, delta, budget):
         if delta:
             # New input can satisfy a premise that failed before.
             self.scanned = 0
@@ -469,8 +467,8 @@ class _ComposedStream(StreamEvaluator):
         self.mid_facts: set = set()
         self.mid_domain: set = set()
 
-    def step(self, stage, diagram, delta, budget):
-        inner_new, _ = self.inner.step(stage, diagram, delta, budget)
+    def step(self, diagram, delta, budget):
+        inner_new, _ = self.inner.step(diagram, delta, budget)
         self.mid_facts.update(inner_new)
         for f in inner_new:
             self.mid_domain.update(f[1:])
@@ -479,7 +477,7 @@ class _ComposedStream(StreamEvaluator):
             frozenset(self.mid_facts),
             frozenset(self.mid_domain),
         )
-        return self.outer.step(stage, mid, inner_new, budget)
+        return self.outer.step(mid, inner_new, budget)
 
 
 def compose(outer: EnumerationOperator, inner: EnumerationOperator) -> ComposedOperator:

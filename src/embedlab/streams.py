@@ -15,6 +15,7 @@ reproducible across implementations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -31,6 +32,7 @@ from .diagram import (
     el,
     format_facts,
     parse_facts,
+    place,
 )
 
 ORDER_FAMILIES = ("omega", "omega_star", "omega_k", "omega_star_k",
@@ -328,16 +330,12 @@ def generate(spec: CanonicalSpec, stages: int) -> StructureStream:
 
     deltas: list = []
     if spec.signature is Signature.LINEAR_ORDER:
-        arrived: list = []  # (key, id) pairs
+        placed_keys: list = []  # slot keys of the arrivals, sorted
+        placed: list = []       # arrival ids in the same order
         for i, key in enumerate(slots):
-            delta = [el(i)]
-            for other_key, j in arrived:
-                if other_key < key:
-                    delta.append(("lt", j, i))
-                else:
-                    delta.append(("lt", i, j))
-            arrived.append((key, i))
-            deltas.append(delta)
+            rank = bisect_left(placed_keys, key)
+            placed_keys.insert(rank, key)
+            deltas.append(place(placed, i, rank))
     else:
         members: dict = {}
         next_id = 0

@@ -10,7 +10,9 @@ that ``embedlab.diagram`` replaced with a faster one; the codec tests
 require the same results and the same errors.  ``fingerprint`` is the
 classifier replay that places each new element by counting the stored
 ``lt`` facts below it, which is right on all-pairs logs only; the shipped
-one must give the same fingerprint on them.
+one must give the same fingerprint on them.  ``tuple_precedes`` is the
+extension-first comparison written out case by case; the shipped one is
+a comparison of sort keys and must agree with it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from embedlab.constructions import (
     Formula2Eq,
     Ord2Eq,
     absolute_tuple,
-    tuple_precedes,
 )
 from embedlab.diagram import InconsistentDiagram, ParseError, el, sim
 from embedlab.pairing import encode_tuple, pair, tag
@@ -62,6 +63,18 @@ def ord2eq_facts(alpha, budget: int) -> frozenset:
             for a in chain[1:-1] for j in range(2, budget + 2)
         )
     return frozenset(facts)
+
+
+def tuple_precedes(t: tuple, u: tuple) -> bool:
+    """t before u: proper extensions first, else first difference decides."""
+    if len(t) > len(u) and t[: len(u)] == u:
+        return True
+    if len(u) > len(t) and u[: len(t)] == t:
+        return False
+    for a, b in zip(t, u):
+        if a != b:
+            return a < b
+    return False
 
 
 def eq2ord_facts(interior_min: int, last_min: int, alpha,

@@ -4,15 +4,20 @@ The experiment suite runs once (module scope) with the reference seed and
 every criterion asserts its stated bound exactly; the determinism check
 runs the suite a second time and compares the JSONL artifacts byte for
 byte, and the pinned-digest check compares them with the artifacts of
-earlier versions of the code.  Each test prints its own pass line so a
-verbose run reads as a checklist.
+earlier versions of the code.  Those artifacts hold verdicts, not facts,
+so the stream texts and run logs of the order writers are pinned too.
+Each test prints its own pass line so a verbose run reads as a checklist.
 """
 
 import hashlib
 
 import pytest
 
+from embedlab.constructions import StagePair
 from embedlab.experiments import run_suite, write_suite
+from embedlab.kernel import parse_schedule, run
+from embedlab.registry import build_operator
+from embedlab.streams import ORDER_FAMILIES, PARAMETRIC_FAMILIES, CanonicalSpec, generate
 
 SEED = 7
 
@@ -36,6 +41,72 @@ PINNED_SHA256 = {
         "f854c7d1d64bf24ebdd10374efa850029a74b9818f49ad42bfb4f29ab5e04fa0",
     "trichotomy.jsonl":
         "05e36a3d39b0173b8a443d4220a534416d6faa91639f3297fd3ef9950f19452d",
+}
+
+# sha256 of generated order streams and of run logs of every operator
+# that writes order facts, taken before writers placed elements through
+# diagram.place; the suite JSONL above holds verdicts, not facts.
+PINNED_WRITER_SHA256 = {
+    "gen:omega:fair":
+        "4be04862357f5f7415ac316bd91caa399b27cfd45d810fae799c9afecbae3205",
+    "gen:omega:permuted:seed11":
+        "08e609f3680aae68e0d3c699a2bd666f2dab787b72234be6ca77a922bbfa3728",
+    "gen:omega_star:fair":
+        "3b65a31032dec465972d2d781404fe9eff6035cc5c60369dac0a763c55c76a41",
+    "gen:omega_star:permuted:seed11":
+        "b5a5ce0351dfac84778e1ca1248d550319aec2d23d20802ff6b1e1898911b3c8",
+    "gen:omega_k:3:fair":
+        "a868d3f37e3a12e98d54aa581e06ac4af795626183cf3a0d4b1ecd9bc640bb8e",
+    "gen:omega_k:3:permuted:seed11":
+        "4f1a45514d32469881de00c6107a594420efa2a156c37be960ae813338f2ba49",
+    "gen:omega_star_k:3:fair":
+        "121f531925c114438e866b26a75bebd6889415d72d91d5a7fbe19b65cae36d64",
+    "gen:omega_star_k:3:permuted:seed11":
+        "28d848840fd4f13863a9c8add3606480b4facd641d6516053e8896b48dc2a54c",
+    "gen:one_plus_eta:fair":
+        "7b2a64b42ccde8951e96feea745471c6c42fb15cdff4023e10633c7dd5fe9bcb",
+    "gen:one_plus_eta:permuted:seed11":
+        "0507280febd308da929f071e4dbc12c00fe1d95ac3c9b3821ab543b4a1a71259",
+    "gen:eta_plus_one:fair":
+        "c1dc755cddfee150a26bce62fa15104e6ff5f3c2c2fd3f27aab4b8d3afb06399",
+    "gen:eta_plus_one:permuted:seed11":
+        "a9b3f205c91a6f577ceeb31a91cf36452cf2bb6c2e00b3f98ee301cebd792714",
+    "gen:eta:fair":
+        "a4ca01e184b87c80ff8ba979223af996a5e8f61df672d120b621a0059d13e11b",
+    "gen:eta:permuted:seed11":
+        "309fee6ecb6467cb63054926ce36305c6624936340d3faaa2a94fa2812088a2e",
+    "run:replicate:1:identity":
+        "08884da1bb8ccfa41efdfcfa2facbb2deec4ecbdfbfac431ac966c736983ac05",
+    "run:replicate:1:const:12":
+        "5aee509fe28748561f8fd161ac303c95d94ac848706014aba4fc0b1f59ea74ab",
+    "run:replicate:2:identity":
+        "beaddb7b59e4bcd406f17ba62bbd4eff40a65695fadd30906a7ad3c1845dec57",
+    "run:replicate:2:const:12":
+        "227ef555b231ed10a3fd5e4851d34766360ac63b5d775d50940aa4e70beda986",
+    "run:replicate:3:identity":
+        "6c191c3146ae548e1e6a8667165d9500905effdd78cb92bbff9ded4e7bc8e394",
+    "run:replicate:3:const:12":
+        "571e2d7b9697b22fbad94c4d731eb4216db64516ea6ad3811b21c8d1431ff4d6",
+    "run:eq2ord_v1:identity":
+        "a01601a2b7a70167c7b7210dedd1fb37e4a5ac13ffa21d6d40783475e04e8c1b",
+    "run:eq2ord_v1:const:12":
+        "659225726c94731c5ef635857a75141d8d15888e90beaf3c53b40be68cf4a66f",
+    "run:eq2ord_v2:identity":
+        "43706694c368ea1c720047d2cffd2472fc0525653546dddfa25b09828f594e80",
+    "run:eq2ord_v2:const:12":
+        "6af8918e051f408ab1faa4b138b94667c944f8922670c1980dcf015a36026813",
+    "run:concat(eq2ord_v1|fill:left,eq2ord_v2|fill:right):identity":
+        "acf51e4c6b258761245c096742834bcae96900fcfa6b01b5424ae1d8f49ade2e",
+    "run:concat(eq2ord_v1|fill:left,eq2ord_v2|fill:right):const:12":
+        "7218ba74315162e5c4f2cdeb3e7795feb55064c53eb5c3f30805779913b88a5e",
+    "run:phi_pair:identity":
+        "082fe09e6af2b69bda298990f18863c5078dba206a5bef23919dafd76dc1226d",
+    "run:phi_pair:const:12":
+        "2039d894fdcd66d2743e903c588312309239c63a6f980707f2ba520b52a7a621",
+    "run:phi_sigma2:identity":
+        "3e9aac7911bf773b3bde18badb85381e8f9dc965f4ce24c88fa93c533b447854",
+    "run:phi_sigma2:const:12":
+        "5b7a9d466f945a3cc81b8b930b8f99b7ee6b1fb3ad46b4277d9688fbc126ac21",
 }
 
 
@@ -161,3 +232,40 @@ def test_suite_jsonl_matches_pinned_digests(suite):
         for p in out_dir.glob("*.jsonl")
     }
     assert digests == PINNED_SHA256
+
+
+def _writer_outputs() -> dict:
+    """Stream texts of every order family, and run logs of the operators
+    and constructions that write order facts, under two schedules."""
+    out = {}
+    for family in ORDER_FAMILIES:
+        k = 3 if family in PARAMETRIC_FAMILIES else 1
+        for policy in ("fair", "permuted"):
+            spec = CanonicalSpec(family, policy, k, seed=11)
+            out[f"gen:{spec.label()}"] = generate(spec, 40).to_text()
+    omega2 = generate(CanonicalSpec("omega_k", "permuted", 2, seed=5), 24)
+    e_hat2 = generate(CanonicalSpec("e_hat_k", "permuted", 2, seed=5), 24)
+    targets = StagePair(generate(CanonicalSpec("omega_k", k=2), 28),
+                        generate(CanonicalSpec("omega_star_k", k=2), 28))
+    cases = [(f"replicate:{q}", omega2) for q in (1, 2, 3)] + [
+        ("eq2ord_v1", e_hat2),
+        ("eq2ord_v2", e_hat2),
+        ("concat(eq2ord_v1|fill:left,eq2ord_v2|fill:right)", e_hat2),
+        ("phi_pair", generate(CanonicalSpec("omega", "permuted", seed=5), 24)),
+        ("phi_sigma2", omega2),
+    ]
+    for expr, stream in cases:
+        op = build_operator(expr, targets=targets)
+        for schedule in ("identity", "const:12"):
+            name, fn = parse_schedule(schedule)
+            log = run(op, stream, len(stream), fn, name)
+            out[f"run:{expr}:{schedule}"] = log.to_jsonl()
+    return out
+
+
+def test_run_logs_match_pinned_digests():
+    digests = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in _writer_outputs().items()
+    }
+    assert digests == PINNED_WRITER_SHA256

@@ -124,6 +124,19 @@ def test_classify_record_without_stage_exits_2(tmp_path):
     _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
 
 
+def test_classify_log_with_stored_cycle_exits_2(tmp_path):
+    """Every pair of 0, 1, 2 is stored, so replaying the order compares
+    stored facts only; the cycle 0 < 1 < 2 < 0 must still be rejected."""
+    log = tmp_path / "r.jsonl"
+    stages = [["el 0", "el 1"], ["lt 0 1", "el 2"], ["lt 1 2", "lt 2 0"]]
+    log.write_text("\n".join(json.dumps(rec) for rec in [
+        {"v": 1, "type": "header", "operator": "x", "signature": "linear_order"},
+        *({"v": 1, "stage": s, "new_facts": facts}
+          for s, facts in enumerate(stages)),
+    ]) + "\n")
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
+
+
 def test_run_non_integer_stage_exits_2(tmp_path):
     stream = tmp_path / "s.txt"
     stream.write_text("-- stage x\nel 0\n")

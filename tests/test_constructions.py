@@ -1,6 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_ops
 
 from embedlab.classify import census
 from embedlab.constructions import (
@@ -289,6 +293,16 @@ def test_tuple_precedes_is_strict_total_on_samples():
         for u in sample:
             if t != u:
                 assert tuple_precedes(t, u) != tuple_precedes(u, t)
+
+
+_increasing_tuples = st.lists(
+    st.integers(0, 6), max_size=5, unique=True).map(lambda xs: tuple(sorted(xs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_increasing_tuples, _increasing_tuples)
+def test_tuple_precedes_matches_reference(t, u):
+    assert tuple_precedes(t, u) == reference_ops.tuple_precedes(t, u)
 
 
 def test_absolute_tuple_enumeration_is_injective():

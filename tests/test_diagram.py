@@ -10,6 +10,7 @@ from embedlab.diagram import (
     format_diagram,
     parse_diagram,
     partition_diagram,
+    place,
     total_order_diagram,
 )
 
@@ -81,6 +82,15 @@ def test_chain_and_totality():
     assert not partial.is_total()
     with pytest.raises(InvalidInput):
         partial.chain()
+
+
+def test_place_ranks_start_middle_end():
+    chain = []
+    assert place(chain, 5, 0) == [("el", 5)]
+    assert place(chain, 7, 1) == [("el", 7), ("lt", 5, 7)]
+    assert place(chain, 3, 0) == [("el", 3), ("lt", 3, 5), ("lt", 3, 7)]
+    assert place(chain, 6, 2) == [("el", 6), ("lt", 3, 6), ("lt", 5, 6), ("lt", 6, 7)]
+    assert chain == [3, 5, 6, 7]
 
 
 def test_partition_diagram_classes():

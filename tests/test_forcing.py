@@ -6,6 +6,7 @@ from embedlab.diagram import (
     InvalidSpec,
     InvalidTarget,
     NotInOutput,
+    parse_diagram,
     total_order_diagram,
 )
 from embedlab.forcing import (
@@ -20,7 +21,13 @@ from embedlab.forcing import (
     gamma_pairs,
     trichotomy_scan,
 )
-from embedlab.kernel import AxiomTableOperator, evaluate, parse_axiom_table
+from embedlab.kernel import (
+    AxiomTableOperator,
+    EnumerationOperator,
+    StreamEvaluator,
+    evaluate,
+    parse_axiom_table,
+)
 from embedlab.pairing import tag
 from embedlab.streams import CanonicalSpec, generate
 
@@ -30,9 +37,10 @@ def test_extensions_counts_and_containment():
     exts = list(extensions(alpha, 2))
     # 1 + 3 + 12 arrangements, each extending alpha's order.
     assert len(exts) == 16
-    for beta in exts:
-        assert alpha.facts <= beta.facts
-        assert beta.is_total()
+    assert len(set(map(tuple, exts))) == 16
+    for chain in exts:
+        assert chain.index(1) < chain.index(0)
+        assert set(chain) <= {0, 1, 2, 3}
 
 
 def test_forced_example_replicate():
@@ -41,6 +49,48 @@ def test_forced_example_replicate():
     atom = ("lt", tag(0, 1), tag(1, 0))  # copy 0 stays below copy 1
     verdict = bounded_force(ForcingQuery(op, alpha, atom, 3, 16))
     assert verdict.outcome == FORCED
+
+
+def test_bounded_force_evaluates_once_at_ext_bound_0(monkeypatch):
+    """At bound 0 the only extension is alpha's all-pairs closure, and
+    the domain check reads that same evaluation: one eval, on the closure."""
+    op = replicate(1)
+    sizes = []
+    real_eval = op.eval
+    monkeypatch.setattr(
+        op, "eval", lambda beta, n: sizes.append(len(beta.facts)) or real_eval(beta, n))
+    alpha = parse_diagram("".join(f"lt {i} {i + 1}\n" for i in range(9)))
+    atom = ("lt", tag(0, 0), tag(0, 9))
+    verdict = bounded_force(ForcingQuery(op, alpha, atom, 0, 1))
+    assert verdict.outcome == FORCED
+    assert sizes == [10 + 45]
+
+
+class _Mirror(EnumerationOperator):
+    """The stored input facts with every lt reversed, from budget 1."""
+
+    name = "mirror"
+
+    def make_stream_evaluator(self):
+        return _MirrorStream()
+
+
+class _MirrorStream(StreamEvaluator):
+    def step(self, diagram, delta, budget):
+        if budget < 1:
+            return [], None
+        return [f if f[0] == "el" else ("lt", f[2], f[1]) for f in delta], None
+
+
+def test_force_on_covering_alpha_evaluates_the_closure():
+    """An operator may read the stored facts: on the covering chain
+    0 < 1 < 2 only the closure stores lt 0 2, so only its mirror holds
+    lt 2 0, and the closure is the certificate."""
+    alpha = parse_diagram("lt 0 1\nlt 1 2\n")
+    assert ("lt", 2, 0) not in _Mirror().eval(alpha, 1).facts
+    verdict = bounded_force(ForcingQuery(_Mirror(), alpha, ("lt", 0, 2), 0, 1))
+    assert verdict.outcome == REFUTED
+    assert verdict.certificate == total_order_diagram([0, 1, 2])
 
 
 def test_refuted_with_alpha_itself():
