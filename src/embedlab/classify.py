@@ -16,6 +16,7 @@ from itertools import chain as iter_chain
 from .diagram import (
     FiniteDiagram,
     InconsistentDiagram,
+    PlacementBatch,
     RELATIONS,
     Signature,
     SignatureError,
@@ -159,10 +160,38 @@ class OrderFingerprint:
     stable_greatest: int | None = None
 
 
-def _neighbours(chain: list) -> dict:
-    """Each element's (predecessor, successor) in chain, None at the ends."""
-    ends = [None, *chain, None]
-    return {x: (ends[i], ends[i + 2]) for i, x in enumerate(chain)}
+def _order_stages(log: RunLog):
+    """Each stage at which elements arrive, as (stage, new elements, the
+    chain after the stage).  Batch records hold both.  Fact records (a
+    decoded log) are replayed: each stage's new elements are inserted into
+    a running chain in the order of the log's final facts, which are then
+    checked against that chain."""
+    if all(isinstance(rec.new_facts, PlacementBatch) for rec in log.records):
+        for rec in log.records:
+            if rec.new_facts.new:
+                yield rec.stage, rec.new_facts.new, rec.new_facts.chain
+        return
+    seen: set = set()
+    arrivals: list = []  # (stage, elements entering at it)
+    for rec in log.records:
+        named = set(iter_chain.from_iterable(rec.new_facts)) - RELATIONS
+        if not named <= seen:
+            arrivals.append((rec.stage, sorted(named - seen)))
+            seen |= named
+    # Each stage's order is the final order on the elements it has; a
+    # final diagram that is not a total order raises when insert needs it.
+    order = FiniteDiagram.raw(Signature.LINEAR_ORDER, log.final_facts(),
+                              frozenset(seen))
+    chain: list = []
+    for stage, new_elements in arrivals:
+        for x in new_elements:
+            order.insert(chain, x)
+        yield stage, new_elements, chain
+    # insert compares only the pairs its binary search visits, so a cycle
+    # among the stored facts shows as a fact against the replayed chain.
+    rank = {x: i for i, x in enumerate(chain)}
+    if any(rank[f[1]] > rank[f[2]] for f in order.facts if f[0] == "lt"):
+        raise InconsistentDiagram("lt facts contain a cycle")
 
 
 def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
@@ -176,39 +205,30 @@ def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
     if log.signature is not Signature.LINEAR_ORDER:
         raise SignatureError("fingerprint requires a linear order log")
     traces: dict = {}
-    arrivals: list = []  # (stage, elements entering at it)
-    for rec in log.records:
-        named = set(iter_chain.from_iterable(rec.new_facts)) - RELATIONS
-        new_elements = sorted(x for x in named if x not in traces)
-        for x in new_elements:
-            traces[x] = ElementTrace(entered_at=rec.stage)
-        if new_elements:
-            arrivals.append((rec.stage, new_elements))
-    # Each stage's order is the final order on the elements it has; a
-    # final diagram that is not a total order raises when insert needs it.
-    order = FiniteDiagram.raw(Signature.LINEAR_ORDER, log.final_facts(),
-                              frozenset(traces))
     chain: list = []
     least_change_stage = greatest_change_stage = -1
-    for stage, new_elements in arrivals:
-        before = _neighbours(chain)
-        old_least = chain[0] if chain else None
-        old_greatest = chain[-1] if chain else None
-        for x in new_elements:
-            order.insert(chain, x)
-        after = _neighbours(chain)
-        for x, (pred, succ) in before.items():
-            traces[x].pred_changes += after[x][0] != pred
-            traces[x].succ_changes += after[x][1] != succ
-        if chain[0] != old_least:
+    for stage, new_elements, chain in _order_stages(log):
+        fresh = set(new_elements)
+        for x in sorted(fresh):
+            traces[x] = ElementTrace(entered_at=stage)
+        # Old elements keep their relative order, so an old element's
+        # neighbour changed at this stage iff a new element is next to it.
+        preds, succs = set(), set()
+        last = len(chain) - 1
+        for x in fresh:
+            i = chain.index(x)
+            if i > 0:
+                succs.add(chain[i - 1])
+            if i < last:
+                preds.add(chain[i + 1])
+        for y in preds - fresh:
+            traces[y].pred_changes += 1
+        for y in succs - fresh:
+            traces[y].succ_changes += 1
+        if chain[0] in fresh:
             least_change_stage = stage
-        if chain[-1] != old_greatest:
+        if chain[-1] in fresh:
             greatest_change_stage = stage
-    # insert compares only the pairs its binary search visits, so a cycle
-    # among the stored facts shows as a fact against the replayed chain.
-    rank = {x: i for i, x in enumerate(chain)}
-    if any(rank[f[1]] > rank[f[2]] for f in order.facts if f[0] == "lt"):
-        raise InconsistentDiagram("lt facts contain a cycle")
 
     final_stage = log.records[-1].stage if log.records else -1
     result = OrderFingerprint(

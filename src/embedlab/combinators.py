@@ -5,18 +5,31 @@ the output order; interval_fill replaces every output element by a growing
 dense block with one closed endpoint; concatenate stacks two order outputs;
 disjoint_union merges two equivalence outputs without cross links.  Output
 elements are tagged through the diagonal pairing so ids remain naturals.
+
+The order combinators work on chains.  Each step of a built-in order
+operator returns a PlacementBatch (the elements it placed and its output
+chain after the step), and replicate, reverse, interval_fill and
+concatenate build their output chain from their inner chains, tagging each
+element once; none of them compares or emits a pair, since diagram.py
+expands a batch into facts only when something reads them.  An inner
+operator that returns plain facts, such as a user-defined one, is read
+through one adapter, _OrderBatches, which inserts its new elements into a
+chain and raises InvalidInput unless its output so far is a total order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain as iter_chain
 
 from .diagram import (
+    InvalidInput,
     InvalidSpec,
+    PlacementBatch,
     Signature,
     SignatureError,
+    diagram_from_facts,
     el,
-    place,
 )
 from .kernel import EnumerationOperator, StreamEvaluator
 from .pairing import tag
@@ -57,23 +70,51 @@ class _ReplicateStream(StreamEvaluator):
     def step(self, diagram, delta, budget):
         self.pending.extend(f[1] for f in delta if f[0] == "el")
         if budget < 1:
-            return [], None
+            return PlacementBatch((), tuple(self.output)), None
         new = []
         for x in self.pending:
             r = diagram.insert(self.chain, x)
             n = len(self.chain)
             for i in range(self.q):
-                new += place(self.output, tag(i, x), i * n + r)
+                e = tag(i, x)
+                self.output.insert(i * n + r, e)
+                new.append(e)
         self.pending = []
-        return new, None
+        return PlacementBatch(new, tuple(self.output)), None
 
 
 def replicate(q: int) -> Replicate:
     return Replicate(q)
 
 
-def _swap_lt(fact):
-    return ("lt", fact[2], fact[1]) if fact[0] == "lt" else fact
+class _OrderBatches(StreamEvaluator):
+    """An inner order evaluator's output as placement batches.
+
+    Batches pass through.  Plain facts are collected, and each step's new
+    elements are inserted into a chain with FiniteDiagram.insert; the
+    facts so far must present a total order, else InvalidInput.
+    """
+
+    def __init__(self, inner: StreamEvaluator):
+        self.inner = inner
+        self.facts: set = set()
+        self.chain: list = []
+
+    def step(self, diagram, delta, budget):
+        new, notes = self.inner.step(diagram, delta, budget)
+        if isinstance(new, PlacementBatch):
+            return new, notes
+        placed = []
+        if new:
+            self.facts.update(new)
+            order = diagram_from_facts(Signature.LINEAR_ORDER, self.facts)
+            if not order.is_total():
+                raise InvalidInput(
+                    "an order combinator needs its inner output to be a total order")
+            placed = sorted(order.domain.difference(self.chain))
+            for x in placed:
+                order.insert(self.chain, x)
+        return PlacementBatch(placed, tuple(self.chain)), notes
 
 
 class Reverse(EnumerationOperator):
@@ -87,7 +128,8 @@ class Reverse(EnumerationOperator):
         self.extension_complete = op.extension_complete
 
     def make_stream_evaluator(self):
-        return _MappedStream(self.op.make_stream_evaluator(), _swap_lt)
+        return _MappedStream(
+            _OrderBatches(self.op.make_stream_evaluator()), PlacementBatch.reversed)
 
 
 class _MappedStream(StreamEvaluator):
@@ -97,7 +139,7 @@ class _MappedStream(StreamEvaluator):
 
     def step(self, diagram, delta, budget):
         new, notes = self.inner.step(diagram, delta, budget)
-        return [self.fn(f) for f in new], notes
+        return self.fn(new), notes
 
 
 def reverse(op: EnumerationOperator) -> Reverse:
@@ -116,62 +158,42 @@ def fill_positions(budget: int) -> int:
 class _FillBlocks:
     """Block bookkeeping of interval_fill's stream evaluator.
 
-    Each underlying output element owns a block; position 0 is the closed
-    endpoint, position r >= 1 the (r-1)-th dyadic.  Facts are emitted
-    exactly once: a position emits its comparisons against previously
-    created positions only.
+    Each underlying output element owns a block, and all blocks have the
+    same positions: position 0 is the closed endpoint, position r >= 1 the
+    (r-1)-th dyadic.  A position is tagged once, as tag(source, r); the
+    output chain is the blocks in the inner chain's order, each block in
+    value order.
     """
 
     def __init__(self, style: str):
         self.style = style
-        self.count: dict = {}      # source -> created positions
-        self.under_lt: set = set()  # (below, above) source pairs
+        self.layout: list = []   # block positions in value order
+        self.tags: dict = {}     # source -> its positions' ids, by position
+        self.blocks: dict = {}   # source -> its positions' ids, in value order
 
     def value(self, r: int) -> Fraction:
         if r == 0:
             return Fraction(0) if self.style == LEFT_CLOSED else Fraction(1)
         return dyadic(r - 1)
 
-    def advance(self, new_under_facts, budget: int) -> list:
-        out = []
-        new_pairs = []
-        for f in new_under_facts:
-            if f[0] == "el":
-                self.count.setdefault(f[1], 0)
-            elif f[0] == "lt":
-                self.count.setdefault(f[1], 0)
-                self.count.setdefault(f[2], 0)
-                self.under_lt.add((f[1], f[2]))
-                new_pairs.append((f[1], f[2]))
-
-        # Cross facts for underlying pairs whose blocks already have members.
-        for x, y in new_pairs:
-            for rx in range(self.count.get(x, 0)):
-                for ry in range(self.count.get(y, 0)):
-                    out.append(("lt", tag(x, rx), tag(y, ry)))
-
+    def advance(self, inner: PlacementBatch, budget: int) -> PlacementBatch:
+        for x in inner.new:
+            self.tags[x] = []
         target = fill_positions(budget)
-        events = sorted(
-            (r, x) for x, c in self.count.items() for r in range(c, target)
-        )
-        for r, x in events:
-            e = tag(x, r)
-            out.append(el(e))
-            v = self.value(r)
-            for ry in range(r):
-                if self.value(ry) < v:
-                    out.append(("lt", tag(x, ry), e))
-                else:
-                    out.append(("lt", e, tag(x, ry)))
-            for y, cy in self.count.items():
-                if y == x or cy == 0:
-                    continue
-                if (y, x) in self.under_lt:
-                    out.extend(("lt", tag(y, ry), e) for ry in range(cy))
-                elif (x, y) in self.under_lt:
-                    out.extend(("lt", e, tag(y, ry)) for ry in range(cy))
-            self.count[x] = r + 1
-        return out
+        if target > len(self.layout):
+            self.layout = sorted(range(target), key=self.value)
+            sources = self.tags  # every block grows
+        else:
+            sources = inner.new  # only new blocks fill up
+        new = []
+        for x in sources:
+            ids = self.tags[x]
+            added = [tag(x, r) for r in range(len(ids), target)]
+            ids += added
+            new += added
+            self.blocks[x] = [ids[r] for r in self.layout]
+        chain = iter_chain.from_iterable(map(self.blocks.__getitem__, inner.chain))
+        return PlacementBatch(new, tuple(chain))
 
 
 class IntervalFill(EnumerationOperator):
@@ -202,7 +224,7 @@ class IntervalFill(EnumerationOperator):
 class _FillStream(StreamEvaluator):
     def __init__(self, style: str, inner: StreamEvaluator):
         self.blocks = _FillBlocks(style)
-        self.inner = inner
+        self.inner = _OrderBatches(inner)
 
     def step(self, diagram, delta, budget):
         inner_new, _ = self.inner.step(diagram, delta, budget)
@@ -230,8 +252,8 @@ class Concatenate(EnumerationOperator):
 
     def make_stream_evaluator(self):
         return _PairedStream(
-            self.op1.make_stream_evaluator(),
-            self.op2.make_stream_evaluator(),
+            _OrderBatches(self.op1.make_stream_evaluator()),
+            _OrderBatches(self.op2.make_stream_evaluator()),
             _SideMerger(cross=True),
         )
 
@@ -265,33 +287,28 @@ def _map_side(fact, side: int):
 
 
 class _SideMerger:
+    """Puts the two sides' outputs on tagged copies: side s's element x
+    becomes tag(s, x).  A union maps each side's facts; a concatenation
+    (cross) lays side 1's chain after side 0's and tags each element once.
+    """
+
     def __init__(self, cross: bool):
         self.cross = cross
-        self.dom = ({}, {})  # side -> dict used as ordered set
+        self.tags = ({}, {})  # side -> element -> its tagged copy
 
-    def advance(self, new0, new1) -> list:
-        out = []
-        new_els = ({}, {})  # dicts used as ordered sets
-        for side, new in ((0, new0), (1, new1)):
-            for f in new:
-                out.append(_map_side(f, side))
-                for x in f[1:]:
-                    if x not in self.dom[side]:
-                        new_els[side][x] = True
-        if self.cross:
-            for x in new_els[0]:
-                for y in self.dom[1]:
-                    out.append(("lt", tag(0, x), tag(1, y)))
-            old0 = [x for x in self.dom[0]]
-            for y in new_els[1]:
-                for x in old0:
-                    out.append(("lt", tag(0, x), tag(1, y)))
-                for x in new_els[0]:
-                    out.append(("lt", tag(0, x), tag(1, y)))
-        for side in (0, 1):
-            for x in new_els[side]:
-                self.dom[side][x] = True
-        return out
+    def advance(self, new0, new1):
+        if not self.cross:
+            return [_map_side(f, side) for side, new in ((0, new0), (1, new1))
+                    for f in new]
+        new: list = []
+        chain: list = []
+        for side, batch in ((0, new0), (1, new1)):
+            tags = self.tags[side]
+            for x in batch.new:
+                tags[x] = tag(side, x)
+                new.append(tags[x])
+            chain += map(tags.__getitem__, batch.chain)
+        return PlacementBatch(new, tuple(chain))
 
 
 class _PairedStream(StreamEvaluator):

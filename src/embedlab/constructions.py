@@ -34,9 +34,9 @@ from math import inf, isqrt
 from .diagram import (
     InvalidInput,
     InvalidSpec,
+    PlacementBatch,
     Signature,
     el,
-    place,
     sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
@@ -227,9 +227,11 @@ class _Eq2OrdStream(StreamEvaluator):
             if not self.op._admissible(t, sizes):
                 continue
             keys.insert(rank, key)
-            new += place(self.chain, encode_tuple(t), rank)
+            e = encode_tuple(t)
+            self.chain.insert(rank, e)
+            new.append(e)
         self.scanned = max(self.scanned, budget)
-        return new, None
+        return PlacementBatch(new, tuple(self.chain)), None
 
 
 def eq2ord_v1() -> Eq2Ord:
@@ -473,14 +475,16 @@ class PhiPair(TuringConstruction):
         if len(new) != 1:
             raise InvalidInput("phi_pair needs one new element per stage")
         d = new[0]
-        facts = []
+        chain = state["chain"]
+        placed = []
         switched = False
         insert_rank = None
 
         if state["t"] is None:
             state.update(t=0, l=d, r=d)
             state["readers"]["A"].rank_of_stage(0)
-            facts = place(state["chain"], 0, 0)
+            chain.append(0)
+            placed.append(0)
         else:
             new_l = d if diagram.below(d, state["l"]) else state["l"]
             new_r = d if diagram.below(state["r"], d) else state["r"]
@@ -495,8 +499,8 @@ class PhiPair(TuringConstruction):
                 state["t"] = t
                 reader = state["readers"][state["building"]]
                 insert_rank = reader.rank_of_stage(t)
-                chain = state["chain"]
-                facts = place(chain, len(chain), insert_rank)
+                placed.append(len(chain))
+                chain.insert(insert_rank, len(chain))
             state["l"], state["r"] = new_l, new_r
 
         notes = {
@@ -507,7 +511,7 @@ class PhiPair(TuringConstruction):
             "switched": switched,
             "insert_rank": insert_rank,
         }
-        return state, facts, notes
+        return state, PlacementBatch(placed, tuple(chain)), notes
 
 
 def phi_pair(targets: StagePair) -> PhiPair:
@@ -561,7 +565,7 @@ class PhiSigma2(TuringConstruction):
                 case = 4
                 top = (len(least_phi), least_phi) < (len(least_psi), least_psi)
             placement = "top" if top else "bottom"
-        facts = place(chain, e, len(chain) if placement == "top" else 0)
+        chain.insert(len(chain) if placement == "top" else 0, e)
 
         notes = {
             "case": case,
@@ -571,7 +575,7 @@ class PhiSigma2(TuringConstruction):
             "phi_count": state["phi"].count(),
             "psi_count": state["psi"].count(),
         }
-        return state, facts, notes
+        return state, PlacementBatch((e,), tuple(chain)), notes
 
 
 def phi_sigma2(phi: Sigma2Sentence, psi: Sigma2Sentence) -> PhiSigma2:

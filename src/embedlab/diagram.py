@@ -12,18 +12,24 @@ is their reflexive-symmetric-transitive closure.  The order is the
 transitive closure of the lt facts, which must be acyclic.  Neither set
 needs to be closed: covering pairs present the same order as all pairs.
 Code that reads an order or a partition asks FiniteDiagram (chain, below,
-insert, holds, sim_classes) rather than the stored facts.  Code that
-writes an order places each new element with place(), the one function
-that decides which lt facts present it (today: one against every element
-already placed).
+insert, holds, sim_classes) rather than the stored facts.
+
+Code that writes an order keeps it as a chain, a list of elements in
+increasing order, and inserts each new element at its rank.  The facts
+that present a grown chain are decided here alone: a PlacementBatch (the
+elements new at one step and the chain after it) yields ``el x`` for each
+new element and one lt fact for every pair with a new element at either
+end, so a run log stores every pair while the operators that write it
+never build a pair.  place() is the same rule for one element.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from bisect import bisect_left
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -264,12 +270,97 @@ class FiniteDiagram:
         return sorted(sorted(g) for g in groups.values())
 
 
+_EL = repeat("el")
+_LT = repeat("lt")
+
+
+class PlacementBatch:
+    """One step of an order writer: the elements it placed and its output
+    chain after the step (a tuple in increasing order).
+
+    Iterating yields the facts that present the grown order given the old
+    one, sorted: ``el x`` for each new element x, then every lt pair with
+    a new element at either end.  That is the step's run-log record; it is
+    built each time the batch is iterated and never stored.  len() counts
+    the facts without building them.
+    """
+
+    __slots__ = ("new", "chain")
+
+    def __init__(self, new, chain: tuple):
+        self.new = new
+        self.chain = chain
+
+    def __len__(self) -> int:
+        n, old = len(self.chain), len(self.chain) - len(self.new)
+        return len(self.new) + (n * (n - 1) - old * (old - 1)) // 2
+
+    def __iter__(self) -> Iterator[Fact]:
+        if not self.new:
+            return iter(())
+        return iter(_sorted_facts(self.new, self.chain))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (PlacementBatch, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PlacementBatch(new={list(self.new)!r}, chain={list(self.chain)!r})"
+
+    def reversed(self) -> "PlacementBatch":
+        """The same elements placed in the reversed chain."""
+        return PlacementBatch(self.new, self.chain[::-1])
+
+    def diagram(self) -> "FiniteDiagram":
+        """The facts as a trusted diagram.  A batch that places its whole
+        chain, such as a first step, is built without sorting."""
+        chain = self.chain
+        if len(self.new) == len(chain):
+            facts = [("lt", x, y) for j, y in enumerate(chain) for x in chain[:j]]
+            facts += zip(_EL, chain)
+        else:
+            facts = list(self)
+        return FiniteDiagram.raw(Signature.LINEAR_ORDER, frozenset(facts),
+                                 frozenset(chain) if self.new else frozenset())
+
+
+def _sorted_facts(new, chain) -> list:
+    """A batch's facts, sorted.  Each element's lt facts form one block
+    (x, y) with y ascending: a new x pairs with every element above it,
+    an old x with the new elements above it, which are a suffix of the
+    new elements in chain order and so one of len(new) shared lists."""
+    news = sorted(new)
+    facts = list(zip(_EL, news))
+    if len(chain) < 2:
+        return facts
+    rank = {x: i for i, x in enumerate(chain)}
+    if len(news) == len(chain):
+        for x in news:
+            facts += zip(_LT, repeat(x), sorted(chain[rank[x] + 1:]))
+        return facts
+    ranks = sorted(map(rank.__getitem__, news))
+    suffixes = [sorted(chain[r] for r in ranks[k:]) for k in range(len(ranks))]
+    fresh = set(news)
+    for x in sorted(chain[:ranks[-1] + 1]):
+        r = rank[x]
+        if x in fresh:
+            above = sorted(chain[r + 1:])
+        else:
+            above = suffixes[bisect_left(ranks, r)]
+        facts += zip(_LT, repeat(x), above)
+    return facts
+
+
 def place(chain: list, x: int, rank: int) -> list:
     """Insert x into chain, a list of elements in increasing order, at
     index rank; returns the facts that present the grown order given the
-    old one: ``el x`` and one lt fact between x and each element of the
-    old chain.  The counterpart of FiniteDiagram.insert for writers."""
-    facts = [el(x)]
+    old one, those of a one-element PlacementBatch: ``el x`` and one lt
+    fact between x and each element of the old chain, in chain order.
+    The counterpart of FiniteDiagram.insert for writers of fact lists."""
+    facts = [("el", x)]
     for y in chain[:rank]:
         facts.append(("lt", y, x))
     for y in chain[rank:]:
@@ -355,6 +446,8 @@ def parse_diagram(text: str, signature: Signature | None = None) -> FiniteDiagra
 
 def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDiagram:
     """Trusted diagram whose domain is the elements its facts name."""
+    if isinstance(facts, PlacementBatch):
+        return facts.diagram()
     fs = frozenset(facts)
     return FiniteDiagram.raw(signature, fs, frozenset(chain.from_iterable(fs)) - RELATIONS)
 
@@ -370,11 +463,8 @@ def format_diagram(diagram: FiniteDiagram) -> str:
 
 def total_order_diagram(chain: Iterable[int]) -> FiniteDiagram:
     """All-pairs total order diagram for the given element sequence."""
-    xs: list = []
-    facts: list = []
-    for x in chain:
-        facts += place(xs, x, len(xs))
-    return FiniteDiagram.raw(Signature.LINEAR_ORDER, frozenset(facts), frozenset(xs))
+    xs = tuple(chain)
+    return PlacementBatch(xs, xs).diagram()
 
 
 def partition_diagram(classes: Iterable[Iterable[int]]) -> FiniteDiagram:

@@ -18,6 +18,10 @@ budget monotonicity holds by construction.
 
 A stage construction consumes a stream of growing input diagrams and emits
 a cumulative output stage plus bookkeeping annotations at each step.
+
+The built-in order operators and constructions return each step's new
+facts as a diagram.PlacementBatch, which run() keeps as the stage record:
+its facts are built only when the record is read or written.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .diagram import (
     InvalidSchedule,
     InvalidSpec,
     ParseError,
+    PlacementBatch,
     Signature,
     SignatureError,
     content_lines,
@@ -147,8 +152,11 @@ class _ConstructionStream(StreamEvaluator):
 
 @dataclass
 class StageRecord:
+    """One stage of a run: its new facts, sorted (a list, or a
+    PlacementBatch that yields them), and the operator's annotations."""
+
     stage: int
-    new_facts: list
+    new_facts: list | PlacementBatch
     annotations: dict | None = None
 
 
@@ -215,13 +223,20 @@ class RunLog:
         )
         for n, ln in enumerate(lines[1:], start=2):
             rec = _json_record(ln, n, ("stage", "new_facts"))
-            if type(rec["stage"]) is not int:
-                raise ParseError(f"run log line {n}: stage must be an integer")
+            stage = rec["stage"]
+            if type(stage) is not int or stage < 0:
+                raise ParseError(f"run log line {n}: stage must be a natural")
+            if log.records and stage <= log.records[-1].stage:
+                raise ParseError(
+                    f"run log line {n}: stage {stage} does not follow "
+                    f"stage {log.records[-1].stage}")
             try:
                 facts = parse_facts(rec["new_facts"])
             except (AttributeError, TypeError):
                 raise ParseError(f"run log line {n}: new_facts must list facts") from None
-            log.records.append(StageRecord(rec["stage"], facts, rec.get("annotations")))
+            notes = rec.get("annotations")
+            _check_annotations(notes, n)
+            log.records.append(StageRecord(stage, facts, notes))
         return log
 
     @staticmethod
@@ -236,6 +251,19 @@ class RunLog:
         for s, delta in enumerate(stream.deltas):
             log.records.append(StageRecord(stage=s, new_facts=sorted(delta)))
         return log
+
+
+def _check_annotations(notes, n: int) -> None:
+    """Annotations are null or an object; the pins a census reads,
+    pinned_size1 and pinned_size2, are null or one element id."""
+    if notes is None:
+        return
+    if not isinstance(notes, dict):
+        raise ParseError(f"run log line {n}: annotations must be an object or null")
+    for key in ("pinned_size1", "pinned_size2"):
+        pin = notes.get(key)
+        if pin is not None and (type(pin) is not int or pin < 0):
+            raise ParseError(f"run log line {n}: {key} must be a natural or null")
 
 
 def _json_record(line: str, n: int, keys: tuple) -> dict:
@@ -262,7 +290,7 @@ def parse_schedule(text: str) -> tuple[str, Callable[[int], int]]:
     if text == "identity":
         return text, schedule_identity
     kind, _, arg = text.partition(":")
-    if kind in ("const", "capped") and arg.isdigit():
+    if kind in ("const", "capped") and arg.isdecimal():
         n = int(arg)
         if kind == "const":
             return text, lambda s: n
@@ -301,7 +329,9 @@ def run(
     for s in range(stages):
         diagram = next(stage_iter)
         new_facts, notes = evaluator.step(diagram, stream.deltas[s], budgets[s])
-        log.records.append(StageRecord(s, sorted(new_facts), notes))
+        if not isinstance(new_facts, PlacementBatch):
+            new_facts = sorted(new_facts)
+        log.records.append(StageRecord(s, new_facts, notes))
     return log
 
 

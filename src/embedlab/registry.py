@@ -43,7 +43,7 @@ CONSTRUCTION_IDS = ("phi_pair", "phi_sigma2")
 def _atom(name: str, params: dict):
     head, _, arg = name.partition(":")
     if head == "replicate":
-        if not arg.isdigit():
+        if not arg.isdecimal():
             raise InvalidSpec(f"replicate needs a positive count: {name!r}")
         return replicate(int(arg))
     if arg:

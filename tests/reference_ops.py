@@ -12,15 +12,26 @@ classifier replay that places each new element by counting the stored
 ``lt`` facts below it, which is right on all-pairs logs only; the shipped
 one must give the same fingerprint on them.  ``tuple_precedes`` is the
 extension-first comparison written out case by case; the shipped one is
-a comparison of sort keys and must agree with it.
+a comparison of sort keys and must agree with it.  ``fact_reverse``,
+``fact_fill`` and ``fact_concat`` are the order combinators written as
+transformers of their inner operators' facts, which is how the shipped ones
+worked before they built chains; over a total inner output both present the
+same order at every stage.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import isqrt
 
 from embedlab.classify import ElementTrace, OrderFingerprint
-from embedlab.combinators import Replicate, Reverse
+from embedlab.combinators import (
+    LEFT_CLOSED,
+    Replicate,
+    Reverse,
+    dyadic,
+    fill_positions,
+)
 from embedlab.constructions import (
     ClassMultiplier,
     Eq2Ord,
@@ -28,7 +39,8 @@ from embedlab.constructions import (
     Ord2Eq,
     absolute_tuple,
 )
-from embedlab.diagram import InconsistentDiagram, ParseError, el, sim
+from embedlab.diagram import InconsistentDiagram, ParseError, Signature, el, sim
+from embedlab.kernel import EnumerationOperator, StreamEvaluator
 from embedlab.pairing import encode_tuple, pair, tag
 from embedlab.sigma2 import refuting_witness_values
 
@@ -234,3 +246,108 @@ def fingerprint(log, threshold: int) -> OrderFingerprint:
     if chain and greatest_change_stage <= final_stage - threshold:
         result.stable_greatest = chain[-1]
     return result
+
+
+class FactCombinator(EnumerationOperator):
+    """An order combinator over inner operators, as a fact transformer."""
+
+    output_signature = Signature.LINEAR_ORDER
+
+    def __init__(self, name, make, *ops):
+        self.name = name
+        self.make = make
+        self.ops = ops
+        self.input_signature = ops[0].input_signature
+
+    def make_stream_evaluator(self):
+        return self.make(*(op.make_stream_evaluator() for op in self.ops))
+
+
+class _FactReverse(StreamEvaluator):
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, diagram, delta, budget):
+        new, notes = self.inner.step(diagram, delta, budget)
+        return [_swap(f) for f in new], notes
+
+
+class _FactFill(StreamEvaluator):
+    """Each inner element's block emits its positions' comparisons against
+    the positions made before, across blocks by the inner lt facts."""
+
+    def __init__(self, inner, style):
+        self.inner = inner
+        self.style = style
+        self.count: dict = {}
+        self.under_lt: set = set()
+
+    def value(self, r):
+        if r == 0:
+            return Fraction(0) if self.style == LEFT_CLOSED else Fraction(1)
+        return dyadic(r - 1)
+
+    def step(self, diagram, delta, budget):
+        inner_new, _ = self.inner.step(diagram, delta, budget)
+        out = []
+        new_pairs = []
+        for f in inner_new:
+            for x in f[1:]:
+                self.count.setdefault(x, 0)
+            if f[0] == "lt":
+                self.under_lt.add(f[1:])
+                new_pairs.append(f[1:])
+        for x, y in new_pairs:
+            out += [("lt", tag(x, rx), tag(y, ry))
+                    for rx in range(self.count[x]) for ry in range(self.count[y])]
+        target = fill_positions(budget)
+        for r, x in sorted((r, x) for x, c in self.count.items()
+                           for r in range(c, target)):
+            e = tag(x, r)
+            out.append(el(e))
+            for ry in range(r):
+                below = self.value(ry) < self.value(r)
+                out.append(("lt", tag(x, ry), e) if below else ("lt", e, tag(x, ry)))
+            for y, cy in self.count.items():
+                if (y, x) in self.under_lt:
+                    out += [("lt", tag(y, ry), e) for ry in range(cy)]
+                elif (x, y) in self.under_lt:
+                    out += [("lt", e, tag(y, ry)) for ry in range(cy)]
+            self.count[x] = r + 1
+        return out, None
+
+
+class _FactConcat(StreamEvaluator):
+    """Tagged facts of both sides plus every side-0 below side-1 pair."""
+
+    def __init__(self, inner0, inner1):
+        self.inners = (inner0, inner1)
+        self.dom = (set(), set())
+
+    def step(self, diagram, delta, budget):
+        out = []
+        fresh = (set(), set())
+        for side, inner in enumerate(self.inners):
+            new, _ = inner.step(diagram, delta, budget)
+            for f in new:
+                out.append((f[0], *(tag(side, x) for x in f[1:])))
+                fresh[side].update(x for x in f[1:] if x not in self.dom[side])
+        for x in self.dom[0] | fresh[0]:
+            for y in self.dom[1] | fresh[1]:
+                if x in fresh[0] or y in fresh[1]:
+                    out.append(("lt", tag(0, x), tag(1, y)))
+        for side in (0, 1):
+            self.dom[side].update(fresh[side])
+        return out, None
+
+
+def fact_reverse(op) -> FactCombinator:
+    return FactCombinator(f"rev({op.name})", _FactReverse, op)
+
+
+def fact_fill(op, style) -> FactCombinator:
+    return FactCombinator(f"{op.name}|fill", lambda inner: _FactFill(inner, style), op)
+
+
+def fact_concat(op1, op2) -> FactCombinator:
+    return FactCombinator(f"concat({op1.name},{op2.name})", _FactConcat, op1, op2)

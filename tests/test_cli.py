@@ -383,3 +383,67 @@ def test_classify_log_version_other_than_1_exits_2(tmp_path, records):
     log = tmp_path / "r.jsonl"
     log.write_text("".join(json.dumps(r) + "\n" for r in records))
     _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega"))
+
+
+def _rewrite_records(path, edit):
+    """Apply edit(index, record) to every stage record of a JSONL log."""
+    lines = path.read_text().splitlines()
+    records = [json.loads(ln) for ln in lines[1:]]
+    for i, rec in enumerate(records):
+        edit(i, rec)
+    path.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+
+
+def _logged_run(tmp_path, op, family, k, stages):
+    stream = tmp_path / "s.txt"
+    log = tmp_path / "r.jsonl"
+    invoke("gen", "--family", family, "--k", str(k), "--stages", str(stages),
+           "--out", str(stream))
+    assert invoke("run", "--op", op, "--in", str(stream),
+                  "--log", str(log)).exit_code == 0
+    return log
+
+
+@pytest.mark.parametrize("annotations", [
+    "pinned_size1", {"pinned_size1": [1, 2]}, {"pinned_size1": "x"}, [1],
+    {"pinned_size2": -1}, {"pinned_size2": True},
+])
+def test_classify_malformed_annotations_exit_2(tmp_path, annotations):
+    log = _logged_run(tmp_path, "ord2eq", "omega", 1, 20)
+    assert invoke("classify", "--log", str(log), "--claim", "e_k:1").exit_code in (0, 4)
+
+    def edit(i, rec):
+        rec["annotations"] = annotations
+
+    _rewrite_records(log, edit)
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "e_k:1"))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda i, rec: rec.update(stage=-7) if i == 39 else None,
+    lambda i, rec: rec.update(stage=0),
+    lambda i, rec: rec.update(stage=39 - i),
+])
+def test_classify_bad_stage_numbers_exit_2(tmp_path, edit):
+    log = _logged_run(tmp_path, "replicate:1", "omega_k", 2, 40)
+    assert invoke("classify", "--log", str(log), "--claim", "omega_k:2").exit_code == 0
+    _rewrite_records(log, edit)
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega_k:2"))
+
+
+def test_classify_accepts_gaps_in_stage_numbers(tmp_path):
+    log = _logged_run(tmp_path, "replicate:1", "omega_k", 2, 40)
+    _rewrite_records(log, lambda i, rec: rec.update(stage=2 * i))
+    assert invoke("classify", "--log", str(log), "--claim", "omega_k:2").exit_code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("--op", "replicate:1", "--schedule", "const:²"),
+    ("--op", "replicate:1", "--schedule", "capped:²"),
+    ("--op", "replicate:²"),
+])
+def test_run_non_decimal_digits_exit_2(tmp_path, args):
+    stream = tmp_path / "s.txt"
+    invoke("gen", "--family", "omega", "--stages", "5", "--out", str(stream))
+    _assert_usage_error(invoke("run", *args, "--in", str(stream),
+                               "--log", str(tmp_path / "x.jsonl")))
