@@ -162,10 +162,12 @@ class OrderFingerprint:
 
 def _order_stages(log: RunLog):
     """Each stage at which elements arrive, as (stage, new elements, the
-    chain after the stage).  Batch records hold both.  Fact records (a
-    decoded log) are replayed: each stage's new elements are inserted into
-    a running chain in the order of the log's final facts, which are then
-    checked against that chain."""
+    chain after the stage).  Batch records hold both: a run in memory, or
+    a decoded log whose records are all as to_jsonl writes them.  Fact
+    records (covering pairs, a fact operator such as README's Mirror, a
+    hand-written log) are replayed: each stage's new elements are inserted
+    into a running chain in the order of the log's final facts, which are
+    then checked against that chain."""
     if all(isinstance(rec.new_facts, PlacementBatch) for rec in log.records):
         for rec in log.records:
             if rec.new_facts.new:

@@ -20,7 +20,10 @@ that present a grown chain are decided here alone: a PlacementBatch (the
 elements new at one step and the chain after it) yields ``el x`` for each
 new element and one lt fact for every pair with a new element at either
 end, so a run log stores every pair while the operators that write it
-never build a pair.  place() is the same rule for one element.
+never build a pair.  place() is the same rule for one element.  The same
+layout gives a batch's text lines (format_facts) and reads them back
+(parse_batch), so order logs cross the file boundary as placements both
+ways.
 """
 
 from __future__ import annotations
@@ -222,15 +225,7 @@ class FiniteDiagram:
     def insert(self, chain: list, x: int) -> int:
         """Insert x into chain, a list of elements in increasing order, at
         its place in this diagram's order; returns that index."""
-        lo, hi = 0, len(chain)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.below(chain[mid], x):
-                lo = mid + 1
-            else:
-                hi = mid
-        chain.insert(lo, x)
-        return lo
+        return _insert(chain, x, self.below)
 
     def holds(self, fact: Fact) -> bool:
         """Truth of an lt or sim fact over domain elements in the structure
@@ -270,6 +265,20 @@ class FiniteDiagram:
         return sorted(sorted(g) for g in groups.values())
 
 
+def _insert(chain: list, x: int, below) -> int:
+    """Insert x into chain after the elements that below(y, x) puts under
+    it, found by binary search; returns the index."""
+    lo, hi = 0, len(chain)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if below(chain[mid], x):
+            lo = mid + 1
+        else:
+            hi = mid
+    chain.insert(lo, x)
+    return lo
+
+
 _EL = repeat("el")
 _LT = repeat("lt")
 
@@ -282,7 +291,9 @@ class PlacementBatch:
     one, sorted: ``el x`` for each new element x, then every lt pair with
     a new element at either end.  That is the step's run-log record; it is
     built each time the batch is iterated and never stored.  len() counts
-    the facts without building them.
+    the facts without building them.  format_facts writes the record's
+    lines straight from the batch, and parse_batch reads such lines back
+    into a batch.
     """
 
     __slots__ = ("new", "chain")
@@ -327,31 +338,49 @@ class PlacementBatch:
                                  frozenset(chain) if self.new else frozenset())
 
 
-def _sorted_facts(new, chain) -> list:
-    """A batch's facts, sorted.  Each element's lt facts form one block
-    (x, y) with y ascending: a new x pairs with every element above it,
-    an old x with the new elements above it, which are a suffix of the
-    new elements in chain order and so one of len(new) shared lists."""
+def _layout(new, chain) -> tuple:
+    """A batch's record order, shared by its facts and its text lines:
+    the new elements ascending, then one lt block (x, above) per element x
+    ascending, with x below each element of above, which ascends.  A new
+    x pairs with every element above it, an old x with the new elements
+    above it, which are a suffix of the new elements in chain order and so
+    one of len(new) shared lists."""
     news = sorted(new)
-    facts = list(zip(_EL, news))
-    if len(chain) < 2:
-        return facts
+    if len(chain) < 2 or not news:
+        return news, []
     rank = {x: i for i, x in enumerate(chain)}
     if len(news) == len(chain):
-        for x in news:
-            facts += zip(_LT, repeat(x), sorted(chain[rank[x] + 1:]))
-        return facts
+        return news, [(x, sorted(chain[rank[x] + 1:])) for x in news]
     ranks = sorted(map(rank.__getitem__, news))
     suffixes = [sorted(chain[r] for r in ranks[k:]) for k in range(len(ranks))]
     fresh = set(news)
+    blocks = []
     for x in sorted(chain[:ranks[-1] + 1]):
         r = rank[x]
         if x in fresh:
-            above = sorted(chain[r + 1:])
+            blocks.append((x, sorted(chain[r + 1:])))
         else:
-            above = suffixes[bisect_left(ranks, r)]
+            blocks.append((x, suffixes[bisect_left(ranks, r)]))
+    return news, blocks
+
+
+def _sorted_facts(new, chain) -> list:
+    """A batch's facts, sorted."""
+    news, blocks = _layout(new, chain)
+    facts = list(zip(_EL, news))
+    for x, above in blocks:
         facts += zip(_LT, repeat(x), above)
     return facts
+
+
+def _lines(new, chain, text) -> list:
+    """A batch's record as text lines, in the order of its facts; text
+    maps each chain element to its id string, so each id is converted
+    once however many pairs name it."""
+    news, blocks = _layout(new, chain)
+    lines = ["el " + text[x] for x in news]
+    lines += ["lt " + text[x] + " " + text[y] for x, above in blocks for y in above]
+    return lines
 
 
 def place(chain: list, x: int, rank: int) -> list:
@@ -371,6 +400,9 @@ def place(chain: list, x: int, rank: int) -> list:
 
 def format_facts(facts: Iterable[Fact]) -> list:
     """Each fact as its text line, ``rel a`` or ``rel a b``."""
+    if isinstance(facts, PlacementBatch):
+        chain = facts.chain
+        return _lines(facts.new, chain, dict(zip(chain, map(str, chain))))
     return ["%s %s %s" % f if len(f) == 3 else "%s %s" % f for f in facts]
 
 
@@ -412,6 +444,42 @@ def parse_facts(lines: Iterable[str]) -> list:
         else:
             append(("sim", a, b) if a <= b else ("sim", b, a))
     return out
+
+
+def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
+    """Read a run-log record as the placement batch that grows chain, or
+    None when lines is not exactly what format_facts writes for one.
+
+    The leading ``el`` lines name the new elements; each is placed by
+    binary search, asking whether the record holds the line ``lt y x``.
+    The candidate is accepted only if it renders back to lines, so an
+    accepted record is one parse_facts reads as the batch's facts.  text
+    maps each element of chain to its id string; the new ids are added.
+    """
+    if type(lines) is not list:
+        return None
+    k = 0
+    for line in lines:
+        if type(line) is not str or not line.startswith("el "):
+            break
+        k += 1
+    if not k:
+        return None if lines else PlacementBatch((), chain)
+    try:
+        new = [int(line[3:]) for line in lines[:k]]
+        present = set(lines)
+    except (ValueError, TypeError):  # a bad id, or an unhashable entry
+        return None
+    if min(new) < 0 or len(set(new)) < k or any(x in text for x in new):
+        return None
+    grown = list(chain)
+    for x in new:
+        text[x] = str(x)
+        tail = " " + text[x]
+        _insert(grown, x, lambda y, _: "lt " + text[y] + tail in present)
+    if _lines(new, grown, text) != lines:
+        return None
+    return PlacementBatch(new, tuple(grown))
 
 
 def parse_fact(line: str) -> Fact:

@@ -21,7 +21,9 @@ a cumulative output stage plus bookkeeping annotations at each step.
 
 The built-in order operators and constructions return each step's new
 facts as a diagram.PlacementBatch, which run() keeps as the stage record:
-its facts are built only when the record is read or written.
+its facts are built only when the record is read.  RunLog.to_jsonl writes
+a batch's lines from its chain, and RunLog.from_jsonl reads such lines
+back as batches.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .diagram import (
     diagram_from_facts,
     el,
     format_facts,
+    parse_batch,
     parse_fact,
     parse_facts,
     total_order_diagram,
@@ -205,6 +208,11 @@ class RunLog:
 
     @staticmethod
     def from_jsonl(text: str) -> "RunLog":
+        """Read and validate a run log.  The records of an order log are
+        read as placement batches while each is byte for byte what
+        to_jsonl writes for one (diagram.parse_batch); from the first
+        record that is not, they are parsed as facts (parse_facts).  Both
+        readings give the same facts, errors and messages."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty run log")
@@ -221,6 +229,8 @@ class RunLog:
             provenance=header.get("provenance", ""),
             schedule=header.get("schedule", ""),
         )
+        batches = signature is Signature.LINEAR_ORDER
+        chain, text = (), {}
         for n, ln in enumerate(lines[1:], start=2):
             rec = _json_record(ln, n, ("stage", "new_facts"))
             stage = rec["stage"]
@@ -230,10 +240,15 @@ class RunLog:
                 raise ParseError(
                     f"run log line {n}: stage {stage} does not follow "
                     f"stage {log.records[-1].stage}")
-            try:
-                facts = parse_facts(rec["new_facts"])
-            except (AttributeError, TypeError):
-                raise ParseError(f"run log line {n}: new_facts must list facts") from None
+            facts = parse_batch(rec["new_facts"], chain, text) if batches else None
+            if facts is not None:
+                chain = facts.chain
+            else:
+                batches = False
+                try:
+                    facts = parse_facts(rec["new_facts"])
+                except (AttributeError, TypeError):
+                    raise ParseError(f"run log line {n}: new_facts must list facts") from None
             notes = rec.get("annotations")
             _check_annotations(notes, n)
             log.records.append(StageRecord(stage, facts, notes))

@@ -130,6 +130,7 @@ class WitnessTracker:
         self.alive: list = [dict() for _ in sentence.disjuncts]
         self.domain: list = []
         self.stage = -1
+        self._sorted: list = []  # the alive tuples after the last update
 
     def _matrix_holds(self, diagram, matrix: Matrix, xs: tuple, new=None) -> bool:
         """matrix holds for xs at every universal tuple over the domain, or
@@ -163,20 +164,20 @@ class WitnessTracker:
                         self._matrix_holds(diagram, m, xs) for m in active):
                     alive[xs] = True
             self.alive[di] = alive
-
-    def witnesses(self) -> list:
-        """Alive tuples in the fixed (length, lexicographic) order."""
         seen = set()
         for alive in self.alive:
             seen.update(alive)
-        return sorted(seen, key=lambda t: (len(t), t))
+        self._sorted = sorted(seen, key=lambda t: (len(t), t))
+
+    def witnesses(self) -> list:
+        """Alive tuples in the fixed (length, lexicographic) order."""
+        return list(self._sorted)
 
     def least(self):
-        ws = self.witnesses()
-        return ws[0] if ws else None
+        return self._sorted[0] if self._sorted else None
 
     def count(self) -> int:
-        return len(self.witnesses())
+        return len(self._sorted)
 
 
 def parse_sentence(text: str, name: str = "sentence") -> Sigma2Sentence:

@@ -1,13 +1,16 @@
 """Order outputs as placement batches: every built-in order writer returns
 the elements it placed plus its output chain, and diagram.py alone turns
-that into the all-pairs facts a run log records."""
+that into the all-pairs facts a run log records and reads such records
+back as batches."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops
-from embedlab import diagram
+from embedlab import diagram, kernel
 from embedlab.classify import fingerprint
 from embedlab.combinators import (
     LEFT_CLOSED,
@@ -23,11 +26,14 @@ from embedlab.diagram import (
     PlacementBatch,
     Signature,
     diagram_from_facts,
+    format_facts,
+    parse_batch,
     parse_diagram,
 )
 from embedlab.kernel import (
     EnumerationOperator,
     RunLog,
+    StageRecord,
     StreamEvaluator,
     evaluate,
     parse_schedule,
@@ -47,10 +53,9 @@ def naive_facts(new, chain) -> list:
 
 
 @st.composite
-def batches(draw):
+def batches(draw, ids=st.integers(0, 10**6)):
     n = draw(st.integers(0, 40))
-    chain = tuple(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
-                                unique=True)))
+    chain = tuple(draw(st.lists(ids, min_size=n, max_size=n, unique=True)))
     m = draw(st.integers(0, min(n, 6)))
     where = draw(st.sampled_from(("start", "middle", "end", "spread")))
     if where == "start":
@@ -78,6 +83,28 @@ def test_batch_expansion_matches_naive_all_pairs(batch):
     assert d.facts == frozenset(want)
     assert d.domain == (frozenset(chain) if new else frozenset())
     assert list(b.reversed()) == naive_facts(new, chain[::-1])
+
+
+# Ids as long as the criterion-8 pipeline's (tags of tags of tuple codes).
+LONG_IDS = st.one_of(st.integers(0, 10**6), st.integers(10**100, 10**110))
+
+
+@given(batches(LONG_IDS))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_batch_lines_match_fact_lines_and_read_back(batch):
+    new, chain = batch
+    b = PlacementBatch(new, chain)
+    lines = format_facts(b)
+    assert lines == format_facts(list(b))
+    fresh = set(new)
+    old = tuple(x for x in chain if x not in fresh)
+    text = {x: str(x) for x in old}
+    back = parse_batch(lines, old, text)
+    assert isinstance(back, PlacementBatch)
+    assert back == b
+    assert back.chain == chain
+    assert format_facts(back) == lines
+    assert text == {x: str(x) for x in back.chain}
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 8, 40))
@@ -155,6 +182,10 @@ def test_batch_logs_round_trip_through_jsonl(label, log):
     assert decoded.to_jsonl() == log.to_jsonl()
     assert decoded.final_facts() == log.final_facts()
     for rec, back in zip(log.records, decoded.records):
+        assert isinstance(back.new_facts, PlacementBatch)
+        assert back.new_facts == rec.new_facts
+        assert back.new_facts.chain == rec.new_facts.chain
+        assert format_facts(back.new_facts) == format_facts(rec.new_facts)
         assert len(rec.new_facts) == len(back.new_facts)
 
 
@@ -171,10 +202,194 @@ def test_fingerprint_same_on_batches_decoded_and_reference(family, policy):
     for expr in FINGERPRINT_OPERATORS:
         log = run(build_operator(expr), stream, 50)
         decoded = RunLog.from_jsonl(log.to_jsonl())
+        assert all(isinstance(r.new_facts, PlacementBatch) for r in decoded.records)
+        # The same log as fact records, which fingerprint replays.
+        facts = _fact_records(decoded)
         for threshold in (1, 5, 20):
             fp = fingerprint(log, threshold)
             assert fp == fingerprint(decoded, threshold), expr
+            assert fp == fingerprint(facts, threshold), expr
             assert fp == reference_ops.fingerprint(log, threshold), expr
+
+
+def _fact_records(log: RunLog) -> RunLog:
+    """The log with every record's facts as a plain list."""
+    return RunLog(log.operator, log.signature, log.provenance, log.schedule, [
+        StageRecord(r.stage, list(r.new_facts), r.annotations) for r in log.records])
+
+
+# --- reading order records back ---------------------------------------------
+
+
+def _outcome(text: str):
+    """What from_jsonl makes of text: each record's stage, facts and
+    annotations, or the class and message of the error it raises."""
+    try:
+        log = RunLog.from_jsonl(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(r.stage, list(r.new_facts), r.annotations) for r in log.records]
+
+
+def _assert_read_as_facts(text: str, monkeypatch) -> RunLog | None:
+    """from_jsonl reads text as it does with every record parsed as facts;
+    returns the decoded log, or None when reading raises."""
+    got = _outcome(text)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "parse_batch", lambda *args: None)
+        assert got == _outcome(text)
+    if isinstance(got, tuple):
+        return None
+    log = RunLog.from_jsonl(text)
+    # Each batch read back grows the chain before it by its new elements.
+    chain = ()
+    for rec in log.records:
+        if isinstance(rec.new_facts, PlacementBatch):
+            new, grown = rec.new_facts.new, rec.new_facts.chain
+            assert len(set(grown)) == len(grown) == len(chain) + len(new)
+            assert set(grown) == set(chain) | set(new)
+            assert [x for x in grown if x in set(chain)] == list(chain)
+            chain = grown
+    return log
+
+
+def _log_text(records: list) -> str:
+    return "\n".join(json.dumps(rec) for rec in [
+        {"v": 1, "type": "header", "operator": "x", "signature": "linear_order"},
+        *({"v": 1, "stage": s, "new_facts": facts} for s, facts in enumerate(records)),
+    ]) + "\n"
+
+
+def _canonical_records() -> list:
+    """new_facts of each record of a replicate:2 run on a permuted omega."""
+    stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=5), 12)
+    log = run(build_operator("replicate:2"), stream, 12)
+    return [json.loads(ln)["new_facts"] for ln in log.to_jsonl().splitlines()[1:]]
+
+
+def test_canonical_records_read_as_batches(monkeypatch):
+    records = _canonical_records()
+    log = _assert_read_as_facts(_log_text(records), monkeypatch)
+    assert all(isinstance(r.new_facts, PlacementBatch) for r in log.records)
+    assert [format_facts(r.new_facts) for r in log.records] == records
+
+
+def _swap(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("lt "))
+    return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+
+
+def _reverse_lt(lines):
+    i = next(i for i, line in enumerate(lines) if line.startswith("lt "))
+    _, a, b = lines[i].split()
+    return lines[:i] + [f"lt {b} {a}"] + lines[i + 1:]
+
+
+# name: (index of the record to edit, the edit)
+NON_CANONICAL = {
+    "leading zero": (3, lambda ls: ["el 0" + ls[0][3:]] + ls[1:]),
+    "double space": (3, lambda ls: [ls[0].replace(" ", "  ")] + ls[1:]),
+    "tab": (3, lambda ls: ls[:-1] + [ls[-1].replace(" ", "\t")]),
+    "underscore": (3, lambda ls: ["el 1_0"] + ls[1:]),
+    "plus sign": (3, lambda ls: ["el +" + ls[0][3:]] + ls[1:]),
+    "non-ascii digit": (3, lambda ls: ["el \uff15"] + ls[1:]),
+    "negative": (3, lambda ls: ["el -1"] + ls[1:]),
+    "too many digits": (3, lambda ls: ["el " + "9" * 5000] + ls[1:]),
+    "reordered lines": (3, _swap),
+    "reordered el lines": (1, lambda ls: [ls[1], ls[0]] + ls[2:]),
+    "duplicated line": (3, lambda ls: ls + [ls[-1]]),
+    "duplicated el line": (3, lambda ls: [ls[0]] + ls),
+    "dropped line": (3, lambda ls: ls[:-1]),
+    "re-declared old element": (3, lambda ls: ["el 0"] + ls),
+    "el line after lt lines": (3, lambda ls: ls + ["el 0"]),
+    "lt without el": (3, lambda ls: ls[1:]),
+    "el without lt": (3, lambda ls: ls[:1]),
+    "cycle": (3, _reverse_lt),
+    "sim line": (3, lambda ls: ls + ["sim 0 1"]),
+    "blank line": (3, lambda ls: ls + [""]),
+    "int entry": (3, lambda ls: ls + [5]),
+    "list entry": (3, lambda ls: ls + [["lt", 0, 1]]),
+    "null entry": (3, lambda ls: [None] + ls),
+    "string new_facts": (3, lambda ls: "\n".join(ls)),
+    "object new_facts": (3, lambda ls: dict.fromkeys(ls, 1)),
+    "null new_facts": (3, lambda ls: None),
+    "number new_facts": (3, lambda ls: 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_CANONICAL))
+def test_non_canonical_records_read_as_facts(name, monkeypatch):
+    k, edit = NON_CANONICAL[name]
+    records = _canonical_records()
+    records[k] = edit(records[k])
+    log = _assert_read_as_facts(_log_text(records), monkeypatch)
+    if log is not None:
+        kinds = [isinstance(r.new_facts, PlacementBatch) for r in log.records]
+        # Records before the first non-canonical one stay batches; it and
+        # every later record, canonical or not, are read as facts.
+        assert kinds == [True] * k + [False] * (len(records) - k)
+
+
+# Whole logs whose records name their elements oddly.
+ODD_LOGS = {
+    "negative ids": [format_facts(PlacementBatch((-1, 3), (3, -1)))],
+    "negative id later": [["el 0"], format_facts(PlacementBatch((-2,), (0, -2)))],
+    "duplicated el line": [["el 1", "el 1"]],
+    "re-declared element": [["el 1"], ["el 1"]],
+    "re-declared element with a new one": [["el 1"], ["el 1", "el 2", "lt 1 2"]],
+    "empty records": [[], ["el 0"], [], ["el 1", "lt 0 1"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_LOGS))
+def test_odd_element_ids_read_as_facts(name, monkeypatch):
+    _assert_read_as_facts(_log_text(ODD_LOGS[name]), monkeypatch)
+
+
+def test_every_record_after_a_non_canonical_one_is_read_as_facts(monkeypatch):
+    records = _canonical_records()
+    records[1] = records[1] + [records[1][-1]]
+    log = _assert_read_as_facts(_log_text(records), monkeypatch)
+    assert [isinstance(r.new_facts, PlacementBatch) for r in log.records[:2]] == [True, False]
+    assert not any(isinstance(r.new_facts, PlacementBatch) for r in log.records[2:])
+    assert [format_facts(r.new_facts) for r in log.records][2:] == records[2:]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_edited_records_read_as_facts(data):
+    records = _canonical_records()
+    k = data.draw(st.integers(0, len(records) - 1))
+    lines = records[k]
+    edit = data.draw(st.sampled_from(("delete", "duplicate", "swap", "respace", "renumber")))
+    i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+    if lines and edit == "delete":
+        del lines[i]
+    elif lines and edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif len(lines) > 1 and edit == "swap":
+        lines[i - 1], lines[i] = lines[i], lines[i - 1]
+    elif lines and edit == "respace":
+        lines[i] = lines[i].replace(" ", data.draw(st.sampled_from(("  ", "\t", " \t"))), 1)
+    elif lines and edit == "renumber":
+        parts = lines[i].split()
+        parts[-1] = str(data.draw(st.integers(0, 30)))
+        lines[i] = " ".join(parts)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_read_as_facts(_log_text(records), monkeypatch)
+
+
+def test_covering_and_mirror_logs_read_as_facts(monkeypatch):
+    stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=4), 16)
+    covering = _covering(stream)
+    for log in (RunLog.from_stream(covering), run(Mirror(), covering, 16)):
+        decoded = _assert_read_as_facts(log.to_jsonl(), monkeypatch)
+        assert not all(isinstance(r.new_facts, PlacementBatch) for r in decoded.records)
+        assert fingerprint(decoded, 3) == fingerprint(log, 3)
+    # Over all pairs, each Mirror record is a reversed placement written
+    # out in full, so it reads back as a batch.
+    decoded = _assert_read_as_facts(run(Mirror(), stream, 16).to_jsonl(), monkeypatch)
+    assert all(isinstance(r.new_facts, PlacementBatch) for r in decoded.records)
 
 
 # --- inner operators that return plain facts --------------------------------

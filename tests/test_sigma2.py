@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedlab import sigma2
 from embedlab.diagram import EmbedlabError, ParseError, total_order_diagram
 from embedlab.sigma2 import (
     Literal,
@@ -97,6 +98,23 @@ def test_witness_tracker_least_on_growing_order():
     d3 = total_order_diagram([2, 4, 9])
     tracker.update(d3, [9])
     assert tracker.least() == (2,)
+
+
+def test_witness_tracker_sorts_once_per_update(monkeypatch):
+    tracker = WitnessTracker(least_element_sentence())
+    assert (tracker.least(), tracker.count(), tracker.witnesses()) == (None, 0, [])
+    tracker.update(total_order_diagram([4, 9]), [4, 9])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witnesses were sorted again")
+
+    monkeypatch.setattr(sigma2, "sorted", refuse, raising=False)
+    for _ in range(2):
+        assert tracker.least() == (4,)
+        assert tracker.count() == 1
+        assert tracker.witnesses() == [(4,)]
+    tracker.witnesses().clear()
+    assert tracker.count() == 1
 
 
 def test_witness_tracker_greatest_tracks_maximum():
