@@ -11,12 +11,10 @@ from .diagram import (
     InvalidInput,
     InvalidSchedule,
     InvalidSpec,
-    InvalidTarget,
     NotInOutput,
     ParseError,
     Signature,
     SignatureError,
-    TooLarge,
     el,
     lt,
     sim,
@@ -31,10 +29,7 @@ from .kernel import (
     EnumerationOperator,
     RunLog,
     TuringConstruction,
-    check_monotonicity,
-    compose,
     evaluate,
-    parse_axiom_table,
     run,
 )
 from .combinators import (
@@ -72,11 +67,7 @@ from .forcing import (
     UNKNOWN,
     ForcingQuery,
     ForcingVerdict,
-    GammaPair,
     bounded_force,
-    disjoint_agreement_scan,
-    finiteness_probe,
-    gamma_pairs,
     trichotomy_scan,
 )
 from .classify import (
@@ -85,7 +76,6 @@ from .classify import (
     OrderFingerprint,
     census,
     consistency_verdict,
-    finite_iso,
     fingerprint,
 )
 

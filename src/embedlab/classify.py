@@ -1,6 +1,6 @@
 """Desk-scale analysis of run logs: class censuses for equivalence outputs,
-predecessor/successor stability fingerprints for order outputs, exact
-isomorphism on small diagrams, and the aggregate consistency verdicts.
+predecessor/successor stability fingerprints for order outputs, and the
+aggregate consistency verdicts.
 
 All analyses are pure functions of the log.  Freeze detection prefers the
 operator's own pin annotations (a class counts as frozen only if the same
@@ -16,11 +16,11 @@ from itertools import chain as iter_chain
 from .diagram import (
     FiniteDiagram,
     InconsistentDiagram,
+    InvalidSpec,
     PlacementBatch,
     RELATIONS,
     Signature,
     SignatureError,
-    TooLarge,
 )
 from .kernel import RunLog
 from .streams import CanonicalSpec
@@ -70,6 +70,8 @@ class _UnionFind:
 
 def census(log: RunLog, stability_window: int) -> ClassCensus:
     """Class census of an equivalence output log at its final stage."""
+    if stability_window < 1:
+        raise InvalidSpec("the stability window must be >= 1")
     if log.signature is not Signature.EQUIVALENCE:
         raise SignatureError("census requires an equivalence log")
     uf = _UnionFind()
@@ -204,6 +206,8 @@ def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
     stable endpoints are the final extremes when their identity held
     through the last `threshold` stages.
     """
+    if threshold < 1:
+        raise InvalidSpec("the fingerprint threshold must be >= 1")
     if log.signature is not Signature.LINEAR_ORDER:
         raise SignatureError("fingerprint requires a linear order log")
     traces: dict = {}
@@ -247,75 +251,6 @@ def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
     if chain and greatest_change_stage <= final_stage - threshold:
         result.stable_greatest = chain[-1]
     return result
-
-
-def finite_iso(d1: FiniteDiagram, d2: FiniteDiagram) -> bool:
-    """Exact isomorphism of small diagrams, compared on their closures."""
-    if d1.signature is not d2.signature:
-        raise SignatureError("finite_iso requires equal signatures")
-    if len(d1.domain) > 8 or len(d2.domain) > 8:
-        raise TooLarge("finite_iso is limited to 8 elements")
-    if len(d1.domain) != len(d2.domain):
-        return False
-
-    def closure_pairs(d: FiniteDiagram) -> set:
-        if d.signature is Signature.EQUIVALENCE:
-            pairs = set()
-            for cls in d.sim_classes():
-                for a in cls:
-                    for b in cls:
-                        if a != b:
-                            pairs.add((a, b))
-            return pairs
-        succ = d.lt_successors()
-        pairs = set()
-
-        def reach(x, seen):
-            for y in succ[x]:
-                if y not in seen:
-                    seen.add(y)
-                    reach(y, seen)
-            return seen
-
-        for x in d.domain:
-            for y in reach(x, set()):
-                pairs.add((x, y))
-        return pairs
-
-    p1, p2 = closure_pairs(d1), closure_pairs(d2)
-    if len(p1) != len(p2):
-        return False
-
-    def profile(pairs, domain):
-        out_deg = {x: 0 for x in domain}
-        in_deg = {x: 0 for x in domain}
-        for a, b in pairs:
-            out_deg[a] += 1
-            in_deg[b] += 1
-        return {x: (out_deg[x], in_deg[x]) for x in domain}
-
-    prof1, prof2 = profile(p1, d1.domain), profile(p2, d2.domain)
-    if sorted(prof1.values()) != sorted(prof2.values()):
-        return False
-    xs = sorted(d1.domain)
-    candidates = [
-        [y for y in sorted(d2.domain) if prof2[y] == prof1[x]] for x in xs
-    ]
-
-    def backtrack(i, used, mapping):
-        if i == len(xs):
-            return all(
-                (mapping[a], mapping[b]) in p2 for a, b in p1
-            )
-        for y in candidates[i]:
-            if y in used:
-                continue
-            mapping[xs[i]] = y
-            if backtrack(i + 1, used | {y}, mapping):
-                return True
-        return False
-
-    return backtrack(0, frozenset(), {})
 
 
 @dataclass

@@ -4,8 +4,9 @@ Subcommands: gen (write a canonical stream), run (drive an operator along a
 stream into a JSONL log), force (one bounded forcing query), classify
 (census/fingerprint verdict for a log), suite (the full acceptance suite).
 
-Exit codes: 0 success, 2 usage or specification error, 3 signature
-mismatch, 4 suite failure.  EMBEDLAB_SEED overrides --seed.
+Exit codes: 0 success, 2 usage or specification error (an output file
+that cannot be written included), 3 signature mismatch, 4 suite failure.
+EMBEDLAB_SEED overrides --seed.
 """
 
 from __future__ import annotations
@@ -39,9 +40,17 @@ EXIT_SIGNATURE = 3
 EXIT_SUITE = 4
 
 
-def _fail(exc: EmbedlabError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_SIGNATURE if isinstance(exc, SignatureError) else EXIT_USAGE)
+class _Main(click.Group):
+    """Maps every EmbedlabError and OSError a subcommand raises to
+    ``error: ...`` on stderr and its exit code, with no traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (EmbedlabError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_SIGNATURE if isinstance(exc, SignatureError)
+                     else EXIT_USAGE)
 
 
 def _seed_option(seed: int) -> int:
@@ -54,7 +63,7 @@ def _seed_option(seed: int) -> int:
         raise InvalidSpec(f"EMBEDLAB_SEED must be an integer, got {env!r}") from None
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Workbench for monotone operators on orders and equivalences."""
 
@@ -68,11 +77,8 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen(family, k, policy, seed, stages, out):
     """Generate a canonical structure stream file."""
-    try:
-        spec = CanonicalSpec(family, policy, k, _seed_option(seed))
-        stream = generate(spec, stages)
-    except EmbedlabError as exc:
-        _fail(exc)
+    spec = CanonicalSpec(family, policy, k, _seed_option(seed))
+    stream = generate(spec, stages)
     Path(out).write_text(stream.to_text(), encoding="utf-8")
     final = stream.final()
     click.echo(
@@ -101,22 +107,19 @@ def _load_stream(path: str) -> StructureStream:
 def run_cmd(expr, stream_path, stages, schedule, phi, psi,
             target_a, target_b, log_path):
     """Run an operator or construction along a stream, logging stages."""
-    try:
-        stream = _load_stream(stream_path)
-        stages = stages or len(stream)
-        phi_s = resolve_sentence(phi) if phi else None
-        psi_s = resolve_sentence(psi) if psi else None
-        targets = None
-        if expr.strip() == "phi_pair":
-            targets = StagePair(
-                generate(CanonicalSpec.parse(target_a), stages + 4),
-                generate(CanonicalSpec.parse(target_b), stages + 4),
-            )
-        op = build_operator(expr, phi=phi_s, psi=psi_s, targets=targets)
-        name, fn = parse_schedule(schedule)
-        log = run_operator(op, stream, stages, fn, name)
-    except EmbedlabError as exc:
-        _fail(exc)
+    stream = _load_stream(stream_path)
+    stages = len(stream) if stages is None else stages
+    phi_s = resolve_sentence(phi) if phi else None
+    psi_s = resolve_sentence(psi) if psi else None
+    targets = None
+    if expr.strip() == "phi_pair":
+        targets = StagePair(
+            generate(CanonicalSpec.parse(target_a), stages + 4),
+            generate(CanonicalSpec.parse(target_b), stages + 4),
+        )
+    op = build_operator(expr, phi=phi_s, psi=psi_s, targets=targets)
+    name, fn = parse_schedule(schedule)
+    log = run_operator(op, stream, stages, fn, name)
     Path(log_path).write_text(log.to_jsonl(), encoding="utf-8")
     total = sum(len(r.new_facts) for r in log.records)
     click.echo(f"{op.name} on {stream.provenance}: {stages} stages, "
@@ -133,13 +136,10 @@ def run_cmd(expr, stream_path, stages, schedule, phi, psi,
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def force(expr, alpha_path, atom, ext, budget, out_path):
     """Decide one bounded forcing query."""
-    try:
-        op = build_operator(expr)
-        alpha = parse_diagram(Path(alpha_path).read_text(encoding="utf-8"))
-        fact = parse_fact(atom)
-        verdict = bounded_force(ForcingQuery(op, alpha, fact, ext, budget))
-    except EmbedlabError as exc:
-        _fail(exc)
+    op = build_operator(expr)
+    alpha = parse_diagram(Path(alpha_path).read_text(encoding="utf-8"))
+    fact = parse_fact(atom)
+    verdict = bounded_force(ForcingQuery(op, alpha, fact, ext, budget))
     record = {
         "v": 1,
         "operator": op.name,
@@ -164,12 +164,9 @@ def force(expr, alpha_path, atom, ext, budget, out_path):
 @click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
 def classify(log_path, claim, threshold, window, out_path):
     """Check a run log against a claimed limit structure."""
-    try:
-        log = RunLog.from_jsonl(Path(log_path).read_text(encoding="utf-8"))
-        spec = CanonicalSpec.parse(claim)
-        verdict = consistency_verdict(log, spec, threshold, window)
-    except EmbedlabError as exc:
-        _fail(exc)
+    log = RunLog.from_jsonl(Path(log_path).read_text(encoding="utf-8"))
+    spec = CanonicalSpec.parse(claim)
+    verdict = consistency_verdict(log, spec, threshold, window)
     record = {"v": 1, "run": f"{log.operator}@{log.provenance}",
               "claim": verdict.claim, "verdict": verdict.verdict,
               "evidence": verdict.evidence}
@@ -194,10 +191,7 @@ def suite(run_all, only, seed, out_dir):
         unknown = [n for n in names if n not in experiments.EXPERIMENTS]
         if unknown:
             raise click.UsageError(f"unknown experiments: {unknown}")
-    try:
-        result = experiments.run_suite(_seed_option(seed), names)
-    except EmbedlabError as exc:
-        _fail(exc)
+    result = experiments.run_suite(_seed_option(seed), names)
     if out_dir:
         experiments.write_suite(result, out_dir)
     click.echo(experiments.summary_table(result))

@@ -70,14 +70,6 @@ class NotInOutput(EmbedlabError):
     pass
 
 
-class TooLarge(EmbedlabError):
-    pass
-
-
-class InvalidTarget(EmbedlabError):
-    pass
-
-
 class Signature(enum.Enum):
     LINEAR_ORDER = "linear_order"
     EQUIVALENCE = "equivalence"
@@ -155,20 +147,16 @@ class FiniteDiagram:
     def __le__(self, other: "FiniteDiagram") -> bool:
         return self.signature is other.signature and self.facts <= other.facts
 
-    def lt_successors(self) -> dict:
-        succ: dict = {x: [] for x in self.domain}
-        for f in self.facts:
-            if f[0] == "lt":
-                succ[f[1]].append(f[2])
-        return succ
-
     @cached_property
     def _topo(self) -> tuple:
         """Kahn's pass over the lt facts: the elements in a topological
         order, and whether every step had a single ready element.  The
         order is shorter than the domain when the facts contain a cycle.
         Iterative, so chains of any length pass."""
-        succ = self.lt_successors()
+        succ: dict = {x: [] for x in self.domain}
+        for f in self.facts:
+            if f[0] == "lt":
+                succ[f[1]].append(f[2])
         indeg = dict.fromkeys(succ, 0)
         for ys in succ.values():
             for y in ys:
@@ -414,8 +402,8 @@ RELATIONS = frozenset(_TOKENS_OF)
 def parse_facts(lines: Iterable[str]) -> list:
     """Parse fact lines (no comments); the first bad line raises.
 
-    The one fact decoder behind every file format: diagram, stream and
-    axiom-table files, run logs and CLI atoms.
+    The one fact decoder behind every file format: diagram and stream
+    files, run logs and CLI atoms.
     """
     out = []
     append = out.append

@@ -19,7 +19,6 @@ from .diagram import (
     InvalidInput,
     InvalidSpec,
     NotInOutput,
-    InvalidTarget,
     Signature,
     total_order_diagram,
 )
@@ -43,21 +42,6 @@ class ForcingQuery:
 class ForcingVerdict:
     outcome: str
     certificate: FiniteDiagram | None = None
-
-
-@dataclass(frozen=True)
-class GammaPair:
-    """An output element together with a finite input that yields it."""
-
-    x: int
-    alpha: FiniteDiagram
-
-
-def gamma_pairs(op: EnumerationOperator, alpha: FiniteDiagram,
-                budget: int) -> list:
-    """All pairs (x, alpha) with x enumerated by op on alpha."""
-    out = evaluate(op, alpha, budget)
-    return [GammaPair(x, alpha) for x in sorted(out.domain)]
 
 
 def extensions(alpha: FiniteDiagram, ext_bound: int):
@@ -251,80 +235,3 @@ def trichotomy_scan(
                 })
     report.details["permutations"] = permutations_by_alpha
     return report
-
-
-def disjoint_agreement_scan(
-    op: EnumerationOperator,
-    max_alpha: int,
-    ext_bound: int,
-    budget: int,
-) -> ScanReport:
-    """Verify disjoint-domain inputs force shared output pairs the same way."""
-    report = ScanReport(op.name, {
-        "max_alpha": max_alpha, "ext_bound": ext_bound, "budget": budget,
-    })
-    universe = list(range(2 * max_alpha))
-    orders = list(_all_total_orders(universe, max_alpha))
-    cache = _EvalCache(op, budget)
-    shared_pairs = 0
-    for i, chain_a in enumerate(orders):
-        dom_a = set(chain_a)
-        alpha = total_order_diagram(chain_a)
-        elems_a = cache.eval(chain_a).domain
-        for chain_b in orders[i + 1:]:
-            if dom_a & set(chain_b):
-                continue
-            beta = total_order_diagram(chain_b)
-            shared = sorted(elems_a & cache.eval(chain_b).domain)
-            for j, x in enumerate(shared):
-                for y in shared[j + 1:]:
-                    shared_pairs += 1
-                    va = bounded_force(
-                        ForcingQuery(op, alpha, ("lt", x, y), ext_bound, budget),
-                        cache,
-                    )
-                    vb = bounded_force(
-                        ForcingQuery(op, beta, ("lt", x, y), ext_bound, budget),
-                        cache,
-                    )
-                    report.checked += 1
-                    if va.outcome != vb.outcome:
-                        report.violations.append({
-                            "alpha": chain_a,
-                            "beta": chain_b,
-                            "pair": [x, y],
-                            "outcomes": [va.outcome, vb.outcome],
-                        })
-    report.details["shared_pairs"] = shared_pairs
-    report.details["vacuous"] = shared_pairs == 0
-    return report
-
-
-@dataclass
-class FinitenessReport:
-    operator: str
-    sizes: list
-    stabilized: bool
-    stabilization_point: int | None
-
-
-def finiteness_probe(op, alpha: FiniteDiagram, budget_ceiling: int) -> FinitenessReport:
-    """Does the output stop growing within the budget ceiling?"""
-    if not isinstance(op, EnumerationOperator):
-        raise InvalidTarget("finiteness probe needs an enumeration operator")
-    if op.output_signature is not Signature.LINEAR_ORDER:
-        raise InvalidTarget("finiteness probe concerns order outputs")
-    chain = op.eval_chain(alpha, budget_ceiling)
-    sizes = []
-    for facts in chain:
-        domain = set()
-        for f in facts:
-            domain.update(f[1:])
-        sizes.append(len(domain))
-    # Stabilized: no growth through the trailing half of the budget range,
-    # which tolerates operators whose growth ticks are sparse.
-    point = next(n for n in range(len(sizes)) if sizes[n] == sizes[-1])
-    stabilized = point <= budget_ceiling // 2 and budget_ceiling >= 2
-    return FinitenessReport(
-        op.name, sizes, stabilized, point if stabilized else None
-    )

@@ -41,16 +41,12 @@ from .diagram import (
     PlacementBatch,
     Signature,
     SignatureError,
-    content_lines,
     diagram_from_facts,
-    el,
     format_facts,
     parse_batch,
-    parse_fact,
     parse_facts,
-    total_order_diagram,
 )
-from .streams import StructureStream, lcg_stream
+from .streams import StructureStream
 
 
 class EnumerationOperator:
@@ -350,82 +346,6 @@ def run(
     return log
 
 
-@dataclass
-class MonotonicityReport:
-    operator: str
-    trials: int
-    budget_bound: int
-    passed: bool
-    counterexample: dict | None = None
-
-
-def _random_order_pair(rng, max_size: int):
-    size = 1 + next(rng) % max_size
-    universe = list(range(2 * max_size))
-    elements = []
-    for _ in range(size):
-        x = universe[next(rng) % len(universe)]
-        if x not in elements:
-            elements.append(x)
-    order = list(elements)
-    for i in range(len(order) - 1, 0, -1):
-        j = next(rng) % (i + 1)
-        order[i], order[j] = order[j], order[i]
-    beta = total_order_diagram(order)
-    kept = [x for x in order if next(rng) % 2 == 0]
-    alpha = total_order_diagram(kept)
-    return alpha, beta
-
-
-def _random_equiv_pair(rng, max_size: int):
-    size = 1 + next(rng) % max_size
-    elements = sorted({next(rng) % (2 * max_size) for _ in range(size)})
-    facts = {el(x) for x in elements}
-    for i, a in enumerate(elements):
-        for b in elements[i + 1:]:
-            if next(rng) % 3 == 0:
-                facts.add(("sim", a, b))
-    beta = FiniteDiagram.make(Signature.EQUIVALENCE, facts)
-    alpha_facts = {f for f in beta.facts if next(rng) % 2 == 0}
-    alpha = FiniteDiagram.make(Signature.EQUIVALENCE, alpha_facts)
-    return alpha, beta
-
-
-def check_monotonicity(
-    op: EnumerationOperator,
-    trials: int,
-    max_size: int,
-    seed: int,
-    budget_bound: int = 8,
-) -> MonotonicityReport:
-    """Sample random consistent pairs alpha <= beta and test the input law
-    at every budget up to budget_bound.  The budget law needs no sampling:
-    eval_chain is cumulative by construction."""
-    if trials < 1:
-        raise InvalidSpec("trials must be >= 1")
-    rng = lcg_stream(seed)
-    sampler = (
-        _random_order_pair
-        if op.input_signature is Signature.LINEAR_ORDER
-        else _random_equiv_pair
-    )
-    for t in range(trials):
-        alpha, beta = sampler(rng, max_size)
-        chain_a = op.eval_chain(alpha, budget_bound)
-        chain_b = op.eval_chain(beta, budget_bound)
-        for n in range(budget_bound + 1):
-            if not chain_a[n] <= chain_b[n]:
-                missing = sorted(chain_a[n] - chain_b[n])[0]
-                return MonotonicityReport(op.name, t + 1, budget_bound, False, {
-                    "law": "input",
-                    "alpha": sorted(alpha.facts),
-                    "beta": sorted(beta.facts),
-                    "budget": n,
-                    "missing_fact": missing,
-                })
-    return MonotonicityReport(op.name, trials, budget_bound, True)
-
-
 class AxiomTableOperator(EnumerationOperator):
     """Operator given by an explicit finite (premise, fact) axiom list.
 
@@ -465,65 +385,3 @@ class _AxiomTableStream(StreamEvaluator):
                 new.append(fact)
         self.scanned = max(self.scanned, budget)
         return new, None
-
-
-def parse_axiom_table(text: str, name: str = "axiom-table") -> AxiomTableOperator:
-    """Parse ``axiom: <fact>; <fact> => <fact>`` lines."""
-    axioms = []
-    for line in content_lines(text):
-        if not line.startswith("axiom:"):
-            raise ParseError(f"expected 'axiom:' line, got {line!r}")
-        body = line[len("axiom:"):]
-        premise_text, sep, fact_text = body.partition("=>")
-        if not sep:
-            raise ParseError(f"axiom line missing '=>': {line!r}")
-        premise = frozenset(
-            parse_fact(p.strip()) for p in premise_text.split(";") if p.strip()
-        )
-        axioms.append((premise, parse_fact(fact_text.strip())))
-    return AxiomTableOperator(name, axioms)
-
-
-class ComposedOperator(EnumerationOperator):
-    """outer after inner, evaluated at a shared budget."""
-
-    def __init__(self, outer: EnumerationOperator, inner: EnumerationOperator):
-        if inner.output_signature is not outer.input_signature:
-            raise SignatureError(
-                f"cannot compose {outer.name} after {inner.name}"
-            )
-        self.outer = outer
-        self.inner = inner
-        self.name = f"{outer.name}({inner.name})"
-        self.input_signature = inner.input_signature
-        self.output_signature = outer.output_signature
-
-    def make_stream_evaluator(self):
-        return _ComposedStream(self)
-
-
-class _ComposedStream(StreamEvaluator):
-    """Chains the inner evaluator's cumulative output into the outer one."""
-
-    def __init__(self, op: ComposedOperator):
-        self.op = op
-        self.inner = op.inner.make_stream_evaluator()
-        self.outer = op.outer.make_stream_evaluator()
-        self.mid_facts: set = set()
-        self.mid_domain: set = set()
-
-    def step(self, diagram, delta, budget):
-        inner_new, _ = self.inner.step(diagram, delta, budget)
-        self.mid_facts.update(inner_new)
-        for f in inner_new:
-            self.mid_domain.update(f[1:])
-        mid = FiniteDiagram.raw(
-            self.op.inner.output_signature,
-            frozenset(self.mid_facts),
-            frozenset(self.mid_domain),
-        )
-        return self.outer.step(mid, inner_new, budget)
-
-
-def compose(outer: EnumerationOperator, inner: EnumerationOperator) -> ComposedOperator:
-    return ComposedOperator(outer, inner)

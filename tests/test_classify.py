@@ -1,14 +1,10 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from embedlab.classify import census, consistency_verdict, finite_iso, fingerprint
+from embedlab.classify import census, consistency_verdict, fingerprint
 from embedlab.diagram import (
+    InvalidSpec,
     Signature,
     SignatureError,
-    TooLarge,
-    partition_diagram,
-    total_order_diagram,
 )
 from embedlab.kernel import RunLog, StageRecord, run
 from embedlab.streams import CanonicalSpec, generate
@@ -62,6 +58,12 @@ def test_fingerprint_requires_order_log():
         fingerprint(stream_log("e", 10), 5)
 
 
+@pytest.mark.parametrize("threshold", [0, -3])
+def test_fingerprint_threshold_below_one_rejected(threshold):
+    with pytest.raises(InvalidSpec):
+        fingerprint(stream_log("omega", 10), threshold)
+
+
 # --- census -----------------------------------------------------------------
 
 def test_census_window_fallback():
@@ -112,6 +114,13 @@ def test_census_requires_equivalence_log():
         census(stream_log("omega", 10), 5)
 
 
+@pytest.mark.parametrize("window", [0, -5])
+def test_census_window_below_one_rejected(window):
+    """A window of 0 would read pins[-0:], the whole run."""
+    with pytest.raises(InvalidSpec):
+        census(stream_log("e_k", 10, k=2), window)
+
+
 def test_census_frozen_count_grows_with_stages():
     counts = []
     for stages in (80, 160):
@@ -133,74 +142,6 @@ def test_census_last_growth_tracks_merges():
     by_rep = {r.representative: r for r in c.classes}
     assert by_rep[0].last_growth_stage == 3
     assert by_rep[2].last_growth_stage == 1
-
-
-# --- finite_iso -------------------------------------------------------------
-
-def test_finite_iso_three_chains():
-    a = total_order_diagram([0, 1, 2])
-    b = total_order_diagram([7, 3, 5])
-    assert finite_iso(a, b)
-
-
-def test_finite_iso_census_mismatch():
-    a = partition_diagram([[0, 1], [2]])
-    b = partition_diagram([[0], [1], [2]])
-    assert not finite_iso(a, b)
-    assert finite_iso(a, partition_diagram([[5, 9], [4]]))
-
-
-def test_finite_iso_replicate_output_is_chain():
-    from embedlab.combinators import replicate
-    from embedlab.kernel import evaluate
-
-    out = evaluate(replicate(2), total_order_diagram([4, 2, 7]), 4)
-    assert finite_iso(out, total_order_diagram(list(range(6))))
-
-
-def test_finite_iso_too_large():
-    with pytest.raises(TooLarge):
-        finite_iso(
-            total_order_diagram(list(range(9))),
-            total_order_diagram(list(range(9))),
-        )
-
-
-def test_finite_iso_respects_partial_orders():
-    from embedlab.diagram import parse_diagram
-
-    v = parse_diagram("lt 0 1\nlt 0 2")        # one bottom, two tops
-    w = parse_diagram("lt 0 2\nlt 1 2")        # two bottoms, one top
-    chain = parse_diagram("lt 0 1\nlt 1 2")    # a chain, closure differs
-    assert not finite_iso(v, w)
-    assert not finite_iso(v, chain)
-    assert finite_iso(v, parse_diagram("lt 5 1\nlt 5 9"))
-
-
-@given(st.permutations(list(range(5))), st.permutations(list(range(5))))
-@settings(max_examples=30, deadline=None)
-def test_finite_iso_total_orders_always(perm_a, perm_b):
-    # Any two equal-sized finite total orders are isomorphic.
-    assert finite_iso(total_order_diagram(perm_a), total_order_diagram(perm_b))
-
-
-def test_finite_iso_is_equivalence_on_samples():
-    diagrams = [
-        partition_diagram([[0, 1], [2]]),
-        partition_diagram([[0], [1], [2]]),
-        partition_diagram([[3, 4], [5]]),
-        total_order_diagram([0, 1, 2]),
-    ]
-    orders = [d for d in diagrams if d.signature is Signature.LINEAR_ORDER]
-    parts = [d for d in diagrams if d.signature is Signature.EQUIVALENCE]
-    for group in (orders, parts):
-        for a in group:
-            assert finite_iso(a, a)
-            for b in group:
-                assert finite_iso(a, b) == finite_iso(b, a)
-                for c in group:
-                    if finite_iso(a, b) and finite_iso(b, c):
-                        assert finite_iso(a, c)
 
 
 # --- consistency verdicts ---------------------------------------------------

@@ -447,3 +447,50 @@ def test_run_non_decimal_digits_exit_2(tmp_path, args):
     invoke("gen", "--family", "omega", "--stages", "5", "--out", str(stream))
     _assert_usage_error(invoke("run", *args, "--in", str(stream),
                                "--log", str(tmp_path / "x.jsonl")))
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "omega", "--stages", "5", "--out", "{missing}"],
+    ["run", "--op", "replicate:1", "--in", "{stream}", "--log", "{missing}"],
+    ["force", "--op", "replicate:2", "--alpha", "{alpha}", "--atom", "lt 2 1",
+     "--out", "{missing}"],
+    ["classify", "--log", "{log}", "--claim", "omega", "--out", "{missing}"],
+    # write_suite makes missing directories, but none under a regular file.
+    ["suite", "--only", "phi_pair", "--out-dir", "{under_file}"],
+], ids=lambda command: command[0])
+def test_unwritable_output_exits_2(tmp_path, command):
+    paths = {name: tmp_path / name for name in ("stream", "log", "alpha")}
+    invoke("gen", "--family", "omega", "--stages", "5", "--out", str(paths["stream"]))
+    invoke("run", "--op", "replicate:1", "--in", str(paths["stream"]),
+           "--log", str(paths["log"]))
+    paths["alpha"].write_text("lt 0 1\n")
+    (tmp_path / "file").write_text("")
+    paths["missing"] = tmp_path / "missing" / "out"
+    paths["under_file"] = tmp_path / "file" / "out"
+    _assert_usage_error(invoke(*(arg.format(**paths) for arg in command)))
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("option", [("--w", "0"), ("--w", "-3"),
+                                    ("--window", "0"), ("--window", "-5")],
+                         ids=" ".join)
+def test_classify_out_of_range_threshold_or_window_exits_2(tmp_path, option):
+    """--w is read by the order fingerprint, --window by the class census."""
+    stream = tmp_path / "s.txt"
+    log = tmp_path / "r.jsonl"
+    invoke("gen", "--family", "omega", "--policy", "permuted", "--stages", "40",
+           "--out", str(stream))
+    op, claim = ("replicate:1", "omega") if option[0] == "--w" else ("ord2eq", "e_k:1")
+    invoke("run", "--op", op, "--in", str(stream), "--log", str(log))
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", claim,
+                               *option))
+
+
+@pytest.mark.parametrize("stages", ["0", "-1"])
+def test_run_stages_below_one_exits_2(tmp_path, stages):
+    stream = tmp_path / "s.txt"
+    log = tmp_path / "r.jsonl"
+    invoke("gen", "--family", "omega", "--stages", "5", "--out", str(stream))
+    _assert_usage_error(invoke("run", "--op", "replicate:1", "--in", str(stream),
+                               "--stages", stages, "--log", str(log)))
+    assert not log.exists()

@@ -2,7 +2,6 @@ import pytest
 
 from embedlab.combinators import (
     LEFT_CLOSED,
-    RIGHT_CLOSED,
     concatenate,
     disjoint_union,
     dyadic,
@@ -17,7 +16,7 @@ from embedlab.diagram import (
     partition_diagram,
     total_order_diagram,
 )
-from embedlab.kernel import check_monotonicity, evaluate
+from embedlab.kernel import evaluate
 from embedlab.pairing import tag, untag
 
 
@@ -114,17 +113,6 @@ def test_disjoint_union_census_is_multiset_sum():
     left_sizes = sorted(len(c) for c in left.sim_classes())
     union_sizes = sorted(len(c) for c in union.sim_classes())
     assert union_sizes == sorted(left_sizes * 2)
-
-
-def test_combinators_preserve_monotonicity():
-    ops = [
-        reverse(replicate(2)),
-        interval_fill(replicate(1), RIGHT_CLOSED),
-        concatenate(replicate(1), replicate(2)),
-    ]
-    for op in ops:
-        report = check_monotonicity(op, trials=40, max_size=5, seed=21)
-        assert report.passed, report.counterexample
 
 
 def test_fill_grows_without_bound():

@@ -25,7 +25,7 @@ from embedlab.diagram import (
     partition_diagram,
     total_order_diagram,
 )
-from embedlab.kernel import compose, evaluate, run
+from embedlab.kernel import evaluate, run
 from embedlab.pairing import decode_tuple, encode_tuple, pair, tag
 from embedlab.sigma2 import (
     Disjunct,
@@ -202,22 +202,6 @@ def test_multiplier_budget_many_copies():
     d = partition_diagram([[4]])
     out = evaluate(class_multiplier(), d, 5)
     assert sorted(len(c) for c in out.sim_classes()) == [1] * 5
-
-
-def test_multiplier_after_ord2eq_pinned_copies_grow():
-    stream = generate(CanonicalSpec("one_plus_eta"), 50)
-    op = compose(class_multiplier(), ord2eq())
-    log = run(op, stream, 50)
-    c = census(log, 15)
-    # Copies of the held size-1 class accumulate with the stage count.
-    assert len(c.frozen_of_size(1)) >= 10
-
-
-def test_multiplier_monotone():
-    from embedlab.kernel import check_monotonicity
-
-    report = check_monotonicity(class_multiplier(), trials=60, max_size=5, seed=3)
-    assert report.passed, report.counterexample
 
 
 # --- formula2eq -------------------------------------------------------------

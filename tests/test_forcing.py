@@ -1,10 +1,8 @@
 import pytest
 
-from embedlab.combinators import LEFT_CLOSED, interval_fill, replicate
-from embedlab.constructions import ord2eq, phi_pair, StagePair
+from embedlab.combinators import replicate
 from embedlab.diagram import (
     InvalidSpec,
-    InvalidTarget,
     NotInOutput,
     parse_diagram,
     total_order_diagram,
@@ -15,10 +13,7 @@ from embedlab.forcing import (
     UNKNOWN,
     ForcingQuery,
     bounded_force,
-    disjoint_agreement_scan,
     extensions,
-    finiteness_probe,
-    gamma_pairs,
     trichotomy_scan,
 )
 from embedlab.kernel import (
@@ -26,10 +21,8 @@ from embedlab.kernel import (
     EnumerationOperator,
     StreamEvaluator,
     evaluate,
-    parse_axiom_table,
 )
 from embedlab.pairing import tag
-from embedlab.streams import CanonicalSpec, generate
 
 
 def test_extensions_counts_and_containment():
@@ -203,60 +196,6 @@ def test_trichotomy_catches_broken_fixture():
     assert not report.clean
 
 
-def test_disjoint_agreement_replicate_vacuous():
-    report = disjoint_agreement_scan(replicate(2), 3, 1, 8)
-    assert report.clean
-    assert report.details["vacuous"]
-
-
-def test_disjoint_agreement_fixture_agrees():
-    op = AxiomTableOperator("shared", [
-        (frozenset({("el", 0)}), ("el", 10)),
-        (frozenset({("el", 0)}), ("el", 11)),
-        (frozenset({("el", 0)}), ("lt", 10, 11)),
-        (frozenset({("el", 1)}), ("el", 10)),
-        (frozenset({("el", 1)}), ("el", 11)),
-        (frozenset({("el", 1)}), ("lt", 10, 11)),
-    ], extension_complete=True)
-    report = disjoint_agreement_scan(op, 1, 1, 10)
-    assert not report.details["vacuous"]
-    assert report.clean
-
-
-def test_finiteness_probe_replicate_stabilizes():
-    report = finiteness_probe(replicate(3), total_order_diagram([0, 1, 2, 3]), 16)
-    assert report.stabilized
-    assert report.sizes[-1] == 12
-    assert report.stabilization_point == 1
-
-
-def test_finiteness_probe_fill_grows():
-    op = interval_fill(replicate(1), LEFT_CLOSED)
-    report = finiteness_probe(op, total_order_diagram([0, 1]), 64)
-    assert not report.stabilized
-
-
-def test_finiteness_probe_rejects_constructions():
-    targets = StagePair(
-        generate(CanonicalSpec("omega_k", k=2), 5),
-        generate(CanonicalSpec("omega_star_k", k=2), 5),
-    )
-    with pytest.raises(InvalidTarget):
-        finiteness_probe(phi_pair(targets), total_order_diagram([0]), 8)
-    with pytest.raises(InvalidTarget):
-        finiteness_probe(ord2eq(), total_order_diagram([0]), 8)
-
-
-def test_gamma_pairs_members_in_output():
-    alpha = total_order_diagram([1, 0])
-    pairs = gamma_pairs(replicate(2), alpha, 8)
-    out = evaluate(replicate(2), alpha, 8)
-    assert len(pairs) == 4
-    for p in pairs:
-        assert p.x in out.domain
-        assert p.alpha is alpha
-
-
 def test_verdicts_invariant_under_id_permutation():
     # Canonical fresh ids suffice because the shipped operators are
     # isomorphism-invariant: renaming input elements renames outputs.
@@ -277,15 +216,3 @@ def test_verdicts_invariant_under_id_permutation():
                     va = bounded_force(ForcingQuery(op, alpha_a, atom_a, 2, 8))
                     vb = bounded_force(ForcingQuery(op, alpha_b, atom_b, 2, 8))
                     assert va.outcome == vb.outcome
-
-
-def test_axiom_table_file_roundtrip():
-    text = (
-        "axiom: el 0 => el 10\n"
-        "axiom: lt 0 1; el 2 => lt 10 11\n"
-    )
-    op = parse_axiom_table(text)
-    assert len(op.axioms) == 2
-    premise, conclusion = op.axioms[1]
-    assert premise == frozenset({("lt", 0, 1), ("el", 2)})
-    assert conclusion == ("lt", 10, 11)
