@@ -21,8 +21,9 @@ from .diagram import (
     RELATIONS,
     Signature,
     SignatureError,
+    _UnionFind,
 )
-from .kernel import RunLog
+from .kernel import PIN_KEYS, RunLog
 from .streams import CanonicalSpec
 
 
@@ -48,99 +49,54 @@ class ClassCensus:
         return [c for c in self.classes if c.frozen]
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def census(log: RunLog, stability_window: int) -> ClassCensus:
-    """Class census of an equivalence output log at its final stage."""
+    """Class census of an equivalence output log at its final stage.
+
+    One replay: each class is held by its root (its least member) with
+    the last stage at which it grew, by an element's entry or by a sim
+    fact; joining two classes keeps the later of their two stages and the
+    fact's.  A pinned class is frozen when it holds a pin at every stage of
+    the trailing window, as judged by the final partition.
+    """
     if stability_window < 1:
         raise InvalidSpec("the stability window must be >= 1")
     if log.signature is not Signature.EQUIVALENCE:
         raise SignatureError("census requires an equivalence log")
-    uf = _UnionFind()
-    entry_stage: dict = {}
-    sim_stages: list = []  # (stage, a, b)
+    classes = _UnionFind()
+    grew: dict = {}  # root -> last stage its class grew; stale once absorbed
     pins: list = []  # per stage: set of pinned element ids, or None
     for rec in log.records:
-        pinned = None
-        if rec.annotations and (
-            "pinned_size1" in rec.annotations or "pinned_size2" in rec.annotations
-        ):
-            pinned = {
-                v for k, v in rec.annotations.items()
-                if k in ("pinned_size1", "pinned_size2") and v is not None
-            }
-        pins.append(pinned)
+        notes = rec.annotations or {}
+        keys = [k for k in PIN_KEYS if k in notes]
+        pins.append({notes[k] for k in keys if notes[k] is not None}
+                    if keys else None)
+        stage = rec.stage
         for f in rec.new_facts:
             for x in f[1:]:
-                if x not in entry_stage:
-                    entry_stage[x] = rec.stage
-                    uf.add(x)
+                if x not in grew:
+                    grew[x] = stage
+                    classes.add(x)
             if f[0] == "sim":
-                sim_stages.append((rec.stage, f[1], f[2]))
-                uf.union(f[1], f[2])
-
-    groups: dict = {}
-    for x in entry_stage:
-        groups.setdefault(uf.find(x), []).append(x)
-    last_growth: dict = {
-        root: max(entry_stage[x] for x in members)
-        for root, members in groups.items()
-    }
-    for stage, a, b in sim_stages:
-        root = uf.find(a)
-        if stage > last_growth[root]:
-            last_growth[root] = stage
+                kept, absorbed = classes.union(f[1], f[2])
+                grew[kept] = max(grew[kept], grew[absorbed], stage)
 
     final_stage = log.records[-1].stage if log.records else -1
     annotated = any(p is not None for p in pins)
-
     stably_pinned: set = set()
-    if annotated:
-        window = pins[-stability_window:]
-        if window and all(p is not None for p in window):
-            candidates = {
-                uf.find(x) for x in window[-1] if x in entry_stage
-            }
-            for root in candidates:
-                if all(
-                    any(y in entry_stage and uf.find(y) == root for y in p)
-                    for p in window
-                ):
-                    stably_pinned.add(root)
+    window = pins[-stability_window:]
+    if annotated and None not in window:
+        stably_pinned = set.intersection(*(
+            {classes.find(y) for y in p if y in grew} for p in window
+        ))
 
     result = ClassCensus(
         stages=len(log.records), window=stability_window, annotated=annotated
     )
-    for root in sorted(groups):
-        members = groups[root]
-        if annotated:
-            frozen = root in stably_pinned
-        else:
-            frozen = last_growth[root] <= final_stage - stability_window
-        result.classes.append(ClassRecord(
-            representative=min(members),
-            size=len(members),
-            frozen=frozen,
-            last_growth_stage=last_growth[root],
-        ))
+    for members in classes.classes():
+        root = members[0]
+        frozen = (root in stably_pinned if annotated
+                  else grew[root] <= final_stage - stability_window)
+        result.classes.append(ClassRecord(root, len(members), frozen, grew[root]))
     return result
 
 
@@ -292,44 +248,37 @@ def consistency_verdict(
             "stable_least": fp.stable_least,
             "stable_greatest": fp.stable_greatest,
         }
-        m = claimed.k if family in ("omega_k", "omega_star_k") else 1
-        if family in ("omega", "omega_k"):
-            if len(fp.pred_unstable) != m - 1:
+        unstable = {"pred": fp.pred_unstable, "succ": fp.succ_unstable}
+        ends = {"least": fp.stable_least, "greatest": fp.stable_greatest}
+        if family in ("omega", "omega_k", "omega_star", "omega_star_k"):
+            # omega.m: the minima of its m - 1 limit blocks are pred-unstable,
+            # nothing is succ-unstable, the least element is stable and no
+            # greatest one is.  omega*.m is the mirror: pred<->succ and
+            # least<->greatest swapped.
+            m = claimed.k if family.endswith("_k") else 1
+            limit, settled, end, open_end = "pred", "succ", "least", "greatest"
+            if family.startswith("omega_star"):
+                limit, settled, end, open_end = "succ", "pred", "greatest", "least"
+            if len(unstable[limit]) != m - 1:
                 problems.append(
-                    f"expected {m - 1} pred-unstable elements, "
-                    f"found {fp.pred_unstable}"
+                    f"expected {m - 1} {limit}-unstable elements, "
+                    f"found {unstable[limit]}"
                 )
-            if fp.succ_unstable:
-                problems.append(f"succ-unstable elements {fp.succ_unstable}")
-            if fp.stable_least is None:
-                problems.append("no stable least element")
-            if fp.stable_greatest is not None:
-                problems.append(f"stable greatest element {fp.stable_greatest}")
-        elif family in ("omega_star", "omega_star_k"):
-            if len(fp.succ_unstable) != m - 1:
-                problems.append(
-                    f"expected {m - 1} succ-unstable elements, "
-                    f"found {fp.succ_unstable}"
-                )
-            if fp.pred_unstable:
-                problems.append(f"pred-unstable elements {fp.pred_unstable}")
-            if fp.stable_greatest is None:
-                problems.append("no stable greatest element")
-            if fp.stable_least is not None:
-                problems.append(f"stable least element {fp.stable_least}")
+            if unstable[settled]:
+                problems.append(f"{settled}-unstable elements {unstable[settled]}")
+            if ends[end] is None:
+                problems.append(f"no stable {end} element")
+            if ends[open_end] is not None:
+                problems.append(f"stable {open_end} element {ends[open_end]}")
         elif family in ("one_plus_eta", "eta", "eta_plus_one"):
-            want_least = family == "one_plus_eta"
-            want_greatest = family == "eta_plus_one"
-            if want_least != (fp.stable_least is not None):
-                problems.append(
-                    f"stable least is {fp.stable_least}, "
-                    f"expected {'present' if want_least else 'absent'}"
-                )
-            if want_greatest != (fp.stable_greatest is not None):
-                problems.append(
-                    f"stable greatest is {fp.stable_greatest}, "
-                    f"expected {'present' if want_greatest else 'absent'}"
-                )
+            wanted = {"least": family == "one_plus_eta",
+                      "greatest": family == "eta_plus_one"}
+            for end, want in wanted.items():
+                if want != (ends[end] is not None):
+                    problems.append(
+                        f"stable {end} is {ends[end]}, "
+                        f"expected {'present' if want else 'absent'}"
+                    )
             if not fp.pred_unstable or not fp.succ_unstable:
                 problems.append(
                     "dense order should churn neighbours on both sides: "
@@ -360,8 +309,6 @@ def consistency_verdict(
                     f"expected exactly one frozen class of size {claimed.k}, "
                     f"found sizes {[r.size for r in frozen]}"
                 )
-            if len(unfrozen) < 2:
-                problems.append("fewer than two growing classes")
         elif family == "e_hat_k":
             sizes = [r.size for r in frozen]
             if len(frozen) < 2 or any(s != claimed.k for s in sizes):
@@ -369,10 +316,10 @@ def consistency_verdict(
                     f"expected two or more frozen classes all of size "
                     f"{claimed.k}, found sizes {sizes}"
                 )
-            if len(unfrozen) < 2:
-                problems.append("fewer than two growing classes")
         else:
             problems.append(f"no equivalence rule for family {family}")
+        if family in ("e_k", "e_hat_k") and len(unfrozen) < 2:
+            problems.append("fewer than two growing classes")
 
     if problems:
         evidence["witness"] = problems

@@ -30,6 +30,7 @@ from .diagram import (
     SignatureError,
     diagram_from_facts,
     el,
+    sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator
 from .pairing import tag
@@ -280,10 +281,12 @@ class DisjointUnion(EnumerationOperator):
         )
 
 
-def _map_side(fact, side: int):
+def tag_fact(copy: int, fact) -> tuple:
+    """An el or sim fact on tagged copy `copy`: each element x becomes
+    tag(copy, x)."""
     if fact[0] == "el":
-        return el(tag(side, fact[1]))
-    return (fact[0], tag(side, fact[1]), tag(side, fact[2]))
+        return el(tag(copy, fact[1]))
+    return sim(tag(copy, fact[1]), tag(copy, fact[2]))
 
 
 class _SideMerger:
@@ -298,7 +301,7 @@ class _SideMerger:
 
     def advance(self, new0, new1):
         if not self.cross:
-            return [_map_side(f, side) for side, new in ((0, new0), (1, new1))
+            return [tag_fact(side, f) for side, new in ((0, new0), (1, new1))
                     for f in new]
         new: list = []
         chain: list = []

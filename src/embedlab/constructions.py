@@ -41,7 +41,7 @@ from .diagram import (
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
 from .pairing import encode_tuple, pair, tag
-from .combinators import Reverse, DisjointUnion
+from .combinators import Reverse, DisjointUnion, tag_fact
 from .sigma2 import Sigma2Sentence, refuting_witness_values, WitnessTracker
 from .streams import StructureStream
 
@@ -255,12 +255,6 @@ class ClassMultiplier(EnumerationOperator):
     output_signature = Signature.EQUIVALENCE
     name = "class_multiplier"
 
-    @staticmethod
-    def _map(fact, copy: int):
-        if fact[0] == "el":
-            return el(tag(copy, fact[1]))
-        return sim(tag(copy, fact[1]), tag(copy, fact[2]))
-
     def make_stream_evaluator(self):
         return _CopyTracker()
 
@@ -318,11 +312,11 @@ class _CopyTracker(StreamEvaluator):
         out = []
         for f in new_facts:
             for i in range(self.copies):
-                out.append(ClassMultiplier._map(f, i))
+                out.append(tag_fact(i, f))
         self.seen.extend(new_facts)
         while self.copies < copies:
             out.extend(
-                ClassMultiplier._map(f, self.copies) for f in self.seen
+                tag_fact(self.copies, f) for f in self.seen
             )
             self.copies += 1
         return out

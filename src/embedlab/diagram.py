@@ -118,9 +118,7 @@ class FiniteDiagram:
                 fs.add(f)
                 continue
             if rel != allowed:
-                raise SignatureError(
-                    f"relation {rel!r} not admitted by {signature.value}"
-                )
+                raise _not_admitted(rel, signature)
             if len(f) != 3:
                 raise ParseError(f"{rel} has arity 2: {f!r}")
             a, b = f[1], f[2]
@@ -143,9 +141,6 @@ class FiniteDiagram:
     def raw(signature: Signature, facts: frozenset, domain: frozenset) -> "FiniteDiagram":
         """Trusted constructor for internally generated fact sets (no checks)."""
         return FiniteDiagram(signature, facts, domain)
-
-    def __le__(self, other: "FiniteDiagram") -> bool:
-        return self.signature is other.signature and self.facts <= other.facts
 
     @cached_property
     def _topo(self) -> tuple:
@@ -234,23 +229,43 @@ class FiniteDiagram:
         """Partition of the domain by the closure of sim (sorted classes)."""
         if self.signature is not Signature.EQUIVALENCE:
             raise SignatureError("sim_classes() requires an equivalence diagram")
-        parent = {x: x for x in self.domain}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        classes = _UnionFind(self.domain)
         for f in self.facts:
             if f[0] == "sim":
-                ra, rb = find(f[1]), find(f[2])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                classes.union(f[1], f[2])
+        return classes.classes()
+
+
+class _UnionFind:
+    """Disjoint classes of naturals; each class's root is its least member."""
+
+    def __init__(self, elements: Iterable[int] = ()):
+        self.parent = {x: x for x in elements}
+
+    def add(self, x: int) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> tuple:
+        """Join the classes of a and b; returns (the root kept, the root
+        absorbed), one root twice if they were one class already."""
+        ra, rb = self.find(a), self.find(b)
+        kept, absorbed = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[absorbed] = kept
+        return kept, absorbed
+
+    def classes(self) -> list:
+        """The classes, sorted, each sorted: its root comes first."""
         groups: dict = {}
-        for x in self.domain:
-            groups.setdefault(find(x), []).append(x)
-        return sorted(sorted(g) for g in groups.values())
+        for x in sorted(self.parent):
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
 
 
 def _insert(chain: list, x: int, below) -> int:
@@ -394,9 +409,15 @@ def format_facts(facts: Iterable[Fact]) -> list:
     return ["%s %s %s" % f if len(f) == 3 else "%s %s" % f for f in facts]
 
 
-# Tokens on a fact line (relation and arguments) by relation name.
+# Tokens on a fact line (relation and arguments) by relation name: all
+# relations, and those a diagram of each signature admits.
 _TOKENS_OF = {"el": 2, "lt": 3, "sim": 3}
 RELATIONS = frozenset(_TOKENS_OF)
+_ADMITTED = {s: {"el": 2, _REL_OF_SIGNATURE[s]: 3} for s in Signature}
+
+
+def _not_admitted(rel: str, signature: Signature) -> SignatureError:
+    return SignatureError(f"relation {rel!r} not admitted by {signature.value}")
 
 
 def parse_facts(lines: Iterable[str]) -> list:
@@ -405,17 +426,25 @@ def parse_facts(lines: Iterable[str]) -> list:
     The one fact decoder behind every file format: diagram and stream
     files, run logs and CLI atoms.
     """
+    return _parse_facts(lines, None)
+
+
+def _parse_facts(lines: Iterable[str], signature: Signature | None) -> list:
+    """parse_facts; given a signature, a relation it does not admit raises
+    SignatureError, found by the same lookup that finds the line's size."""
     out = []
     append = out.append
-    tokens_of = _TOKENS_OF
+    tokens_of = _TOKENS_OF if signature is None else _ADMITTED[signature]
     for line in lines:
         parts = line.split()
         rel = parts[0] if parts else ""
         size = tokens_of.get(rel)
         if size != len(parts):
-            if size is None:
-                raise ParseError(f"unknown relation token {rel!r}")
-            raise ParseError(f"{rel} takes {size - 1} argument(s): {line!r}")
+            if size is not None:
+                raise ParseError(f"{rel} takes {size - 1} argument(s): {line!r}")
+            if rel in RELATIONS:
+                raise _not_admitted(rel, signature)
+            raise ParseError(f"unknown relation token {rel!r}")
         try:
             a = int(parts[1])
             b = int(parts[-1])  # the same token as a for el

@@ -66,22 +66,7 @@ def extensions(alpha: FiniteDiagram, ext_bound: int):
         frontier = new_frontier
 
 
-class _EvalCache:
-    """Checked evaluations of all-pairs total orders, keyed by chain."""
-
-    def __init__(self, op: EnumerationOperator, budget: int):
-        self.op = op
-        self.budget = budget
-        self.cache: dict = {}
-
-    def eval(self, chain: list) -> FiniteDiagram:
-        key = tuple(chain)
-        if key not in self.cache:
-            self.cache[key] = evaluate(self.op, total_order_diagram(key), self.budget)
-        return self.cache[key]
-
-
-def bounded_force(query: ForcingQuery, _cache: _EvalCache | None = None) -> ForcingVerdict:
+def bounded_force(query: ForcingQuery) -> ForcingVerdict:
     """Three-valued bounded decision of alpha forcing the atom."""
     op, alpha, atom = query.op, query.alpha, query.atom
     if op.output_signature is not Signature.LINEAR_ORDER:
@@ -92,14 +77,16 @@ def bounded_force(query: ForcingQuery, _cache: _EvalCache | None = None) -> Forc
         raise InvalidInput("alpha must be a total linear order")
     # Operators may read stored facts, so alpha is evaluated as its
     # all-pairs closure, the first extension searched: one evaluation.
-    cache = _cache or _EvalCache(op, query.budget)
-    out = cache.eval(alpha.chain())
+    base = alpha.chain()
+    out = evaluate(op, total_order_diagram(base), query.budget)
     x, y = atom[1], atom[2]
     if x not in out.domain or y not in out.domain:
         raise NotInOutput(f"atom elements not in the output of alpha: {atom!r}")
     complement = ("lt", y, x)
     for chain in extensions(alpha, query.ext_bound):
-        if complement in cache.eval(chain).facts:
+        if chain != base:
+            out = evaluate(op, total_order_diagram(chain), query.budget)
+        if complement in out.facts:
             return ForcingVerdict(REFUTED, certificate=total_order_diagram(chain))
     if op.extension_complete:
         return ForcingVerdict(FORCED)
@@ -191,7 +178,6 @@ def trichotomy_scan(
     ext_bound: int,
     budget: int,
     check_extension_stability: bool = True,
-    stability_ext_bound: int = 1,
 ) -> ScanReport:
     """Check that every pair of output elements is decided exactly one way,
     the forced facts assemble into one total order per input, and that
@@ -199,8 +185,8 @@ def trichotomy_scan(
 
     Inputs range over all total orders on subsets of 0..max_alpha-1.  The
     stability legs re-derive the forced order of each extended input at
-    `stability_ext_bound`; for extension-complete operators the verdicts
-    are bound-invariant, which the main legs confirm at the full bound.
+    extension bound 1; for extension-complete operators the verdicts are
+    bound-invariant, which the main legs confirm at the full bound.
     """
     report = ScanReport(op.name, {
         "max_alpha": max_alpha, "ext_bound": ext_bound, "budget": budget,
@@ -223,7 +209,7 @@ def trichotomy_scan(
             ext_chain = chain[:pos] + [fresh] + chain[pos:]
             ext_alpha = total_order_diagram(ext_chain)
             ext_order, ext_viol = _forced_order(
-                op, ext_alpha, elements, stability_ext_bound, budget
+                op, ext_alpha, elements, 1, budget
             )
             report.violations.extend(ext_viol)
             restricted = [x for x in (ext_order or []) if x in set(elements)]

@@ -43,8 +43,8 @@ from .diagram import (
     SignatureError,
     diagram_from_facts,
     format_facts,
+    _parse_facts,
     parse_batch,
-    parse_facts,
 )
 from .streams import StructureStream
 
@@ -207,8 +207,10 @@ class RunLog:
         """Read and validate a run log.  The records of an order log are
         read as placement batches while each is byte for byte what
         to_jsonl writes for one (diagram.parse_batch); from the first
-        record that is not, they are parsed as facts (parse_facts).  Both
-        readings give the same facts, errors and messages."""
+        record that is not, they are parsed as facts (parse_facts), and a
+        fact whose relation the header's signature does not admit raises
+        SignatureError.  Both readings give the same facts, errors and
+        messages."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty run log")
@@ -242,7 +244,7 @@ class RunLog:
             else:
                 batches = False
                 try:
-                    facts = parse_facts(rec["new_facts"])
+                    facts = _parse_facts(rec["new_facts"], signature)
                 except (AttributeError, TypeError):
                     raise ParseError(f"run log line {n}: new_facts must list facts") from None
             notes = rec.get("annotations")
@@ -264,14 +266,17 @@ class RunLog:
         return log
 
 
+# Annotations that pin a class of an equivalence output; a census reads them.
+PIN_KEYS = ("pinned_size1", "pinned_size2")
+
+
 def _check_annotations(notes, n: int) -> None:
-    """Annotations are null or an object; the pins a census reads,
-    pinned_size1 and pinned_size2, are null or one element id."""
+    """Annotations are null or an object, and each pin is null or a natural."""
     if notes is None:
         return
     if not isinstance(notes, dict):
         raise ParseError(f"run log line {n}: annotations must be an object or null")
-    for key in ("pinned_size1", "pinned_size2"):
+    for key in PIN_KEYS:
         pin = notes.get(key)
         if pin is not None and (type(pin) is not int or pin < 0):
             raise ParseError(f"run log line {n}: {key} must be a natural or null")

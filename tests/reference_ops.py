@@ -16,7 +16,12 @@ a comparison of sort keys and must agree with it.  ``fact_reverse``,
 ``fact_fill`` and ``fact_concat`` are the order combinators written as
 transformers of their inner operators' facts, which is how the shipped ones
 worked before they built chains; over a total inner output both present the
-same order at every stage.
+same order at every stage.  ``census`` is the class census as a replay
+followed by a second pass that finds the root of every sim fact again; the
+shipped one-pass census must return an equal ClassCensus.
+``order_witnesses`` is the order verdict rule with the omega.m and
+omega*.m rules written as two hand-mirrored copies; the shipped rule,
+stated once with its mirror, must give the same witness strings.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from embedlab.classify import ElementTrace, OrderFingerprint
+from embedlab.classify import ClassCensus, ClassRecord, ElementTrace, OrderFingerprint
 from embedlab.combinators import (
     LEFT_CLOSED,
     Replicate,
@@ -351,3 +356,145 @@ def fact_fill(op, style) -> FactCombinator:
 
 def fact_concat(op1, op2) -> FactCombinator:
     return FactCombinator(f"concat({op1.name},{op2.name})", _FactConcat, op1, op2)
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def add(self, x):
+        self.parent.setdefault(x, x)
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def census(log, stability_window: int) -> ClassCensus:
+    """Class census of an equivalence output log at its final stage."""
+    uf = _UnionFind()
+    entry_stage: dict = {}
+    sim_stages: list = []  # (stage, a, b)
+    pins: list = []  # per stage: set of pinned element ids, or None
+    for rec in log.records:
+        pinned = None
+        if rec.annotations and (
+            "pinned_size1" in rec.annotations or "pinned_size2" in rec.annotations
+        ):
+            pinned = {
+                v for k, v in rec.annotations.items()
+                if k in ("pinned_size1", "pinned_size2") and v is not None
+            }
+        pins.append(pinned)
+        for f in rec.new_facts:
+            for x in f[1:]:
+                if x not in entry_stage:
+                    entry_stage[x] = rec.stage
+                    uf.add(x)
+            if f[0] == "sim":
+                sim_stages.append((rec.stage, f[1], f[2]))
+                uf.union(f[1], f[2])
+
+    groups: dict = {}
+    for x in entry_stage:
+        groups.setdefault(uf.find(x), []).append(x)
+    last_growth: dict = {
+        root: max(entry_stage[x] for x in members)
+        for root, members in groups.items()
+    }
+    for stage, a, b in sim_stages:
+        root = uf.find(a)
+        if stage > last_growth[root]:
+            last_growth[root] = stage
+
+    final_stage = log.records[-1].stage if log.records else -1
+    annotated = any(p is not None for p in pins)
+
+    stably_pinned: set = set()
+    if annotated:
+        window = pins[-stability_window:]
+        if window and all(p is not None for p in window):
+            candidates = {
+                uf.find(x) for x in window[-1] if x in entry_stage
+            }
+            for root in candidates:
+                if all(
+                    any(y in entry_stage and uf.find(y) == root for y in p)
+                    for p in window
+                ):
+                    stably_pinned.add(root)
+
+    result = ClassCensus(
+        stages=len(log.records), window=stability_window, annotated=annotated
+    )
+    for root in sorted(groups):
+        members = groups[root]
+        if annotated:
+            frozen = root in stably_pinned
+        else:
+            frozen = last_growth[root] <= final_stage - stability_window
+        result.classes.append(ClassRecord(
+            representative=min(members),
+            size=len(members),
+            frozen=frozen,
+            last_growth_stage=last_growth[root],
+        ))
+    return result
+
+
+def order_witnesses(fp, family: str, k: int) -> list:
+    """The witnesses against an order claim on an order fingerprint; empty
+    when the claim holds."""
+    problems = []
+    m = k if family in ("omega_k", "omega_star_k") else 1
+    if family in ("one_plus_eta", "eta", "eta_plus_one"):
+        want_least = family == "one_plus_eta"
+        want_greatest = family == "eta_plus_one"
+        if want_least != (fp.stable_least is not None):
+            problems.append(
+                f"stable least is {fp.stable_least}, "
+                f"expected {'present' if want_least else 'absent'}"
+            )
+        if want_greatest != (fp.stable_greatest is not None):
+            problems.append(
+                f"stable greatest is {fp.stable_greatest}, "
+                f"expected {'present' if want_greatest else 'absent'}"
+            )
+        if not fp.pred_unstable or not fp.succ_unstable:
+            problems.append(
+                "dense order should churn neighbours on both sides: "
+                f"pred {fp.pred_unstable}, succ {fp.succ_unstable}"
+            )
+    elif family in ("omega", "omega_k"):
+        if len(fp.pred_unstable) != m - 1:
+            problems.append(
+                f"expected {m - 1} pred-unstable elements, "
+                f"found {fp.pred_unstable}"
+            )
+        if fp.succ_unstable:
+            problems.append(f"succ-unstable elements {fp.succ_unstable}")
+        if fp.stable_least is None:
+            problems.append("no stable least element")
+        if fp.stable_greatest is not None:
+            problems.append(f"stable greatest element {fp.stable_greatest}")
+    else:
+        if len(fp.succ_unstable) != m - 1:
+            problems.append(
+                f"expected {m - 1} succ-unstable elements, "
+                f"found {fp.succ_unstable}"
+            )
+        if fp.pred_unstable:
+            problems.append(f"pred-unstable elements {fp.pred_unstable}")
+        if fp.stable_greatest is None:
+            problems.append("no stable greatest element")
+        if fp.stable_least is not None:
+            problems.append(f"stable least element {fp.stable_least}")
+    return problems

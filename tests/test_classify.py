@@ -1,13 +1,22 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedlab.classify import census, consistency_verdict, fingerprint
+from embedlab.combinators import replicate
 from embedlab.diagram import (
     InvalidSpec,
     Signature,
     SignatureError,
 )
 from embedlab.kernel import RunLog, StageRecord, run
-from embedlab.streams import CanonicalSpec, generate
+from embedlab.registry import build_operator
+from embedlab.streams import ORDER_FAMILIES, CanonicalSpec, generate
+
+from reference_ops import census as reference_census
+from reference_ops import order_witnesses
 
 
 def stream_log(family, stages, k=1, policy="fair", seed=0):
@@ -144,7 +153,67 @@ def test_census_last_growth_tracks_merges():
     assert by_rep[2].last_growth_stage == 1
 
 
+@lru_cache(maxsize=None)
+def _equivalence_log(source, family, policy, k, seed, stages):
+    spec = CanonicalSpec(family, policy, k, seed if policy == "permuted" else 0)
+    if source == "stream":
+        return RunLog.from_stream(generate(spec, stages))
+    return run(build_operator(source), generate(spec, stages), stages)
+
+
+@st.composite
+def equivalence_logs(draw):
+    """Stream logs of fair and permuted e, e_k and e_hat_k presentations,
+    optionally with drawn pins (some naming no element of the log), and
+    ord2eq and pair_formula2eq runs with the annotations they write."""
+    source = draw(st.sampled_from(["stream", "ord2eq", "pair_formula2eq"]))
+    policy = draw(st.sampled_from(["fair", "permuted"]))
+    seed = draw(st.integers(0, 9))
+    k = draw(st.integers(1, 3))
+    if source == "stream":
+        family = draw(st.sampled_from(["e", "e_k", "e_hat_k"]))
+        stages = draw(st.integers(1, 120))
+    elif source == "ord2eq":
+        family = draw(st.sampled_from(
+            ["one_plus_eta", "eta_plus_one", "eta", "omega_k", "omega_star_k"]))
+        stages = draw(st.integers(1, 100))
+    else:
+        family = draw(st.sampled_from(["omega_k", "omega_star_k"]))
+        stages = draw(st.integers(1, 40))
+    log = _equivalence_log(source, family, policy, k, seed, stages)
+    if source != "stream" or not draw(st.booleans()):
+        return log
+    pin = st.none() | st.integers(0, 3 * stages)
+    notes = st.none() | st.fixed_dictionaries(
+        {}, optional={"pinned_size1": pin, "pinned_size2": pin, "other": pin})
+    records = [StageRecord(r.stage, r.new_facts, draw(notes)) for r in log.records]
+    return RunLog(log.operator, log.signature, log.provenance, log.schedule, records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=equivalence_logs(), window=st.integers(1, 200))
+def test_census_matches_reference(log, window):
+    assert census(log, window) == reference_census(log, window)
+
+
 # --- consistency verdicts ---------------------------------------------------
+
+@pytest.mark.parametrize("family", ORDER_FAMILIES)
+@pytest.mark.parametrize("policy, seed", [("fair", 0), ("permuted", 3), ("permuted", 8)])
+def test_order_rules_match_reference(family, policy, seed):
+    """The omega rule is stated once and mirrored for omega*, and the
+    dense rule once for both endpoints; their witnesses are those of the
+    rules written out case by case, byte for byte, for every order claim
+    against logs of each order family."""
+    log = run(replicate(2), generate(CanonicalSpec(family, policy, 2, seed), 90), 90)
+    fp = fingerprint(log, 5)
+    for claim_family in ORDER_FAMILIES:
+        for k in (1, 2, 4):
+            verdict = consistency_verdict(log, CanonicalSpec(claim_family, k=k), 5)
+            want = order_witnesses(fp, claim_family, k)
+            assert verdict.evidence.get("witness", []) == want
+            assert verdict.consistent == (not want)
+
 
 def test_consistency_canonical_streams():
     specs = [

@@ -494,3 +494,22 @@ def test_run_stages_below_one_exits_2(tmp_path, stages):
     _assert_usage_error(invoke("run", "--op", "replicate:1", "--in", str(stream),
                                "--stages", stages, "--log", str(log)))
     assert not log.exists()
+
+
+@pytest.mark.parametrize("signature, facts, claim", [
+    ("equivalence", ["el 0", "el 1", "lt 0 1"], "e"),
+    ("linear_order", ["el 0", "el 1", "sim 0 1"], "omega"),
+], ids=["lt_in_equivalence_log", "sim_in_order_log"])
+def test_classify_fact_outside_the_log_signature_exits_3(tmp_path, signature,
+                                                         facts, claim):
+    """A record may only hold el facts and the relation of its header's
+    signature; any other is rejected as it is read."""
+    log = tmp_path / "r.jsonl"
+    header = {"v": 1, "type": "header", "operator": "hand", "signature": signature,
+              "provenance": "", "schedule": ""}
+    record = {"v": 1, "stage": 0, "new_facts": facts, "annotations": None}
+    log.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    result = invoke("classify", "--log", str(log), "--claim", claim)
+    assert result.exit_code == 3
+    rel = facts[-1].split()[0]
+    assert f"relation {rel!r} not admitted by {signature}" in result.output

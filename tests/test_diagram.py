@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from embedlab.diagram import (
     FiniteDiagram,
@@ -7,10 +9,13 @@ from embedlab.diagram import (
     ParseError,
     Signature,
     SignatureError,
+    _UnionFind,
+    el,
     format_diagram,
     parse_diagram,
     partition_diagram,
     place,
+    sim,
     total_order_diagram,
 )
 
@@ -103,3 +108,35 @@ def test_signature_mismatch_on_make():
         FiniteDiagram.make(Signature.LINEAR_ORDER, [("sim", 0, 1)])
     with pytest.raises(SignatureError):
         FiniteDiagram.make(Signature.EQUIVALENCE, [("lt", 0, 1)])
+
+
+@given(n=st.integers(0, 7), data=st.data())
+def test_sim_classes_are_the_closure_of_sim(n, data):
+    """Against the components of the graph of the stored sim facts."""
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=3 * n))
+    facts = [el(x) for x in range(n)] + [sim(a, b) for a, b in pairs if a != b]
+    adjacent = {x: set() for x in range(n)}
+    for a, b in pairs:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+
+    def component(x):
+        seen, todo = {x}, [x]
+        while todo:
+            for z in adjacent[todo.pop()] - seen:
+                seen.add(z)
+                todo.append(z)
+        return tuple(sorted(seen))
+
+    want = [list(c) for c in sorted({component(x) for x in range(n)})]
+    assert FiniteDiagram.make(Signature.EQUIVALENCE, facts).sim_classes() == want
+
+
+def test_union_keeps_the_least_root():
+    classes = _UnionFind([3, 1, 4, 5, 9])
+    assert classes.union(4, 9) == (4, 9)
+    assert classes.union(9, 1) == (1, 4)
+    assert classes.union(4, 1) == (1, 1)
+    assert classes.find(9) == 1
+    assert classes.classes() == [[1, 4, 9], [3], [5]]
