@@ -281,12 +281,29 @@ class DisjointUnion(EnumerationOperator):
         )
 
 
-def tag_fact(copy: int, fact) -> tuple:
-    """An el or sim fact on tagged copy `copy`: each element x becomes
-    tag(copy, x)."""
-    if fact[0] == "el":
-        return el(tag(copy, fact[1]))
-    return sim(tag(copy, fact[1]), tag(copy, fact[2]))
+class CopyTags(dict):
+    """Element -> tag(copy, element) on one tagged copy, so that each
+    element is tagged once however many facts name it."""
+
+    def __init__(self, copy: int):
+        self.copy = copy
+
+    def facts(self, facts) -> list:
+        """The el and sim facts on this copy."""
+        copy, get = self.copy, self.get
+        out = []
+        for f in facts:
+            a = get(f[1])
+            if a is None:
+                a = self[f[1]] = tag(copy, f[1])
+            if f[0] == "el":
+                out.append(el(a))
+                continue
+            b = get(f[2])
+            if b is None:
+                b = self[f[2]] = tag(copy, f[2])
+            out.append(sim(a, b))
+        return out
 
 
 class _SideMerger:
@@ -297,12 +314,11 @@ class _SideMerger:
 
     def __init__(self, cross: bool):
         self.cross = cross
-        self.tags = ({}, {})  # side -> element -> its tagged copy
+        self.tags = (CopyTags(0), CopyTags(1))
 
     def advance(self, new0, new1):
         if not self.cross:
-            return [tag_fact(side, f) for side, new in ((0, new0), (1, new1))
-                    for f in new]
+            return self.tags[0].facts(new0) + self.tags[1].facts(new1)
         new: list = []
         chain: list = []
         for side, batch in ((0, new0), (1, new1)):

@@ -41,7 +41,7 @@ from .diagram import (
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
 from .pairing import encode_tuple, pair, tag
-from .combinators import Reverse, DisjointUnion, tag_fact
+from .combinators import CopyTags, DisjointUnion, Reverse
 from .sigma2 import Sigma2Sentence, refuting_witness_values, WitnessTracker
 from .streams import StructureStream
 
@@ -141,6 +141,7 @@ class _Ord2EqStream(StreamEvaluator):
     def __init__(self):
         self.chain: list = []
         self.rings: dict = {}  # element -> highest emitted ring
+        self.roots: dict = {}  # element -> its class root, tag(element, 0)
 
     def step(self, diagram, delta, budget):
         for f in delta:
@@ -157,9 +158,11 @@ class _Ord2EqStream(StreamEvaluator):
             have = self.rings.get(a, -1)
             if have >= want:
                 continue
-            root = tag(a, 0)
             if have < 0:
+                root = self.roots[a] = tag(a, 0)
                 new.append(el(root))
+            else:
+                root = self.roots[a]
             for j in range(max(have, 0) + 1, want + 1):
                 new.append(sim(root, tag(a, j)))
             self.rings[a] = want
@@ -169,8 +172,8 @@ class _Ord2EqStream(StreamEvaluator):
         if budget < 1 or not self.chain:
             return {"pinned_size1": None, "pinned_size2": None}
         return {
-            "pinned_size1": tag(self.chain[0], 0),
-            "pinned_size2": tag(self.chain[-1], 0) if len(self.chain) >= 2 else None,
+            "pinned_size1": self.roots[self.chain[0]],
+            "pinned_size2": self.roots[self.chain[-1]] if len(self.chain) >= 2 else None,
         }
 
 
@@ -279,6 +282,12 @@ class Formula2Eq(EnumerationOperator):
     refutation of one of the disjunct's literals at that element.
     isqrt(budget)+1 tagged copies of everything are emitted, so surviving
     seeds are replicated without bound in the limit.
+
+    Refutations are read from each step's delta alone, never from the
+    stage diagram: a fact refutes the same pairs whenever it is read, so
+    the pairs it refutes for an element whose el fact has not arrived yet
+    are kept until that element arrives.  Each copy tags each element
+    once (CopyTags).
     """
 
     output_signature = Signature.EQUIVALENCE
@@ -305,20 +314,19 @@ class _CopyTracker(StreamEvaluator):
     """
 
     def __init__(self):
-        self.copies = 0
+        self.copies: list = []  # one CopyTags per copy
         self.seen: list = []
 
     def advance(self, new_facts, copies: int) -> list:
         out = []
-        for f in new_facts:
-            for i in range(self.copies):
-                out.append(tag_fact(i, f))
+        if new_facts:
+            for tags in self.copies:
+                out += tags.facts(new_facts)
         self.seen.extend(new_facts)
-        while self.copies < copies:
-            out.extend(
-                tag_fact(self.copies, f) for f in self.seen
-            )
-            self.copies += 1
+        while len(self.copies) < copies:
+            tags = CopyTags(len(self.copies))
+            out += tags.facts(self.seen)
+            self.copies.append(tags)
         return out
 
     def step(self, diagram, delta, budget):
@@ -328,7 +336,8 @@ class _CopyTracker(StreamEvaluator):
 class _Formula2EqStream(StreamEvaluator):
     def __init__(self, op: Formula2Eq):
         self.op = op
-        self.refuted: set = set()
+        self.refuted: set = set()  # refuted (c, i) pairs of arrived elements
+        self.early: set = set()    # refuted (c, i) pairs still to arrive
         self.members: dict = {}  # (c, i) -> member count emitted
         self.copier = _CopyTracker()
         self.pending: list = []  # nothing is emitted before budget 1
@@ -336,41 +345,37 @@ class _Formula2EqStream(StreamEvaluator):
     def step(self, diagram, delta, budget):
         op = self.op
         disjuncts = op.sentence.disjuncts
-        new_elements = [f[1] for f in delta if f[0] == "el"]
         base_new = self.pending
+        members, refuted, early = self.members, self.refuted, self.early
 
-        for c in new_elements:
-            for i in range(len(disjuncts)):
-                root = _member_id(c, i, 0)
-                base_new.append(el(root))
-                if op.seed_size == 2:
-                    base_new.append(sim(root, _member_id(c, i, 1)))
-                self.members[(c, i)] = op.seed_size
-
-        # Fresh facts can refute (element, disjunct) pairs of arrived
-        # elements; an arriving element may be refuted by older facts.
         for f in delta:
+            if f[0] == "el":
+                c = f[1]
+                for i in range(len(disjuncts)):
+                    root = _member_id(c, i, 0)
+                    base_new.append(el(root))
+                    if op.seed_size == 2:
+                        base_new.append(sim(root, _member_id(c, i, 1)))
+                    members[(c, i)] = op.seed_size
+                    if (c, i) in early:
+                        early.remove((c, i))
+                        refuted.add((c, i))
+                continue
             for i, d in enumerate(disjuncts):
                 for m in d.matrices:
                     for c in refuting_witness_values(m.literal, f):
-                        if (c, i) in self.members:
-                            self.refuted.add((c, i))
-        for c in new_elements:
-            for i, d in enumerate(disjuncts):
-                if any(c in refuting_witness_values(m.literal, f)
-                       for m in d.matrices for f in diagram.facts):
-                    self.refuted.add((c, i))
+                        (refuted if (c, i) in members else early).add((c, i))
 
         if budget < 1:
             return [], None
         # Refuted classes grow one member per two budget steps.
         want = max(op.seed_size, budget // 2 + 2)
-        for (c, i) in self.refuted:
-            root = _member_id(c, i, 0)
-            have = self.members[(c, i)]
-            for k in range(have, want):
-                base_new.append(sim(root, _member_id(c, i, k)))
-            self.members[(c, i)] = max(have, want)
+        for (c, i) in refuted:
+            have = members[(c, i)]
+            if have < want:
+                root = _member_id(c, i, 0)
+                base_new += (sim(root, _member_id(c, i, k)) for k in range(have, want))
+                members[(c, i)] = want
         self.pending = []
         return self.copier.advance(base_new, isqrt(budget) + 1), None
 

@@ -237,7 +237,10 @@ class FiniteDiagram:
 
 
 class _UnionFind:
-    """Disjoint classes of naturals; each class's root is its least member."""
+    """Disjoint classes of naturals; each class's root is its least member.
+
+    Finds halve the path they walk, and union does its two finds inline.
+    """
 
     def __init__(self, elements: Iterable[int] = ()):
         self.parent = {x: x for x in elements}
@@ -248,24 +251,29 @@ class _UnionFind:
     def find(self, x: int) -> int:
         parent = self.parent
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+            parent[x] = x = parent[parent[x]]
         return x
 
     def union(self, a: int, b: int) -> tuple:
         """Join the classes of a and b; returns (the root kept, the root
         absorbed), one root twice if they were one class already."""
-        ra, rb = self.find(a), self.find(b)
-        kept, absorbed = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[absorbed] = kept
-        return kept, absorbed
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+            return a, b
+        parent[a] = b
+        return b, a
 
     def classes(self) -> list:
         """The classes, sorted, each sorted: its root comes first."""
         groups: dict = {}
-        for x in sorted(self.parent):
+        for x in self.parent:
             groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
+        return [sorted(groups[r]) for r in sorted(groups)]
 
 
 def _insert(chain: list, x: int, below) -> int:

@@ -172,12 +172,6 @@ class RunLog:
     def __len__(self):
         return len(self.records)
 
-    def iter_cumulative(self):
-        facts: set = set()
-        for rec in self.records:
-            facts.update(rec.new_facts)
-            yield rec, facts
-
     def final_facts(self) -> frozenset:
         return frozenset().union(*(rec.new_facts for rec in self.records))
 

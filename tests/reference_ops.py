@@ -22,6 +22,12 @@ shipped one-pass census must return an equal ClassCensus.
 ``order_witnesses`` is the order verdict rule with the omega.m and
 omega*.m rules written as two hand-mirrored copies; the shipped rule,
 stated once with its mirror, must give the same witness strings.
+``rescanning_formula2eq`` and ``rescanning_pair_formula2eq`` are
+formula2eq and pair_formula2eq with the evaluator that, for each new
+element, rescans every fact of the stage diagram for a refutation, and
+that tags both ends of every fact; the shipped ones read refutations from
+each step's delta and tag each element once, and must give the same run
+records.
 """
 
 from __future__ import annotations
@@ -498,3 +504,87 @@ def order_witnesses(fp, family: str, k: int) -> list:
         if fp.stable_least is not None:
             problems.append(f"stable least element {fp.stable_least}")
     return problems
+
+
+class _RescanningFormula2EqStream(StreamEvaluator):
+    def __init__(self, op):
+        self.op = op
+        self.refuted: set = set()
+        self.members: dict = {}  # (c, i) -> member count emitted
+        self.copies = 0
+        self.seen: list = []
+        self.pending: list = []  # nothing is emitted before budget 1
+
+    def copy_out(self, new_facts, copies: int) -> list:
+        out = [_copy(f, i) for f in new_facts for i in range(self.copies)]
+        self.seen.extend(new_facts)
+        while self.copies < copies:
+            out.extend(_copy(f, self.copies) for f in self.seen)
+            self.copies += 1
+        return out
+
+    def step(self, diagram, delta, budget):
+        op = self.op
+        disjuncts = op.sentence.disjuncts
+        new_elements = [f[1] for f in delta if f[0] == "el"]
+        base_new = self.pending
+        for c in new_elements:
+            for i in range(len(disjuncts)):
+                root = pair(c, pair(i, 0))
+                base_new.append(el(root))
+                if op.seed_size == 2:
+                    base_new.append(_sim(root, pair(c, pair(i, 1))))
+                self.members[(c, i)] = op.seed_size
+        for f in delta:
+            for i, d in enumerate(disjuncts):
+                for m in d.matrices:
+                    for c in refuting_witness_values(m.literal, f):
+                        if (c, i) in self.members:
+                            self.refuted.add((c, i))
+        for c in new_elements:
+            for i, d in enumerate(disjuncts):
+                if any(c in refuting_witness_values(m.literal, f)
+                       for m in d.matrices for f in diagram.facts):
+                    self.refuted.add((c, i))
+        if budget < 1:
+            return [], None
+        want = max(op.seed_size, budget // 2 + 2)
+        for (c, i) in self.refuted:
+            root = pair(c, pair(i, 0))
+            have = self.members[(c, i)]
+            for k in range(have, want):
+                base_new.append(_sim(root, pair(c, pair(i, k))))
+            self.members[(c, i)] = max(have, want)
+        self.pending = []
+        return self.copy_out(base_new, isqrt(budget) + 1), None
+
+
+class _RescanningFormula2Eq(Formula2Eq):
+    def make_stream_evaluator(self):
+        return _RescanningFormula2EqStream(self)
+
+
+class _FactUnion(StreamEvaluator):
+    """Both sides' facts, each end of each fact tagged with its side."""
+
+    def __init__(self, inner0, inner1):
+        self.inners = (inner0, inner1)
+
+    def step(self, diagram, delta, budget):
+        out = []
+        for side, inner in enumerate(self.inners):
+            new, _ = inner.step(diagram, delta, budget)
+            out += (_copy(f, side) for f in new)
+        return out, None
+
+
+def rescanning_formula2eq(sentence, seed_size: int) -> Formula2Eq:
+    return _RescanningFormula2Eq(sentence, seed_size)
+
+
+def rescanning_pair_formula2eq(phi, psi) -> EnumerationOperator:
+    op = FactCombinator(
+        f"pair_formula2eq:{phi.name}:{psi.name}", _FactUnion,
+        _RescanningFormula2Eq(phi, 1), _RescanningFormula2Eq(psi, 2))
+    op.output_signature = Signature.EQUIVALENCE
+    return op

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 import reference_ops
 
+from embedlab import combinators, constructions
 from embedlab.classify import census
+from embedlab.combinators import disjoint_union
 from embedlab.constructions import (
     absolute_tuple,
     class_multiplier,
@@ -35,7 +37,7 @@ from embedlab.sigma2 import (
     greatest_element_sentence,
     least_element_sentence,
 )
-from embedlab.streams import CanonicalSpec, generate
+from embedlab.streams import CanonicalSpec, StructureStream, generate
 
 
 # --- ord2eq -----------------------------------------------------------------
@@ -265,6 +267,101 @@ def test_pair_formula2eq_sides():
     c = census(log, 20)
     assert len(c.frozen_of_size(1)) >= 2
     assert len(c.frozen_of_size(2)) == 0
+
+
+_SENTENCES = (least_element_sentence, greatest_element_sentence)
+FORMULA2EQ_PAIRS = [
+    pytest.param(
+        lambda s=sentence, n=seed: formula2eq(s(), n),
+        lambda s=sentence, n=seed: reference_ops.rescanning_formula2eq(s(), n),
+        id=f"{sentence().name}:{seed}")
+    for sentence in _SENTENCES for seed in (1, 2)
+] + [
+    pytest.param(
+        lambda p=phi, q=psi: pair_formula2eq(p(), q()),
+        lambda p=phi, q=psi: reference_ops.rescanning_pair_formula2eq(p(), q()),
+        id=f"pair:{phi().name}:{psi().name}")
+    for phi, psi in (_SENTENCES, _SENTENCES[::-1])
+]
+
+
+@st.composite
+def _order_streams_with_late_els(draw):
+    """A hand-built order stream and a monotone budget per stage.  Each
+    el fact and each lt fact of a drawn total order comes at a drawn
+    stage or never, so an lt fact may name an element before its el
+    fact, in an earlier stage or earlier in the same delta, or name one
+    that never gets an el fact."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    stages = draw(st.integers(1, 8))
+    when = st.none() | st.integers(0, stages - 1)
+    deltas: list = [[] for _ in range(stages)]
+    for x in range(n):
+        s = draw(when)
+        if s is not None:
+            deltas[s].append(("el", x))
+    for i, j in combinations(range(n), 2):
+        s = draw(when)
+        if s is not None:
+            deltas[s].append(("lt", order[i], order[j]))
+    deltas = [draw(st.permutations(d)) for d in deltas]
+    steps = draw(st.lists(st.integers(0, 3), min_size=stages, max_size=stages))
+    budgets = [sum(steps[:s + 1]) for s in range(stages)]
+    return StructureStream(Signature.LINEAR_ORDER, deltas, "hand-built"), budgets
+
+
+def _records(log) -> list:
+    return [(r.stage, list(r.new_facts), r.annotations) for r in log.records]
+
+
+@pytest.mark.parametrize("make,make_reference", FORMULA2EQ_PAIRS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_order_streams_with_late_els())
+def test_formula2eq_matches_rescanning_reference(make, make_reference, drawn):
+    """Refutations read from each delta, kept for elements still to
+    arrive, give the records of rescanning the stage diagram."""
+    stream, budgets = drawn
+    got = run(make(), stream, len(stream), budgets.__getitem__)
+    want = run(make_reference(), stream, len(stream), budgets.__getitem__)
+    assert _records(got) == _records(want)
+
+
+def test_formula2eq_reads_each_fact_once_per_matrix(monkeypatch):
+    """Each delta fact is tested once against each matrix's literal;
+    rescanning the stage diagram for every new element tests the older
+    facts again."""
+    calls = []
+    counted = constructions.refuting_witness_values
+
+    def counting(lit, fact):
+        calls.append(fact)
+        return counted(lit, fact)
+
+    monkeypatch.setattr(constructions, "refuting_witness_values", counting)
+    stream = generate(CanonicalSpec("omega_k", "permuted", k=2, seed=7), 64)
+    op = formula2eq(least_element_sentence())
+    run(op, stream, len(stream))
+    matrices = sum(len(d.matrices) for d in op.sentence.disjuncts)
+    assert 0 < len(calls) <= sum(map(len, stream.deltas)) * matrices
+
+
+def test_union_of_multipliers_tags_each_element_once(monkeypatch):
+    """Each multiplier tags each input element once per copy and the
+    union each side's output element once, so the calls are at most
+    twice the output domain; tagging both ends of every fact is more."""
+    calls = []
+    counted = combinators.tag
+
+    def counting(copy, x):
+        calls.append((copy, x))
+        return counted(copy, x)
+
+    monkeypatch.setattr(combinators, "tag", counting)
+    stream = generate(CanonicalSpec("e_k", "permuted", k=3, seed=7), 24)
+    log = run(disjoint_union(class_multiplier(), class_multiplier()),
+              stream, len(stream))
+    assert 0 < len(calls) <= 2 * len(log.final_diagram().domain)
 
 
 # --- shared helpers ---------------------------------------------------------

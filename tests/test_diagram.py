@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_ops
+
 from embedlab.diagram import (
     FiniteDiagram,
     InconsistentDiagram,
@@ -140,3 +142,25 @@ def test_union_keeps_the_least_root():
     assert classes.union(4, 1) == (1, 1)
     assert classes.find(9) == 1
     assert classes.classes() == [[1, 4, 9], [3], [5]]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 12), st.integers(0, 12)),
+                max_size=40))
+def test_union_find_matches_reference(steps):
+    """Random adds and unions: the (kept, absorbed) returns, find and
+    classes() are those of the plain union-find that keeps the least root."""
+    classes, want = _UnionFind(), reference_ops._UnionFind()
+    for is_union, a, b in steps:
+        for x in (a, b) if is_union else (a,):
+            classes.add(x)
+            want.add(x)
+        if is_union:
+            ra, rb = want.find(a), want.find(b)
+            assert classes.union(a, b) == (min(ra, rb), max(ra, rb))
+            want.union(a, b)
+    assert {x: classes.find(x) for x in want.parent} == {
+        x: want.find(x) for x in want.parent}
+    groups: dict = {}
+    for x in sorted(want.parent):
+        groups.setdefault(want.find(x), []).append(x)
+    assert classes.classes() == list(groups.values())

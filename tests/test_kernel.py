@@ -261,7 +261,9 @@ def _check_agreement(op, stream, schedule):
     name, fn = parse_schedule(schedule)
     log = run(op, stream, len(stream), fn, name)
     stages = stream.iter_stages()
-    for rec, facts in log.iter_cumulative():
+    facts: set = set()
+    for rec in log.records:
+        facts.update(rec.new_facts)
         diagram, budget = next(stages), fn(rec.stage)
         assert frozenset(facts) == op.eval(diagram, budget).facts, (
             f"stage {rec.stage}")
