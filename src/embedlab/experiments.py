@@ -13,6 +13,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from .classify import census, fingerprint
@@ -36,8 +37,8 @@ from .diagram import (
     total_order_diagram,
 )
 from .forcing import trichotomy_scan
-from .kernel import run
-from .pairing import encode_tuple
+from .kernel import evaluate_facts, run
+from .pairing import decode_tuple, encode_tuple
 from .sigma2 import greatest_element_sentence, least_element_sentence
 from .streams import CanonicalSpec, derive_seed, generate
 
@@ -225,8 +226,25 @@ def experiment_trichotomy(seed: int) -> ExperimentResult:
     )
 
 
-def _oracle_tuple_order(diagram: FiniteDiagram, interior_min: int, last_min: int):
-    """Brute-force admissible tuple set and pairwise order, from scratch."""
+def _oracle_before(t: tuple, u: tuple) -> bool:
+    """The oracle's tuple order, written out case by case: a proper
+    extension comes before its prefix, else the first difference decides."""
+    if len(t) > len(u) and t[: len(u)] == u:
+        return True
+    if len(u) > len(t) and u[: len(t)] == t:
+        return False
+    for a, b in zip(t, u):
+        if a != b:
+            return a < b
+    return False
+
+
+def _oracle_tuple_order(diagram: FiniteDiagram, interior_min: int,
+                        last_min: int) -> list:
+    """Brute-force admissible tuples, from scratch, encoded in the order
+    _oracle_before sorts them.  The sort trusts _oracle_before to be a
+    strict total order, so each consecutive pair is checked against it:
+    an order that leaves two tuples unordered raises AssertionError."""
     sizes = {}
     for cls in diagram.sim_classes():
         for x in cls:
@@ -238,23 +256,12 @@ def _oracle_tuple_order(diagram: FiniteDiagram, interior_min: int, last_min: int
             if all(sizes[x] >= interior_min for x in t[:-1]) and \
                     sizes[t[-1]] >= last_min:
                 admissible.append(t)
-
-    def before(t, u):
-        if len(t) > len(u) and t[: len(u)] == u:
-            return True
-        if len(u) > len(t) and u[: len(t)] == t:
-            return False
-        for a, b in zip(t, u):
-            if a != b:
-                return a < b
-        return False
-
-    lt_pairs = {
-        (encode_tuple(t), encode_tuple(u))
-        for t in admissible for u in admissible
-        if t != u and before(t, u)
-    }
-    return {encode_tuple(t) for t in admissible}, lt_pairs
+    order = sorted(admissible, key=cmp_to_key(
+        lambda t, u: -1 if _oracle_before(t, u) else 1))
+    for t, u in zip(order, order[1:]):
+        if not _oracle_before(t, u):
+            raise AssertionError(f"oracle order leaves {t} and {u} unordered")
+    return [encode_tuple(t) for t in order]
 
 
 def _full_budget_for(max_size: int) -> int:
@@ -292,16 +299,12 @@ def experiment_eq2ord_oracle(seed: int) -> ExperimentResult:
                           if mask >> i & 1]
                 diagram = FiniteDiagram.make(Signature.EQUIVALENCE, facts)
                 checked += 1
-                els1, lts1 = _oracle_tuple_order(diagram, 2, 1)
-                out1 = v1.eval(diagram, budget)
-                got1 = {f[1:] for f in out1.facts if f[0] == "lt"}
-                if out1.domain != els1 or got1 != lts1:
+                chain1 = _output_chain(v1, diagram, budget)
+                if chain1 != _oracle_tuple_order(diagram, 2, 1):
                     mismatches.append({"operator": "eq2ord_v1",
                                        "facts": sorted(map(list, facts))})
-                els2, lts2 = _oracle_tuple_order(diagram, 3, 2)
-                out2 = v2.eval(diagram, budget)
-                got2 = {f[1:] for f in out2.facts if f[0] == "lt"}
-                if out2.domain != els2 or got2 != {(b, a) for a, b in lts2}:
+                chain2 = _output_chain(v2, diagram, budget)[::-1]
+                if chain2 != _oracle_tuple_order(diagram, 3, 2):
                     mismatches.append({"operator": "eq2ord_v2",
                                        "facts": sorted(map(list, facts))})
 
@@ -310,8 +313,7 @@ def experiment_eq2ord_oracle(seed: int) -> ExperimentResult:
         Signature.EQUIVALENCE,
         [("el", 0), ("el", 1), ("el", 2), ("sim", 0, 1)],
     )
-    out = v1.eval(worked, budget)
-    order = _chain_tuples(out)
+    order = [decode_tuple(e) for e in _output_chain(v1, worked, budget)]
     expected = [(0, 1, 2), (0, 1), (0, 2), (0,), (1, 2), (1,), (2,)]
     worked_ok = order == expected
     if not worked_ok:
@@ -326,10 +328,10 @@ def experiment_eq2ord_oracle(seed: int) -> ExperimentResult:
     )
 
 
-def _chain_tuples(out: FiniteDiagram) -> list:
-    from .pairing import decode_tuple
-
-    return [decode_tuple(e) for e in out.chain()]
+def _output_chain(op, diagram: FiniteDiagram, budget: int) -> list:
+    """An order operator's output on diagram, as its chain: a list in
+    increasing order, read from the step's PlacementBatch."""
+    return list(evaluate_facts(op, diagram, budget).chain)
 
 
 def experiment_ord2eq_limits(seed: int) -> ExperimentResult:

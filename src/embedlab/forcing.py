@@ -13,16 +13,19 @@ everything else is UNKNOWN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 from .diagram import (
     FiniteDiagram,
     InvalidInput,
     InvalidSpec,
     NotInOutput,
+    PlacementBatch,
     Signature,
+    diagram_from_facts,
     total_order_diagram,
 )
-from .kernel import EnumerationOperator, evaluate
+from .kernel import EnumerationOperator, evaluate_facts
 
 FORCED = "FORCED"
 REFUTED = "REFUTED"
@@ -66,6 +69,32 @@ def extensions(alpha: FiniteDiagram, ext_bound: int):
         frontier = new_frontier
 
 
+def _output(op: EnumerationOperator, chain: list, budget: int):
+    """op's output on the all-pairs total order of chain (operators may
+    read stored facts, so every extension is evaluated as its closure).
+    An order operator's PlacementBatch is kept as its chain, a tuple; any
+    other output is kept as a diagram of the facts it stores."""
+    out = evaluate_facts(op, total_order_diagram(chain), budget)
+    if isinstance(out, PlacementBatch):
+        return out.chain
+    return diagram_from_facts(op.output_signature, out)
+
+
+def _domain(out) -> frozenset:
+    """The elements of an _output."""
+    return frozenset(out) if isinstance(out, tuple) else out.domain
+
+
+def _lt_pairs(out, wanted: set) -> set:
+    """The pairs (a, b) of elements of wanted with lt(a, b) in an _output:
+    read by position from a chain restricted to wanted, and from the
+    stored lt facts of a diagram."""
+    if isinstance(out, tuple):
+        return set(combinations([e for e in out if e in wanted], 2))
+    return {f[1:] for f in out.facts
+            if f[0] == "lt" and f[1] in wanted and f[2] in wanted}
+
+
 def bounded_force(query: ForcingQuery) -> ForcingVerdict:
     """Three-valued bounded decision of alpha forcing the atom."""
     op, alpha, atom = query.op, query.alpha, query.atom
@@ -75,18 +104,15 @@ def bounded_force(query: ForcingQuery) -> ForcingVerdict:
         raise InvalidSpec(f"atom must be lt over distinct elements: {atom!r}")
     if not alpha.is_total():
         raise InvalidInput("alpha must be a total linear order")
-    # Operators may read stored facts, so alpha is evaluated as its
-    # all-pairs closure, the first extension searched: one evaluation.
-    base = alpha.chain()
-    out = evaluate(op, total_order_diagram(base), query.budget)
     x, y = atom[1], atom[2]
-    if x not in out.domain or y not in out.domain:
-        raise NotInOutput(f"atom elements not in the output of alpha: {atom!r}")
-    complement = ("lt", y, x)
-    for chain in extensions(alpha, query.ext_bound):
-        if chain != base:
-            out = evaluate(op, total_order_diagram(chain), query.budget)
-        if complement in out.facts:
+    wanted = {x, y}
+    for n, chain in enumerate(extensions(alpha, query.ext_bound)):
+        out = _output(op, chain, query.budget)
+        # The first extension is alpha's own chain; its output must hold
+        # the atom's elements.
+        if n == 0 and not wanted <= _domain(out):
+            raise NotInOutput(f"atom elements not in the output of alpha: {atom!r}")
+        if (y, x) in _lt_pairs(out, wanted):
             return ForcingVerdict(REFUTED, certificate=total_order_diagram(chain))
     if op.extension_complete:
         return ForcingVerdict(FORCED)
@@ -95,8 +121,6 @@ def bounded_force(query: ForcingQuery) -> ForcingVerdict:
 
 def _all_total_orders(universe: list, max_size: int):
     """Every total order on a nonempty subset of the universe, each once."""
-    from itertools import combinations, permutations
-
     for size in range(1, max_size + 1):
         for subset in combinations(universe, size):
             for order in permutations(subset):
@@ -127,9 +151,7 @@ def _refuted_pairs(op, alpha, elements, ext_bound, budget) -> set:
     wanted = set(elements)
     seen = set()
     for chain in extensions(alpha, ext_bound):
-        for f in op.eval(total_order_diagram(chain), budget).facts:
-            if f[0] == "lt" and f[1] in wanted and f[2] in wanted:
-                seen.add((f[1], f[2]))
+        seen |= _lt_pairs(_output(op, chain, budget), wanted)
     return seen
 
 
@@ -194,8 +216,7 @@ def trichotomy_scan(
     permutations_by_alpha = {}
     for chain in _all_total_orders(list(range(max_alpha)), max_alpha):
         alpha = total_order_diagram(chain)
-        out = op.eval(alpha, budget)
-        elements = sorted(out.domain)
+        elements = sorted(_domain(_output(op, chain, budget)))
         order, violations = _forced_order(op, alpha, elements, ext_bound, budget)
         report.checked += 1
         report.violations.extend(violations)
@@ -205,6 +226,7 @@ def trichotomy_scan(
         if not check_extension_stability:
             continue
         fresh = (max(chain) + 1) if chain else 0
+        wanted = set(elements)
         for pos in range(len(chain) + 1):
             ext_chain = chain[:pos] + [fresh] + chain[pos:]
             ext_alpha = total_order_diagram(ext_chain)
@@ -212,7 +234,7 @@ def trichotomy_scan(
                 op, ext_alpha, elements, 1, budget
             )
             report.violations.extend(ext_viol)
-            restricted = [x for x in (ext_order or []) if x in set(elements)]
+            restricted = [x for x in (ext_order or []) if x in wanted]
             if ext_order is not None and restricted != order:
                 report.violations.append({
                     "alpha": chain,

@@ -95,6 +95,14 @@ def _as_delta(alpha: FiniteDiagram) -> list:
 
 def evaluate(op: EnumerationOperator, alpha: FiniteDiagram, budget: int) -> FiniteDiagram:
     """Checked evaluation: validates signature and budget before dispatch."""
+    return diagram_from_facts(op.output_signature, evaluate_facts(op, alpha, budget))
+
+
+def evaluate_facts(op: EnumerationOperator, alpha: FiniteDiagram, budget: int):
+    """evaluate's facts as op's step returns them, unbuilt: a list, or the
+    PlacementBatch of a built-in order operator.  The step is the first of
+    a fresh evaluator, so such a batch places its whole chain, and the
+    chain orders every pair of the output."""
     if alpha.signature is not op.input_signature:
         raise SignatureError(
             f"{op.name} expects {op.input_signature.value} input, "
@@ -102,7 +110,7 @@ def evaluate(op: EnumerationOperator, alpha: FiniteDiagram, budget: int) -> Fini
         )
     if budget < 0:
         raise InvalidSpec("budget must be a natural")
-    return op.eval(alpha, budget)
+    return op.make_stream_evaluator().step(alpha, _as_delta(alpha), budget)[0]
 
 
 class StreamEvaluator:

@@ -27,7 +27,11 @@ formula2eq and pair_formula2eq with the evaluator that, for each new
 element, rescans every fact of the stage diagram for a refutation, and
 that tags both ends of every fact; the shipped ones read refutations from
 each step's delta and tag each element once, and must give the same run
-records.
+records.  ``fact_refuted_pairs`` and ``fact_bounded_force`` are the
+forcing search that reads every evaluated output through its stored
+facts, each order output built as an all-pairs diagram; the shipped one
+reads an order operator's output chain by position and must give the same
+refuted pairs, outcomes and certificates.
 """
 
 from __future__ import annotations
@@ -50,8 +54,19 @@ from embedlab.constructions import (
     Ord2Eq,
     absolute_tuple,
 )
-from embedlab.diagram import InconsistentDiagram, ParseError, Signature, el, sim
-from embedlab.kernel import EnumerationOperator, StreamEvaluator
+from embedlab.diagram import (
+    InconsistentDiagram,
+    InvalidInput,
+    InvalidSpec,
+    NotInOutput,
+    ParseError,
+    Signature,
+    el,
+    sim,
+    total_order_diagram,
+)
+from embedlab.forcing import FORCED, REFUTED, UNKNOWN, ForcingVerdict, extensions
+from embedlab.kernel import EnumerationOperator, StreamEvaluator, evaluate
 from embedlab.pairing import encode_tuple, pair, tag
 from embedlab.sigma2 import refuting_witness_values
 
@@ -588,3 +603,41 @@ def rescanning_pair_formula2eq(phi, psi) -> EnumerationOperator:
         _RescanningFormula2Eq(phi, 1), _RescanningFormula2Eq(psi, 2))
     op.output_signature = Signature.EQUIVALENCE
     return op
+
+
+def fact_refuted_pairs(op, alpha, elements, ext_bound, budget) -> set:
+    """Ordered pairs (a, b) of elements with lt(a, b) among the stored
+    facts of op's output on some extension of alpha."""
+    wanted = set(elements)
+    seen = set()
+    for chain in extensions(alpha, ext_bound):
+        for f in op.eval(total_order_diagram(chain), budget).facts:
+            if f[0] == "lt" and f[1] in wanted and f[2] in wanted:
+                seen.add((f[1], f[2]))
+    return seen
+
+
+def fact_bounded_force(query) -> ForcingVerdict:
+    """bounded_force, testing the complement atom's membership in the
+    stored facts of each extension's output."""
+    op, alpha, atom = query.op, query.alpha, query.atom
+    if op.output_signature is not Signature.LINEAR_ORDER:
+        raise InvalidSpec("forcing queries concern order outputs")
+    if atom[0] != "lt" or len(atom) != 3 or atom[1] == atom[2]:
+        raise InvalidSpec(f"atom must be lt over distinct elements: {atom!r}")
+    if not alpha.is_total():
+        raise InvalidInput("alpha must be a total linear order")
+    base = alpha.chain()
+    out = evaluate(op, total_order_diagram(base), query.budget)
+    x, y = atom[1], atom[2]
+    if x not in out.domain or y not in out.domain:
+        raise NotInOutput(f"atom elements not in the output of alpha: {atom!r}")
+    complement = ("lt", y, x)
+    for chain in extensions(alpha, query.ext_bound):
+        if chain != base:
+            out = evaluate(op, total_order_diagram(chain), query.budget)
+        if complement in out.facts:
+            return ForcingVerdict(REFUTED, certificate=total_order_diagram(chain))
+    if op.extension_complete:
+        return ForcingVerdict(FORCED)
+    return ForcingVerdict(UNKNOWN)

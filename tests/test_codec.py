@@ -1,17 +1,23 @@
-"""The fact codec against its plain reference, and round trips of the text
-formats built on it (stream files and run logs)."""
+"""The fact codec against its plain reference, round trips of the text
+formats built on it (stream files and run logs), and fuzzed input files
+through their readers and the CLI."""
 
 import json
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_ops as ref
+from embedlab.cli import EXIT_SIGNATURE, EXIT_SUITE, EXIT_USAGE, main
 from embedlab.diagram import (
+    EmbedlabError,
     ParseError,
     Signature,
+    SignatureError,
     format_facts,
+    parse_diagram,
     parse_fact,
     parse_facts,
 )
@@ -201,3 +207,171 @@ def test_run_log_jsonl_round_trip(stream, data):
     assert [(r.stage, r.new_facts, r.annotations) for r in again.records] == [
         (r.stage, r.new_facts, r.annotations) for r in log.records]
     assert again.to_jsonl() == text
+
+
+# --- Fuzzed input files ------------------------------------------------------
+#
+# Every input boundary either reads a file or raises an EmbedlabError, which
+# the CLI reports as "error: ..." with its documented exit code (3 for a
+# SignatureError, else 2), never as a traceback.
+
+FUZZ_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+CLI_FUZZ_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+WELL_FORMED_LINES = st.builds(
+    lambda rel, a, b: f"{rel} {a}" if rel == "el" else f"{rel} {a} {b}",
+    st.sampled_from(["el", "lt", "sim"]), st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def file_lines(draw):
+    """Lines of a diagram or stream file: mostly well-formed facts, else
+    fact-like lines, comments and arbitrary text."""
+    if draw(st.integers(0, 7)):
+        return draw(WELL_FORMED_LINES)
+    return draw(st.one_of(
+        fact_lines(),
+        st.sampled_from(["# comment", "el 0 # comment", "#", "  "]),
+        st.text(max_size=12),
+    ))
+
+
+SEPARATOR_LINES = st.sampled_from(
+    ["--", "-- stage", "-- stage x", "-- step 0", "-- stage -1", "-- stage 9"])
+
+
+@st.composite
+def stream_texts(draw):
+    """Stage blocks in order, each led by its separator, or now and then
+    by a malformed or misnumbered one."""
+    lines = []
+    for n in range(draw(st.integers(0, 4))):
+        lines.append(f"-- stage {n}" if draw(st.integers(0, 9))
+                     else draw(SEPARATOR_LINES))
+        lines += draw(st.lists(file_lines(), max_size=4))
+    return "\n".join(lines)
+
+
+def diagram_texts():
+    return st.lists(file_lines(), max_size=6).map("\n".join) | st.text(max_size=40)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=True)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def run_log_texts(draw):
+    """Run-log text near the format: a header, then records whose keys
+    are each dropped, kept or replaced by arbitrary JSON, and now and then
+    a line that is not a JSON object."""
+
+    def record(fields):
+        rec = {}
+        for key, value in fields.items():
+            choice = draw(st.integers(0, 19))
+            if choice == 0:
+                continue
+            rec[key] = draw(JSON_VALUES) if choice == 1 else value
+        return json.dumps(rec)
+
+    signature = draw(st.sampled_from(["linear_order", "equivalence", "order"]))
+    lines = [record({"v": 1, "type": "header", "operator": "x",
+                     "signature": signature})]
+    for stage in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.text(max_size=12)))
+            continue
+        notes = draw(st.none() | st.fixed_dictionaries(
+            {}, optional={"pinned_size1": JSON_VALUES,
+                          "pinned_size2": st.integers(-1, 3)}))
+        lines.append(record({
+            "v": 1, "stage": stage,
+            "new_facts": draw(st.lists(file_lines(), max_size=4)),
+            "annotations": notes,
+        }))
+    return "\n".join(lines)
+
+
+def read_or_reject(parse, text):
+    """parse(text), or None when it raises an EmbedlabError; any other
+    exception fails the test."""
+    try:
+        return parse(text)
+    except EmbedlabError:
+        return None
+
+
+@given(diagram_texts())
+@FUZZ_SETTINGS
+def test_fuzzed_diagram_file_reads_or_raises_embedlab_error(text):
+    read_or_reject(parse_diagram, text)
+
+
+@given(stream_texts() | diagram_texts())
+@FUZZ_SETTINGS
+def test_fuzzed_stream_file_reads_or_raises_embedlab_error(text):
+    read_or_reject(StructureStream.from_text, text)
+
+
+@given(run_log_texts())
+@FUZZ_SETTINGS
+def test_fuzzed_run_log_reads_or_raises_embedlab_error(text):
+    read_or_reject(RunLog.from_jsonl, text)
+
+
+def cli_outcome(tmp_path_factory, text, args, parse):
+    """Run the CLI on text as an input file and check its exit: a file
+    that parse rejects exits 2 (3 for a SignatureError) with one error
+    line; one it reads exits with a documented code; neither prints a
+    traceback."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path_factory.getbasetemp() / "fuzzed-output"
+    result = CliRunner().invoke(main, [
+        a.format(input=path, output=out) for a in args])
+    assert "Traceback" not in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    try:
+        parse(text)
+    except EmbedlabError as exc:
+        want = EXIT_SIGNATURE if isinstance(exc, SignatureError) else EXIT_USAGE
+        assert result.exit_code == want
+        assert result.output == f"error: {exc}\n"
+    else:
+        assert result.exit_code in (0, EXIT_USAGE, EXIT_SIGNATURE, EXIT_SUITE)
+
+
+@given(diagram_texts())
+@CLI_FUZZ_SETTINGS
+def test_fuzzed_diagram_file_through_the_cli(tmp_path_factory, text):
+    cli_outcome(tmp_path_factory, text, [
+        "force", "--op", "replicate:1", "--alpha", "{input}",
+        "--atom", "lt 0 1", "--ext", "0", "--budget", "1"], parse_diagram)
+
+
+@given(stream_texts() | diagram_texts())
+@CLI_FUZZ_SETTINGS
+def test_fuzzed_stream_file_through_the_cli(tmp_path_factory, text):
+    cli_outcome(tmp_path_factory, text, [
+        "run", "--op", "replicate:1", "--in", "{input}", "--log", "{output}"],
+        StructureStream.from_text)
+
+
+@given(run_log_texts())
+@CLI_FUZZ_SETTINGS
+def test_fuzzed_run_log_through_the_cli(tmp_path_factory, text):
+    cli_outcome(tmp_path_factory, text, [
+        "classify", "--log", "{input}", "--claim", "omega"], RunLog.from_jsonl)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import reference_ops
 
-from embedlab import combinators, constructions
+from embedlab import combinators, constructions, experiments
 from embedlab.classify import census
 from embedlab.combinators import disjoint_union
 from embedlab.constructions import (
@@ -23,11 +23,12 @@ from embedlab.diagram import (
     FiniteDiagram,
     InvalidInput,
     InvalidSpec,
+    PlacementBatch,
     Signature,
     partition_diagram,
     total_order_diagram,
 )
-from embedlab.kernel import evaluate, run
+from embedlab.kernel import StreamEvaluator, evaluate, run
 from embedlab.pairing import decode_tuple, encode_tuple, pair, tag
 from embedlab.sigma2 import (
     Disjunct,
@@ -172,6 +173,58 @@ def test_eq2ord_matches_oracle_up_to_four(op_factory, thresholds, reverse_expect
                 assert out.domain == els
                 want = {(b, a) for a, b in lt} if reverse_expected else lt
                 assert got_lt == want
+
+
+class _SwappedEq2Ord(constructions.Eq2Ord):
+    """eq2ord with the first two tuples of its output chain swapped."""
+
+    def make_stream_evaluator(self):
+        return _SwappedStream(super().make_stream_evaluator())
+
+
+class _SwappedStream(StreamEvaluator):
+    def __init__(self, inner):
+        self.inner = inner
+
+    def step(self, diagram, delta, budget):
+        batch, notes = self.inner.step(diagram, delta, budget)
+        chain = batch.chain[1::-1] + batch.chain[2:]
+        return PlacementBatch(batch.new, chain), notes
+
+
+def _small_oracle(monkeypatch):
+    monkeypatch.setitem(experiments.PARAMS, "eq2ord_oracle", {"max_size": 3})
+
+
+@pytest.mark.parametrize("name,thresholds", [
+    ("eq2ord_v1", (2, 1)), ("eq2ord_v2", (3, 2)),
+])
+def test_eq2ord_oracle_reports_two_swapped_tuples(monkeypatch, name, thresholds):
+    _small_oracle(monkeypatch)
+    monkeypatch.setattr(experiments, name,
+                        lambda: _SwappedEq2Ord(*thresholds, name))
+    result = experiments.experiment_eq2ord_oracle(7)
+    assert not result.passed
+    reported = {m["operator"] for m in result.evidence["mismatches"]}
+    assert name in reported
+    assert reported <= {name, "worked-example"}
+
+
+@pytest.mark.parametrize("before", [
+    lambda t, u: False,
+    lambda t, u: len(t) > len(u),  # leaves tuples of one length unordered
+])
+def test_eq2ord_oracle_rejects_an_order_that_is_not_strict_total(monkeypatch, before):
+    _small_oracle(monkeypatch)
+    monkeypatch.setattr(experiments, "_oracle_before", before)
+    with pytest.raises(AssertionError, match="unordered"):
+        experiments.experiment_eq2ord_oracle(7)
+
+
+def test_eq2ord_oracle_fails_on_a_wrong_strict_total_order(monkeypatch):
+    _small_oracle(monkeypatch)
+    monkeypatch.setattr(experiments, "_oracle_before", lambda t, u: t < u)
+    assert not experiments.experiment_eq2ord_oracle(7).passed
 
 
 def test_eq2ord_no_stable_minimum_when_all_classes_grow():

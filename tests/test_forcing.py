@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from embedlab.combinators import replicate
+import reference_ops
+
+from embedlab import forcing
+from embedlab.combinators import reverse, replicate
 from embedlab.diagram import (
+    EmbedlabError,
     InvalidSpec,
     NotInOutput,
     parse_diagram,
@@ -23,6 +29,7 @@ from embedlab.kernel import (
     evaluate,
 )
 from embedlab.pairing import tag
+from embedlab.registry import build_operator
 
 
 def test_extensions_counts_and_containment():
@@ -46,12 +53,13 @@ def test_forced_example_replicate():
 
 def test_bounded_force_evaluates_once_at_ext_bound_0(monkeypatch):
     """At bound 0 the only extension is alpha's all-pairs closure, and
-    the domain check reads that same evaluation: one eval, on the closure."""
+    the domain check reads that same evaluation: one evaluation, through
+    kernel.evaluate_facts, of the 10-element closure (55 facts)."""
     op = replicate(1)
     sizes = []
-    real_eval = op.eval
-    monkeypatch.setattr(
-        op, "eval", lambda beta, n: sizes.append(len(beta.facts)) or real_eval(beta, n))
+    real = forcing.evaluate_facts
+    monkeypatch.setattr(forcing, "evaluate_facts", lambda op, beta, n: (
+        sizes.append(len(beta.facts)) or real(op, beta, n)))
     alpha = parse_diagram("".join(f"lt {i} {i + 1}\n" for i in range(9)))
     atom = ("lt", tag(0, 0), tag(0, 9))
     verdict = bounded_force(ForcingQuery(op, alpha, atom, 0, 1))
@@ -184,15 +192,19 @@ def test_trichotomy_matches_bounded_force_verdicts():
             assert v.outcome == FORCED
 
 
-def test_trichotomy_catches_broken_fixture():
+def conflicted_fixture():
     # An axiom table that decides a pair both ways across extensions.
-    op = AxiomTableOperator("conflicted", [
+    return AxiomTableOperator("conflicted", [
         (frozenset({("el", 0)}), ("el", 10)),
         (frozenset({("el", 0)}), ("el", 11)),
         (frozenset({("lt", 0, 1)}), ("lt", 10, 11)),
         (frozenset({("lt", 1, 0)}), ("lt", 11, 10)),
     ], extension_complete=True)
-    report = trichotomy_scan(op, 1, 2, 10, check_extension_stability=False)
+
+
+def test_trichotomy_catches_broken_fixture():
+    report = trichotomy_scan(conflicted_fixture(), 1, 2, 10,
+                             check_extension_stability=False)
     assert not report.clean
 
 
@@ -216,3 +228,55 @@ def test_verdicts_invariant_under_id_permutation():
                     va = bounded_force(ForcingQuery(op, alpha_a, atom_a, 2, 8))
                     vb = bounded_force(ForcingQuery(op, alpha_b, atom_b, 2, 8))
                     assert va.outcome == vb.outcome
+
+
+# Order operators whose steps return placement batches, and operators
+# whose steps return fact lists (read as stored facts).
+FORCING_OPERATORS = {
+    "replicate:1": lambda: replicate(1),
+    "replicate:2": lambda: replicate(2),
+    "replicate:3": lambda: replicate(3),
+    "rev(replicate:2)": lambda: build_operator("rev(replicate:2)"),
+    "concat(replicate:1,rev(replicate:2))":
+        lambda: build_operator("concat(replicate:1,rev(replicate:2))"),
+    "replicate:1|fill:left": lambda: build_operator("replicate:1|fill:left"),
+    "rev(replicate:2)|fill:right": lambda: build_operator("rev(replicate:2)|fill:right"),
+    "mirror": _Mirror,
+    "rev(mirror)": lambda: reverse(_Mirror()),
+    "axiom:unknown": unknown_fixture,
+    "axiom:conflicted": conflicted_fixture,
+}
+
+
+def _verdict(force, query):
+    """A verdict's outcome and certificate, or the error it raised."""
+    try:
+        v = force(query)
+    except EmbedlabError as exc:
+        return type(exc), str(exc)
+    return v.outcome, v.certificate
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FORCING_OPERATORS)),
+    chain=st.lists(st.integers(0, 5), max_size=4, unique=True),
+    ext_bound=st.integers(0, 2),
+    budget=st.integers(0, 8),
+    data=st.data(),
+)
+def test_forcing_reads_chains_as_the_fact_reference(name, chain, ext_bound, budget, data):
+    """Reading order outputs by chain position gives the refuted pairs,
+    outcomes, certificates and errors of reading every output's facts."""
+    op = FORCING_OPERATORS[name]()
+    alpha = total_order_diagram(chain)
+    elements = sorted(evaluate(op, alpha, budget).domain)
+    assert forcing._refuted_pairs(op, alpha, elements, ext_bound, budget) == \
+        reference_ops.fact_refuted_pairs(op, alpha, elements, ext_bound, budget)
+    ids = elements + [999]  # 999 is in no output
+    atoms = [(x, y) for x in ids for y in ids if x != y]
+    for x, y in data.draw(st.lists(st.sampled_from(atoms or [(0, 999)]),
+                                   min_size=1, max_size=3)):
+        query = ForcingQuery(op, alpha, ("lt", x, y), ext_bound, budget)
+        assert _verdict(bounded_force, query) == \
+            _verdict(reference_ops.fact_bounded_force, query)
