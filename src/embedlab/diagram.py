@@ -20,19 +20,27 @@ that present a grown chain are decided here alone: a PlacementBatch (the
 elements new at one step and the chain after it) yields ``el x`` for each
 new element and one lt fact for every pair with a new element at either
 end, so a run log stores every pair while the operators that write it
-never build a pair.  place() is the same rule for one element.  The same
-layout gives a batch's text lines (format_facts) and reads them back
-(parse_batch), so order logs cross the file boundary as placements both
-ways.
+never build a pair.  place() is the same rule for one element.
+
+One layout (_layout) orders a batch's record for both its facts and its
+text, and is computed once each time a record is expanded, written or
+checked.  The text is rendered in blocks (format_blocks):
+the el lines, then one block per element that opens lt lines, which for
+an old element is its suffix's template with the element's id put in.
+The same renderer writes a record (format_facts, RunLog.to_jsonl) and
+checks one on read (parse_batch) a few blocks at a time, so order logs
+cross the file boundary as placements both ways at about the cost of
+their bytes.
+
+Every number in an input is a natural in ASCII digits (is_natural).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, count, islice, repeat
 from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -73,6 +81,14 @@ class NotInOutput(EmbedlabError):
 class Signature(enum.Enum):
     LINEAR_ORDER = "linear_order"
     EQUIVALENCE = "equivalence"
+
+
+def is_natural(token: str) -> bool:
+    """True iff token is a natural written in ASCII digits, the one form
+    of a number in every input: element ids, stage numbers, and the
+    numbers in operator, schedule and sentence texts.  int() alone would
+    also take signs, underscores and other scripts' digits."""
+    return token.isascii() and token.isdigit()
 
 
 def el(a: int) -> Fact:
@@ -351,47 +367,79 @@ class PlacementBatch:
 
 def _layout(new, chain) -> tuple:
     """A batch's record order, shared by its facts and its text lines:
-    the new elements ascending, then one lt block (x, above) per element x
-    ascending, with x below each element of above, which ascends.  A new
-    x pairs with every element above it, an old x with the new elements
-    above it, which are a suffix of the new elements in chain order and so
-    one of len(new) shared lists."""
+    (news, ids, index, suffixes, tops).
+
+    news is the new elements ascending.  ids is the elements that open an
+    lt block, ascending: those of the chain up to its last new element
+    that have an element above them.  Each x in ids is below every element
+    of one ascending list, found by index[x].  An old x pairs with the new
+    elements above it, a suffix of the new elements in chain order, so
+    the old elements between two new ones share one list, suffixes[k] for
+    k = index[x] >= 0.  A new x pairs with everything above it, tops[~k]
+    for k < 0.
+
+    The chain is walked once, up to its last new element.  The tops are
+    built from the top down, each as the one above it plus a short run,
+    which sorted() merges in about linear time."""
     news = sorted(new)
-    if len(chain) < 2 or not news:
-        return news, []
-    rank = {x: i for i, x in enumerate(chain)}
-    if len(news) == len(chain):
-        return news, [(x, sorted(chain[rank[x] + 1:])) for x in news]
-    ranks = sorted(map(rank.__getitem__, news))
-    suffixes = [sorted(chain[r] for r in ranks[k:]) for k in range(len(ranks))]
-    fresh = set(news)
-    blocks = []
-    for x in sorted(chain[:ranks[-1] + 1]):
-        r = rank[x]
-        if x in fresh:
-            blocks.append((x, sorted(chain[r + 1:])))
-        else:
-            blocks.append((x, suffixes[bisect_left(ranks, r)]))
-    return news, blocks
+    ranks = list(islice(compress(count(), map(set(news).__contains__, chain)),
+                        len(news)))
+    index, suffixes, tops = {}, [], []
+    above, hi = [], len(chain)
+    for j in reversed(range(len(ranks))):
+        r = ranks[j]
+        above = sorted([*above, *chain[r + 1:hi]])
+        hi = r + 1
+        if above:
+            index[chain[r]] = ~len(tops)
+            tops.append(above)
+        lo = ranks[j - 1] + 1 if j else 0
+        if lo < r:  # old elements between new elements j - 1 and j
+            index.update(zip(chain[lo:r], repeat(len(suffixes))))
+            suffixes.append(sorted(map(chain.__getitem__, ranks[j:])))
+    return news, sorted(index), index, suffixes, tops
 
 
 def _sorted_facts(new, chain) -> list:
     """A batch's facts, sorted."""
-    news, blocks = _layout(new, chain)
+    news, ids, index, suffixes, tops = _layout(new, chain)
     facts = list(zip(_EL, news))
-    for x, above in blocks:
-        facts += zip(_LT, repeat(x), above)
+    for x in ids:
+        k = index[x]
+        facts += zip(_LT, repeat(x), suffixes[k] if k >= 0 else tops[~k])
     return facts
 
 
-def _lines(new, chain, text) -> list:
-    """A batch's record as text lines, in the order of its facts; text
-    maps each chain element to its id string, so each id is converted
-    once however many pairs name it."""
-    news, blocks = _layout(new, chain)
-    lines = ["el " + text[x] for x in news]
-    lines += ["lt " + text[x] + " " + text[y] for x, above in blocks for y in above]
-    return lines
+class IdText(dict):
+    """Element id -> its decimal string, converted on first use, so each
+    id is converted once however many lines and records name it."""
+
+    def __missing__(self, x: int) -> str:
+        s = self[x] = str(x)
+        return s
+
+
+def format_blocks(batch: PlacementBatch, text: dict, sep: str) -> Iterator[str]:
+    """A batch's record lines in blocks, each block its lines joined by
+    sep: the el lines, then one block per lt block of the layout.  Joined
+    by sep, the blocks are the record's lines joined by sep.  text maps
+    each chain element to its id string (an IdText fills itself in).
+
+    An old element's block is its suffix's template with the element's id
+    put in, one str call; a new element's block is one join.  Lines hold
+    only ASCII letters, digits and spaces, so NUL marks where the id goes."""
+    news, ids, index, suffixes, tops = _layout(batch.new, batch.chain)
+    name = text.__getitem__
+    if news:
+        yield "el " + (sep + "el ").join(map(name, news))
+    templates = ["lt \0 " + (sep + "lt \0 ").join(map(name, s)) for s in suffixes]
+    for x in ids:
+        k = index[x]
+        if k >= 0:
+            yield templates[k].replace("\0", name(x))
+        else:
+            head = "lt " + name(x) + " "
+            yield head + (sep + head).join(map(name, tops[~k]))
 
 
 def place(chain: list, x: int, rank: int) -> list:
@@ -412,8 +460,9 @@ def place(chain: list, x: int, rank: int) -> list:
 def format_facts(facts: Iterable[Fact]) -> list:
     """Each fact as its text line, ``rel a`` or ``rel a b``."""
     if isinstance(facts, PlacementBatch):
-        chain = facts.chain
-        return _lines(facts.new, chain, dict(zip(chain, map(str, chain))))
+        if not facts.new:
+            return []
+        return "\n".join(format_blocks(facts, IdText(), "\n")).split("\n")
     return ["%s %s %s" % f if len(f) == 3 else "%s %s" % f for f in facts]
 
 
@@ -439,7 +488,19 @@ def parse_facts(lines: Iterable[str]) -> list:
 
 def _parse_facts(lines: Iterable[str], signature: Signature | None) -> list:
     """parse_facts; given a signature, a relation it does not admit raises
-    SignatureError, found by the same lookup that finds the line's size."""
+    SignatureError, found by the same lookup that finds the line's size.
+
+    int() reads a numeral that is not ASCII digits only through a sign, an
+    underscore or a non-ASCII digit.  So when the lines hold none of these
+    characters, every id int() reads is one is_natural accepts, and the
+    ids are not checked one by one."""
+    lines = list(lines)
+    try:
+        text = "".join(lines)
+    except TypeError:  # an entry that is not a string: the loop raises at it
+        each = True
+    else:
+        each = not text.isascii() or "+" in text or "-" in text or "_" in text
     out = []
     append = out.append
     tokens_of = _TOKENS_OF if signature is None else _ADMITTED[signature]
@@ -453,13 +514,13 @@ def _parse_facts(lines: Iterable[str], signature: Signature | None) -> list:
             if rel in RELATIONS:
                 raise _not_admitted(rel, signature)
             raise ParseError(f"unknown relation token {rel!r}")
+        a, b = parts[1], parts[-1]  # the same token for el
+        if each and not (is_natural(a) and is_natural(b)):
+            raise ParseError(f"non-natural argument in {line!r}")
         try:
-            a = int(parts[1])
-            b = int(parts[-1])  # the same token as a for el
-        except ValueError:
+            a, b = int(a), int(b)
+        except ValueError:  # more digits than int() converts
             raise ParseError(f"non-natural argument in {line!r}") from None
-        if a < 0 or b < 0:
-            raise ParseError(f"negative argument in {line!r}")
         if size == 2:
             append(("el", a))
         elif rel == "lt":
@@ -477,9 +538,12 @@ def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
 
     The leading ``el`` lines name the new elements; each is placed by
     binary search, asking whether the record holds the line ``lt y x``.
-    The candidate is accepted only if it renders back to lines, so an
-    accepted record is one parse_facts reads as the batch's facts.  text
-    maps each element of chain to its id string; the new ids are added.
+    The candidate is accepted only if it renders back to lines: each run
+    of rendered blocks must equal as many lines joined by newlines as it
+    holds, and the blocks must use up every line.  So an accepted record
+    is one parse_facts reads as the batch's facts, and a line holding a
+    newline is never taken for two.  text maps each element of chain to
+    its id string; the new ids are added.
     """
     if type(lines) is not list:
         return None
@@ -502,9 +566,20 @@ def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
         text[x] = str(x)
         tail = " " + text[x]
         _insert(grown, x, lambda y, _: "lt " + text[y] + tail in present)
-    if _lines(new, grown, text) != lines:
+    batch = PlacementBatch(new, tuple(grown))
+    blocks = format_blocks(batch, text, "\n")
+    i = 0
+    try:
+        # 16 blocks at a time: few enough that the record is never one
+        # string, enough that one-line blocks cost little each.
+        while chunk := "\n".join(islice(blocks, 16)):
+            j = i + chunk.count("\n") + 1
+            if "\n".join(lines[i:j]) != chunk:
+                return None
+            i = j
+    except TypeError:  # an entry that is not a string
         return None
-    return PlacementBatch(new, tuple(grown))
+    return batch if i == len(lines) else None
 
 
 def parse_fact(line: str) -> Fact:

@@ -22,8 +22,9 @@ a cumulative output stage plus bookkeeping annotations at each step.
 The built-in order operators and constructions return each step's new
 facts as a diagram.PlacementBatch, which run() keeps as the stage record:
 its facts are built only when the record is read.  RunLog.to_jsonl writes
-a batch's lines from its chain, and RunLog.from_jsonl reads such lines
-back as batches.
+a batch's record from the blocks diagram.format_blocks renders from its
+chain, and RunLog.from_jsonl reads such records back as batches, checking
+each against the same blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Callable
 
 from .diagram import (
     FiniteDiagram,
+    IdText,
     InvalidInput,
     InvalidSchedule,
     InvalidSpec,
@@ -42,7 +44,9 @@ from .diagram import (
     Signature,
     SignatureError,
     diagram_from_facts,
+    format_blocks,
     format_facts,
+    is_natural,
     _parse_facts,
     parse_batch,
 )
@@ -195,14 +199,27 @@ class RunLog:
             "provenance": self.provenance,
             "schedule": self.schedule,
         }, sort_keys=True)]
+        text = IdText()
         for rec in self.records:
-            lines.append(json.dumps({
-                "v": 1,
-                "stage": rec.stage,
-                "new_facts": format_facts(rec.new_facts),
-                "annotations": rec.annotations,
-            }, sort_keys=True))
-        return "\n".join(lines) + "\n"
+            facts = rec.new_facts
+            if not isinstance(facts, PlacementBatch):
+                lines.append(json.dumps({
+                    "v": 1,
+                    "stage": rec.stage,
+                    "new_facts": format_facts(facts),
+                    "annotations": rec.annotations,
+                }, sort_keys=True))
+                continue
+            # A batch's lines hold only ASCII letters, digits and spaces,
+            # so each is its own JSON string, and its blocks joined by the
+            # separator json.dumps puts between strings are its list.
+            quote = '"' if facts.new else ""
+            lines.append('{"annotations": %s, "new_facts": [%s%s%s], "stage": %s, "v": 1}' % (
+                json.dumps(rec.annotations, sort_keys=True), quote,
+                '", "'.join(format_blocks(facts, text, '", "')), quote,
+                json.dumps(rec.stage)))
+        lines.append("")  # the final newline, without copying the text
+        return "\n".join(lines)
 
     @staticmethod
     def from_jsonl(text: str) -> "RunLog":
@@ -308,7 +325,7 @@ def parse_schedule(text: str) -> tuple[str, Callable[[int], int]]:
     if text == "identity":
         return text, schedule_identity
     kind, _, arg = text.partition(":")
-    if kind in ("const", "capped") and arg.isdecimal():
+    if kind in ("const", "capped") and is_natural(arg):
         n = int(arg)
         if kind == "const":
             return text, lambda s: n

@@ -29,7 +29,7 @@ from .constructions import (
     phi_pair,
     phi_sigma2,
 )
-from .diagram import InvalidSpec
+from .diagram import InvalidSpec, is_natural
 from .sigma2 import greatest_element_sentence, least_element_sentence
 
 OPERATOR_IDS = (
@@ -43,7 +43,7 @@ CONSTRUCTION_IDS = ("phi_pair", "phi_sigma2")
 def _atom(name: str, params: dict):
     head, _, arg = name.partition(":")
     if head == "replicate":
-        if not arg.isdecimal():
+        if not is_natural(arg):
             raise InvalidSpec(f"replicate needs a positive count: {name!r}")
         return replicate(int(arg))
     if arg:

@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .diagram import FiniteDiagram, InvalidSpec, ParseError, Signature, content_lines
+from .diagram import (
+    FiniteDiagram,
+    InvalidSpec,
+    ParseError,
+    Signature,
+    content_lines,
+    is_natural,
+)
 
 
 @dataclass(frozen=True)
@@ -233,7 +240,7 @@ def parse_sentence(text: str, name: str = "sentence") -> Sigma2Sentence:
 
 def _header_number(parts: list, line: str) -> int:
     """The natural number of an ``exists``, ``disjunct`` or ``forall`` header."""
-    if len(parts) != 2 or not parts[1].isdecimal():
+    if len(parts) != 2 or not is_natural(parts[1]):
         raise ParseError(f"header needs one natural number: {line!r}")
     return int(parts[1])
 
@@ -252,7 +259,7 @@ def _parse_literal(text: str, exists_arity: int, forall_arity: int) -> Literal:
     args = []
     for tok in parts[1:]:
         kind, idx = tok[0], tok[1:]
-        if kind not in ("x", "y") or not idx.isdecimal():
+        if kind not in ("x", "y") or not is_natural(idx):
             raise ParseError(f"bad variable {tok!r}")
         i = int(idx)
         bound = exists_arity if kind == "x" else forall_arity

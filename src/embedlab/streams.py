@@ -31,6 +31,7 @@ from .diagram import (
     diagram_from_facts,
     el,
     format_facts,
+    is_natural,
     parse_facts,
     place,
 )
@@ -123,10 +124,9 @@ class CanonicalSpec:
         family = parts[0]
         k = 1
         if len(parts) == 2:
-            try:
-                k = int(parts[1])
-            except ValueError:
-                raise InvalidSpec(f"bad k in {text!r}") from None
+            if not is_natural(parts[1]):
+                raise InvalidSpec(f"bad k in {text!r}")
+            k = int(parts[1])
         elif len(parts) > 2:
             raise InvalidSpec(f"bad spec {text!r}")
         return CanonicalSpec(family, policy, k, seed)
@@ -186,7 +186,7 @@ class StructureStream:
                 if block is not None:
                     deltas.append(_stage_delta(block, seen, rels))
                 parts = line.split()
-                if len(parts) != 3 or parts[1] != "stage" or not parts[2].isdecimal():
+                if len(parts) != 3 or parts[1] != "stage" or not is_natural(parts[2]):
                     raise ParseError(f"bad stage separator {line!r}")
                 if int(parts[2]) != len(deltas):
                     raise ParseError(f"stage blocks out of order at {line!r}")

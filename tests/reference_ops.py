@@ -36,6 +36,7 @@ refuted pairs, outcomes and certificates.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -204,12 +205,13 @@ def parse_fact(line: str) -> tuple:
     want = 1 if rel == "el" else 2
     if len(parts) - 1 != want:
         raise ParseError(f"{rel} takes {want} argument(s): {line!r}")
+    # An argument is a natural in ASCII digits, within int()'s digit limit.
+    if not all(re.fullmatch("[0-9]+", p, re.ASCII) for p in parts[1:]):
+        raise ParseError(f"non-natural argument in {line!r}")
     try:
         args = tuple(int(p) for p in parts[1:])
     except ValueError:
         raise ParseError(f"non-natural argument in {line!r}") from None
-    if any(a < 0 for a in args):
-        raise ParseError(f"negative argument in {line!r}")
     if rel == "el":
         return el(args[0])
     if rel == "lt":

@@ -13,6 +13,8 @@ import reference_ops as ref
 from embedlab.cli import EXIT_SIGNATURE, EXIT_SUITE, EXIT_USAGE, main
 from embedlab.diagram import (
     EmbedlabError,
+    InvalidSchedule,
+    InvalidSpec,
     ParseError,
     Signature,
     SignatureError,
@@ -21,8 +23,9 @@ from embedlab.diagram import (
     parse_fact,
     parse_facts,
 )
-from embedlab.kernel import RunLog, run
+from embedlab.kernel import RunLog, parse_schedule, run
 from embedlab.registry import build_operator
+from embedlab.sigma2 import parse_sentence
 from embedlab.streams import (
     EQUIV_FAMILIES,
     ORDER_FAMILIES,
@@ -375,3 +378,87 @@ def test_fuzzed_stream_file_through_the_cli(tmp_path_factory, text):
 def test_fuzzed_run_log_through_the_cli(tmp_path_factory, text):
     cli_outcome(tmp_path_factory, text, [
         "classify", "--log", "{input}", "--claim", "omega"], RunLog.from_jsonl)
+
+
+# --- numbers at the input boundary --------------------------------------------
+
+# Digits of other scripts, which int() reads like ASCII ones.
+OTHER_DIGITS = ("٠١٢٣٤٥٦٧٨٩",  # Arabic-Indic
+                "０１２３４５６７８９",  # fullwidth
+                "०१२३४५६७८९")  # Devanagari
+
+
+@st.composite
+def lenient_numerals(draw):
+    """A numeral that int() reads but that is not ASCII digits: a sign, an
+    underscore between digits, or some digits from another script."""
+    digits = str(draw(st.integers(10, 10**9)))
+    form = draw(st.sampled_from(("sign", "underscore", "script")))
+    if form == "sign":
+        return draw(st.sampled_from("+-")) + digits
+    if form == "underscore":
+        i = draw(st.integers(1, len(digits) - 1))
+        return digits[:i] + "_" + digits[i:]
+    script = draw(st.sampled_from(OTHER_DIGITS))
+    i = draw(st.integers(0, len(digits) - 1))
+    return digits[:i] + script[int(digits[i])] + digits[i + 1:]
+
+
+def numeral_inputs(n: str) -> dict:
+    """Each input that holds a number, with the numeral n in it: its
+    reader, the text, and the error it raises when it rejects the numeral."""
+    sentence = "exists {}\ndisjunct 0\nforall {}: not lt y{} x0\n"
+    header = "header needs one natural number"
+    return {
+        "el id": (parse_facts, [f"el {n}"], ParseError, "non-natural argument"),
+        "lt id": (parse_facts, [f"lt 0 {n}"], ParseError, "non-natural argument"),
+        "stage separator": (StructureStream.from_text,
+                            f"-- stage 0\nel 0\n-- stage {n}\nel 1\n",
+                            ParseError, "bad stage separator"),
+        "replicate count": (build_operator, f"replicate:{n}", InvalidSpec,
+                            "replicate needs a positive count"),
+        "const schedule": (parse_schedule, f"const:{n}", InvalidSchedule, "unknown schedule"),
+        "capped schedule": (parse_schedule, f"capped:{n}", InvalidSchedule, "unknown schedule"),
+        "exists arity": (parse_sentence, sentence.format(n, 1, 0), ParseError, header),
+        "forall arity": (parse_sentence, sentence.format(1, n, 0), ParseError, header),
+        "variable index": (parse_sentence, sentence.format(1, 2, n), ParseError, "bad variable"),
+        "family k": (CanonicalSpec.parse, f"omega_k:{n}", InvalidSpec, "bad k"),
+    }
+
+
+@given(lenient_numerals())
+@CODEC_SETTINGS
+def test_numerals_are_ascii_digits_at_every_input(n):
+    int(n)  # int() alone would read it
+    for read, text, error, message in numeral_inputs(n).values():
+        with pytest.raises(error, match=message):
+            read(text)
+
+
+def test_every_input_reads_ascii_digits():
+    for read, text, _, _ in numeral_inputs("1").values():
+        read(text)
+
+
+@pytest.mark.parametrize("n", ["٣", "+1", "1_0"])
+def test_numerals_through_the_cli_exit_2(tmp_path, n):
+    good = tmp_path / "s.txt"
+    good.write_text("-- stage 0\nel 0\n-- stage 1\nel 1\nlt 0 1\n")
+    bad = tmp_path / "bad.txt"
+    log = str(tmp_path / "r.jsonl")
+    runs = {
+        "stage separator": ("--in", bad, f"-- stage {n}\nel 0\n"),
+        "stream fact": ("--in", bad, f"-- stage 0\nel {n}\n"),
+        "sentence": ("--phi", bad, f"exists {n}\ndisjunct 0\nforall 1: not lt y0 x0\n"),
+    }
+    for name, (option, path, text) in runs.items():
+        path.write_text(text, encoding="utf-8")
+        args = {"--op": "phi_sigma2" if option == "--phi" else "replicate:1",
+                "--in": str(good), "--log": log, option: str(path)}
+        result = CliRunner().invoke(main, ["run", *(a for kv in args.items() for a in kv)])
+        assert (name, result.exit_code) == (name, EXIT_USAGE)
+        assert result.output.startswith("error: ")
+    for args in (["--op", f"replicate:{n}"], ["--schedule", f"const:{n}"]):
+        result = CliRunner().invoke(main, [
+            "run", "--op", "replicate:1", "--in", str(good), "--log", log, *args])
+        assert result.exit_code == EXIT_USAGE and result.output.startswith("error: ")

@@ -107,6 +107,46 @@ def test_batch_lines_match_fact_lines_and_read_back(batch):
     assert text == {x: str(x) for x in back.chain}
 
 
+@st.composite
+def whole_chain_batches(draw, ids=LONG_IDS):
+    chain = tuple(draw(st.lists(ids, max_size=30, unique=True)))
+    return draw(st.permutations(chain)), chain
+
+
+ANNOTATION_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+ANNOTATIONS = st.none() | st.dictionaries(
+    st.text(max_size=4) | st.sampled_from(("pinned_size1", "ké", "ω")),
+    ANNOTATION_VALUES, max_size=3)
+
+
+@given(st.lists(st.tuples(batches(LONG_IDS) | whole_chain_batches(), ANNOTATIONS,
+                          st.integers(0, 10**12)), max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_batch_record_lines_are_json_dumps_of_the_facts(records):
+    """to_jsonl writes a batch record from its blocks, not through
+    json.dumps; the line must be the one json.dumps writes for the
+    record's fact lines, here built pair by pair."""
+    log = RunLog("x", Signature.LINEAR_ORDER, "p", "identity", [
+        StageRecord(stage, PlacementBatch(new, chain), notes)
+        for (new, chain), notes, stage in records])
+    lines = log.to_jsonl().split("\n")
+    assert len(lines) == len(records) + 2 and lines[-1] == ""
+    for line, ((new, chain), notes, stage) in zip(lines[1:], records):
+        assert line == json.dumps({
+            "v": 1,
+            "stage": stage,
+            "new_facts": ["%s %s %s" % f if f[0] == "lt" else "%s %s" % f
+                          for f in naive_facts(new, chain)],
+            "annotations": notes,
+        }, sort_keys=True)
+
+
 @pytest.mark.parametrize("n", (0, 1, 2, 8, 40))
 def test_all_new_batch_and_total_order_diagram(n):
     chain = tuple(range(3 * n, 0, -3))
@@ -279,6 +319,12 @@ def _swap(lines):
     return lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
 
 
+def _merge_first_lt_lines(lines):
+    """The first two lt lines as one string, with a newline between."""
+    i = next(i for i, line in enumerate(lines) if line.startswith("lt "))
+    return lines[:i] + [lines[i] + "\n" + lines[i + 1]] + lines[i + 2:]
+
+
 def _reverse_lt(lines):
     i = next(i for i, line in enumerate(lines) if line.startswith("lt "))
     _, a, b = lines[i].split()
@@ -300,6 +346,8 @@ NON_CANONICAL = {
     "duplicated line": (3, lambda ls: ls + [ls[-1]]),
     "duplicated el line": (3, lambda ls: [ls[0]] + ls),
     "dropped line": (3, lambda ls: ls[:-1]),
+    "two lines in one": (3, lambda ls: ls[:-2] + [ls[-2] + "\n" + ls[-1]]),
+    "two lt lines in one": (3, _merge_first_lt_lines),
     "re-declared old element": (3, lambda ls: ["el 0"] + ls),
     "el line after lt lines": (3, lambda ls: ls + ["el 0"]),
     "lt without el": (3, lambda ls: ls[1:]),
