@@ -25,11 +25,9 @@ from .diagram import (
 )
 from .streams import CanonicalSpec, StructureStream, generate, restrict
 from .kernel import (
-    AxiomTableOperator,
     EnumerationOperator,
     RunLog,
     TuringConstruction,
-    evaluate,
     run,
 )
 from .combinators import (

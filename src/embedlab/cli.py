@@ -24,6 +24,7 @@ from .diagram import (
     InvalidSpec,
     SignatureError,
     format_facts,
+    is_natural,
     parse_diagram,
     parse_fact,
 )
@@ -57,10 +58,11 @@ def _seed_option(seed: int) -> int:
     env = os.environ.get("EMBEDLAB_SEED")
     if not env:
         return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidSpec(f"EMBEDLAB_SEED must be an integer, got {env!r}") from None
+    # An optional minus and ASCII digits; int() would also take a plus,
+    # spaces, underscores and other scripts' digits.
+    if not is_natural(env.removeprefix("-")):
+        raise InvalidSpec(f"EMBEDLAB_SEED must be an integer, got {env!r}")
+    return int(env)
 
 
 @click.group(cls=_Main)

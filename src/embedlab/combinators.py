@@ -15,6 +15,8 @@ expands a batch into facts only when something reads them.  An inner
 operator that returns plain facts, such as a user-defined one, is read
 through one adapter, _OrderBatches, which inserts its new elements into a
 chain and raises InvalidInput unless its output so far is a total order.
+Each evaluator node's ``step`` steps its inner evaluators and builds its
+own output; none only forwards to another.
 """
 
 from __future__ import annotations
@@ -129,18 +131,15 @@ class Reverse(EnumerationOperator):
         self.extension_complete = op.extension_complete
 
     def make_stream_evaluator(self):
-        return _MappedStream(
-            _OrderBatches(self.op.make_stream_evaluator()), PlacementBatch.reversed)
+        return _ReverseStream(self.op.make_stream_evaluator())
 
 
-class _MappedStream(StreamEvaluator):
-    def __init__(self, inner: StreamEvaluator, fn):
-        self.inner = inner
-        self.fn = fn
+class _ReverseStream(_OrderBatches):
+    """The inner order's batches with their chains reversed."""
 
     def step(self, diagram, delta, budget):
-        new, notes = self.inner.step(diagram, delta, budget)
-        return self.fn(new), notes
+        new, notes = super().step(diagram, delta, budget)
+        return new.reversed(), notes
 
 
 def reverse(op: EnumerationOperator) -> Reverse:
@@ -156,8 +155,8 @@ def fill_positions(budget: int) -> int:
     return isqrt(budget) + 1 if budget >= 1 else 0
 
 
-class _FillBlocks:
-    """Block bookkeeping of interval_fill's stream evaluator.
+class _FillBlocks(StreamEvaluator):
+    """interval_fill's stream evaluator.
 
     Each underlying output element owns a block, and all blocks have the
     same positions: position 0 is the closed endpoint, position r >= 1 the
@@ -166,8 +165,9 @@ class _FillBlocks:
     value order.
     """
 
-    def __init__(self, style: str):
+    def __init__(self, style: str, inner: _OrderBatches):
         self.style = style
+        self.inner = inner
         self.layout: list = []   # block positions in value order
         self.tags: dict = {}     # source -> its positions' ids, by position
         self.blocks: dict = {}   # source -> its positions' ids, in value order
@@ -176,6 +176,10 @@ class _FillBlocks:
         if r == 0:
             return Fraction(0) if self.style == LEFT_CLOSED else Fraction(1)
         return dyadic(r - 1)
+
+    def step(self, diagram, delta, budget):
+        inner_new, _ = self.inner.step(diagram, delta, budget)
+        return self.advance(inner_new, budget), None
 
     def advance(self, inner: PlacementBatch, budget: int) -> PlacementBatch:
         for x in inner.new:
@@ -219,17 +223,7 @@ class IntervalFill(EnumerationOperator):
         self.extension_complete = op.extension_complete
 
     def make_stream_evaluator(self):
-        return _FillStream(self.style, self.op.make_stream_evaluator())
-
-
-class _FillStream(StreamEvaluator):
-    def __init__(self, style: str, inner: StreamEvaluator):
-        self.blocks = _FillBlocks(style)
-        self.inner = _OrderBatches(inner)
-
-    def step(self, diagram, delta, budget):
-        inner_new, _ = self.inner.step(diagram, delta, budget)
-        return self.blocks.advance(inner_new, budget), None
+        return _FillBlocks(self.style, _OrderBatches(self.op.make_stream_evaluator()))
 
 
 def interval_fill(op: EnumerationOperator, style: str) -> IntervalFill:
@@ -252,10 +246,10 @@ class Concatenate(EnumerationOperator):
         self.extension_complete = op1.extension_complete and op2.extension_complete
 
     def make_stream_evaluator(self):
-        return _PairedStream(
+        return _SideMerger(
             _OrderBatches(self.op1.make_stream_evaluator()),
             _OrderBatches(self.op2.make_stream_evaluator()),
-            _SideMerger(cross=True),
+            cross=True,
         )
 
 
@@ -274,10 +268,10 @@ class DisjointUnion(EnumerationOperator):
         self.output_signature = Signature.EQUIVALENCE
 
     def make_stream_evaluator(self):
-        return _PairedStream(
+        return _SideMerger(
             self.op1.make_stream_evaluator(),
             self.op2.make_stream_evaluator(),
-            _SideMerger(cross=False),
+            cross=False,
         )
 
 
@@ -306,15 +300,22 @@ class CopyTags(dict):
         return out
 
 
-class _SideMerger:
-    """Puts the two sides' outputs on tagged copies: side s's element x
-    becomes tag(s, x).  A union maps each side's facts; a concatenation
-    (cross) lays side 1's chain after side 0's and tags each element once.
+class _SideMerger(StreamEvaluator):
+    """Steps both sides and puts their outputs on tagged copies: side s's
+    element x becomes tag(s, x).  A union maps each side's facts; a
+    concatenation (cross) lays side 1's chain after side 0's and tags each
+    element once.
     """
 
-    def __init__(self, cross: bool):
+    def __init__(self, inner0: StreamEvaluator, inner1: StreamEvaluator, cross: bool):
+        self.inners = (inner0, inner1)
         self.cross = cross
         self.tags = (CopyTags(0), CopyTags(1))
+
+    def step(self, diagram, delta, budget):
+        new0, _ = self.inners[0].step(diagram, delta, budget)
+        new1, _ = self.inners[1].step(diagram, delta, budget)
+        return self.advance(new0, new1), None
 
     def advance(self, new0, new1):
         if not self.cross:
@@ -328,18 +329,6 @@ class _SideMerger:
                 new.append(tags[x])
             chain += map(tags.__getitem__, batch.chain)
         return PlacementBatch(new, tuple(chain))
-
-
-class _PairedStream(StreamEvaluator):
-    def __init__(self, inner1, inner2, merger: _SideMerger):
-        self.inner1 = inner1
-        self.inner2 = inner2
-        self.merger = merger
-
-    def step(self, diagram, delta, budget):
-        new1, _ = self.inner1.step(diagram, delta, budget)
-        new2, _ = self.inner2.step(diagram, delta, budget)
-        return self.merger.advance(new1, new2), None
 
 
 def concatenate(op1, op2) -> Concatenate:

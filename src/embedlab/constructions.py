@@ -448,69 +448,57 @@ class PhiPair(TuringConstruction):
     """
 
     name = "phi_pair"
-    input_signature = Signature.LINEAR_ORDER
-    output_signature = Signature.LINEAR_ORDER
 
     def __init__(self, targets: StagePair):
         self.targets = targets
+        self.building = "A"
+        self.t = self.l = self.r = None
+        self.readers = {"A": _TargetReader(targets.a), "B": _TargetReader(targets.b)}
+        self.chain: list = []  # output elements in output order, ids from 0 up
 
-    def init_state(self):
-        return {
-            "building": "A",
-            "t": None,
-            "l": None,
-            "r": None,
-            "readers": {
-                "A": _TargetReader(self.targets.a),
-                "B": _TargetReader(self.targets.b),
-            },
-            "chain": [],  # output elements in output order, ids from 0 up
-        }
+    def make_stream_evaluator(self):
+        return PhiPair(self.targets)
 
-    def step(self, state, diagram, delta):
-        if diagram.signature is not Signature.LINEAR_ORDER:
-            raise InvalidInput("phi_pair consumes linear order streams")
+    def step(self, diagram, delta, budget):
         new = [f[1] for f in delta if f[0] == "el"]
         if len(new) != 1:
             raise InvalidInput("phi_pair needs one new element per stage")
         d = new[0]
-        chain = state["chain"]
+        chain = self.chain
         placed = []
         switched = False
         insert_rank = None
 
-        if state["t"] is None:
-            state.update(t=0, l=d, r=d)
-            state["readers"]["A"].rank_of_stage(0)
+        if self.t is None:
+            self.t, self.l, self.r = 0, d, d
+            self.readers["A"].rank_of_stage(0)
             chain.append(0)
             placed.append(0)
         else:
-            new_l = d if diagram.below(d, state["l"]) else state["l"]
-            new_r = d if diagram.below(state["r"], d) else state["r"]
-            if state["building"] == "A" and new_l != state["l"]:
-                state["building"] = "B"
+            new_l = d if diagram.below(d, self.l) else self.l
+            new_r = d if diagram.below(self.r, d) else self.r
+            if self.building == "A" and new_l != self.l:
+                self.building = "B"
                 switched = True
-            elif state["building"] == "B" and new_r != state["r"]:
-                state["building"] = "A"
+            elif self.building == "B" and new_r != self.r:
+                self.building = "A"
                 switched = True
             else:
-                t = state["t"] + 1
-                state["t"] = t
-                reader = state["readers"][state["building"]]
-                insert_rank = reader.rank_of_stage(t)
+                self.t += 1
+                insert_rank = self.readers[self.building].rank_of_stage(self.t)
                 placed.append(len(chain))
                 chain.insert(insert_rank, len(chain))
-            state["l"], state["r"] = new_l, new_r
+            self.l, self.r = new_l, new_r
 
         notes = {
-            "building": state["building"],
-            "t": state["t"],
-            "l": state["l"],
-            "r": state["r"],
+            "building": self.building,
+            "t": self.t,
+            "l": self.l,
+            "r": self.r,
             "switched": switched,
             "insert_rank": insert_rank,
         }
-        return state, PlacementBatch(placed, tuple(chain)), notes
+        return PlacementBatch(placed, tuple(chain)), notes
 
 
 def phi_pair(targets: StagePair) -> PhiPair:
@@ -529,28 +517,26 @@ class PhiSigma2(TuringConstruction):
     """
 
     name = "phi_sigma2"
-    output_signature = Signature.LINEAR_ORDER
 
     def __init__(self, phi: Sigma2Sentence, psi: Sigma2Sentence):
         self.phi = phi
         self.psi = psi
         self.input_signature = phi.signature
+        self.trackers = (WitnessTracker(phi), WitnessTracker(psi))
+        self.chain: list = []
 
-    def init_state(self):
-        return {
-            "phi": WitnessTracker(self.phi),
-            "psi": WitnessTracker(self.psi),
-            "chain": [],
-        }
+    def make_stream_evaluator(self):
+        return PhiSigma2(self.phi, self.psi)
 
-    def step(self, state, diagram, delta):
+    def step(self, diagram, delta, budget):
         new_elements = [f[1] for f in delta if f[0] == "el"]
-        state["phi"].update(diagram, new_elements)
-        state["psi"].update(diagram, new_elements)
-        chain = state["chain"]
+        phi, psi = self.trackers
+        phi.update(diagram, new_elements)
+        psi.update(diagram, new_elements)
+        chain = self.chain
         e = len(chain)
-        least_phi = state["phi"].least()
-        least_psi = state["psi"].least()
+        least_phi = phi.least()
+        least_psi = psi.least()
 
         placement = case = None
         if chain:
@@ -571,10 +557,10 @@ class PhiSigma2(TuringConstruction):
             "placement": placement,
             "phi_least": list(least_phi) if least_phi else None,
             "psi_least": list(least_psi) if least_psi else None,
-            "phi_count": state["phi"].count(),
-            "psi_count": state["psi"].count(),
+            "phi_count": phi.count(),
+            "psi_count": psi.count(),
         }
-        return state, PlacementBatch((e,), tuple(chain)), notes
+        return PlacementBatch((e,), tuple(chain)), notes
 
 
 def phi_sigma2(phi: Sigma2Sentence, psi: Sigma2Sentence) -> PhiSigma2:

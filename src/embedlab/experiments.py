@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from .classify import census, fingerprint
+from .classify import census, consistency_verdict, fingerprint
 from .combinators import LEFT_CLOSED, RIGHT_CLOSED, concatenate, interval_fill, replicate
 from .constructions import (
     StagePair,
@@ -210,9 +210,7 @@ def experiment_trichotomy(seed: int) -> ExperimentResult:
     all_violations = []
     for q in p["qs"]:
         report = trichotomy_scan(
-            replicate(q), p["max_alpha"], p["ext_bound"], p["budget"],
-            check_extension_stability=True,
-        )
+            replicate(q), p["max_alpha"], p["ext_bound"], p["budget"])
         all_violations.extend(report.violations)
         records.append(_rec(
             "trichotomy", q=q, alphas=report.checked,
@@ -479,25 +477,20 @@ def experiment_phi_sigma2(seed: int) -> ExperimentResult:
 
 
 def experiment_divisibility(seed: int) -> ExperimentResult:
-    """Criterion 7: replicate(q) on omega.k presents omega.(kq), measured
-    as kq-1 pred-unstable elements with a stable least; dually on the
-    reversed family."""
+    """Criterion 7: replicate(q) on omega.k presents omega.(kq), judged by
+    consistency_verdict; dually on the reversed family.  A record's
+    unstable count is the limit side's."""
     p = PARAMS["divisibility"]
     records = []
     failures = []
     for k, q in p["cases"]:
-        for family, dual in (("omega_k", False), ("omega_star_k", True)):
+        for family, limit in (("omega_k", "pred"), ("omega_star_k", "succ")):
             stream = generate(CanonicalSpec(family, k=k), p["stages"])
             log = run(replicate(q), stream, p["stages"])
-            fp = fingerprint(log, p["threshold"])
-            if dual:
-                got = len(fp.succ_unstable)
-                ok = (got == k * q - 1 and fp.stable_greatest is not None
-                      and fp.stable_least is None)
-            else:
-                got = len(fp.pred_unstable)
-                ok = (got == k * q - 1 and fp.stable_least is not None
-                      and fp.stable_greatest is None)
+            verdict = consistency_verdict(
+                log, CanonicalSpec(family, k=k * q), p["threshold"])
+            got = len(verdict.evidence[f"{limit}_unstable"])
+            ok = verdict.consistent
             if not ok:
                 failures.append({"k": k, "q": q, "family": family,
                                  "unstable": got})

@@ -199,7 +199,6 @@ def trichotomy_scan(
     max_alpha: int,
     ext_bound: int,
     budget: int,
-    check_extension_stability: bool = True,
 ) -> ScanReport:
     """Check that every pair of output elements is decided exactly one way,
     the forced facts assemble into one total order per input, and that
@@ -223,8 +222,6 @@ def trichotomy_scan(
         if order is None:
             continue
         permutations_by_alpha[" ".join(map(str, chain))] = order
-        if not check_extension_stability:
-            continue
         fresh = (max(chain) + 1) if chain else 0
         wanted = set(elements)
         for pos in range(len(chain) + 1):

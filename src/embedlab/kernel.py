@@ -11,13 +11,15 @@ operator's full (possibly infinite) output on that input.  Each operator is
 defined once, by its stream evaluator: a ``step(diagram, delta, budget)``
 that emits only the facts new since the previous step, whether they are
 due to input growth (the delta) or to budget growth.
-Batch evaluation is derived from it: ``eval(alpha, n)`` is one step of a
-fresh evaluator over all of alpha at budget n, and ``budget_deltas`` and
-``eval_chain`` are that step at budget 0 followed by budget-only steps, so
-budget monotonicity holds by construction.
+Batch evaluation is derived from it: ``eval(alpha, n)``, the one checked
+batch entry point, tests the signature and the budget and then takes one
+step of a fresh evaluator over all of alpha at budget n; ``budget_deltas``
+and ``eval_chain`` are that step at budget 0 followed by budget-only
+steps, so budget monotonicity holds by construction.
 
 A stage construction consumes a stream of growing input diagrams and emits
-a cumulative output stage plus bookkeeping annotations at each step.
+a cumulative output stage plus bookkeeping annotations at each step, by
+the same ``step`` with the budget ignored.
 
 The built-in order operators and constructions return each step's new
 facts as a diagram.PlacementBatch, which run() keeps as the stage record:
@@ -84,8 +86,8 @@ class EnumerationOperator:
         return chain
 
     def eval(self, alpha: FiniteDiagram, budget: int) -> FiniteDiagram:
-        new, _ = self.make_stream_evaluator().step(alpha, _as_delta(alpha), budget)
-        return diagram_from_facts(self.output_signature, new)
+        """Checked batch evaluation: evaluate_facts as a diagram."""
+        return diagram_from_facts(self.output_signature, evaluate_facts(self, alpha, budget))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -97,16 +99,12 @@ def _as_delta(alpha: FiniteDiagram) -> list:
     return sorted(alpha.facts.union([("el", x) for x in alpha.domain]))
 
 
-def evaluate(op: EnumerationOperator, alpha: FiniteDiagram, budget: int) -> FiniteDiagram:
-    """Checked evaluation: validates signature and budget before dispatch."""
-    return diagram_from_facts(op.output_signature, evaluate_facts(op, alpha, budget))
-
-
 def evaluate_facts(op: EnumerationOperator, alpha: FiniteDiagram, budget: int):
-    """evaluate's facts as op's step returns them, unbuilt: a list, or the
-    PlacementBatch of a built-in order operator.  The step is the first of
-    a fresh evaluator, so such a batch places its whole chain, and the
-    chain orders every pair of the output."""
+    """op.eval's facts as op's step returns them, unbuilt: a list, or the
+    PlacementBatch of a built-in order operator.  Checks the signature and
+    the budget first.  The step is the first of a fresh evaluator, so such
+    a batch places its whole chain, and the chain orders every pair of the
+    output."""
     if alpha.signature is not op.input_signature:
         raise SignatureError(
             f"{op.name} expects {op.input_signature.value} input, "
@@ -132,33 +130,19 @@ class StreamEvaluator:
 
 
 class TuringConstruction:
-    """Stateful stage-by-stage builder; output stages are cumulative."""
+    """Stateful stage-by-stage builder; output stages are cumulative.  It is
+    its own stream evaluator: ``make_stream_evaluator`` returns a fresh
+    instance, and ``step`` is StreamEvaluator.step with the budget ignored."""
 
     name = "construction"
     input_signature = Signature.LINEAR_ORDER
     output_signature = Signature.LINEAR_ORDER
 
-    def init_state(self):
+    def make_stream_evaluator(self) -> "TuringConstruction":
         raise NotImplementedError
 
-    def step(self, state, diagram: FiniteDiagram, delta: list):
-        """Returns (state, new output facts, annotations)."""
+    def step(self, diagram: FiniteDiagram, delta: list, budget: int):
         raise NotImplementedError
-
-    def make_stream_evaluator(self) -> StreamEvaluator:
-        return _ConstructionStream(self)
-
-
-class _ConstructionStream(StreamEvaluator):
-    """Holds a construction's state between stages; budgets play no part."""
-
-    def __init__(self, construction: TuringConstruction):
-        self.construction = construction
-        self.state = construction.init_state()
-
-    def step(self, diagram, delta, budget):
-        self.state, new, notes = self.construction.step(self.state, diagram, delta)
-        return new, notes
 
 
 @dataclass
@@ -368,44 +352,3 @@ def run(
             new_facts = sorted(new_facts)
         log.records.append(StageRecord(s, new_facts, notes))
     return log
-
-
-class AxiomTableOperator(EnumerationOperator):
-    """Operator given by an explicit finite (premise, fact) axiom list.
-
-    Budget n enables the first n axioms; an axiom fires when its premise
-    facts are all present in the input.  Used by forcing-lab fixtures.
-    """
-
-    def __init__(self, name, axioms, input_signature=Signature.LINEAR_ORDER,
-                 output_signature=Signature.LINEAR_ORDER,
-                 extension_complete=False):
-        self.name = name
-        self.axioms = list(axioms)
-        self.input_signature = input_signature
-        self.output_signature = output_signature
-        self.extension_complete = extension_complete
-
-    def make_stream_evaluator(self):
-        return _AxiomTableStream(self.axioms)
-
-
-class _AxiomTableStream(StreamEvaluator):
-    """Fires each axiom below the budget whose premise facts have arrived."""
-
-    def __init__(self, axioms: list):
-        self.axioms = axioms
-        self.emitted: set = set()
-        self.scanned = 0  # axioms already tested against the current input
-
-    def step(self, diagram, delta, budget):
-        if delta:
-            # New input can satisfy a premise that failed before.
-            self.scanned = 0
-        new = []
-        for premise, fact in self.axioms[self.scanned:budget]:
-            if fact not in self.emitted and premise <= diagram.facts:
-                self.emitted.add(fact)
-                new.append(fact)
-        self.scanned = max(self.scanned, budget)
-        return new, None

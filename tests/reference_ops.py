@@ -31,7 +31,9 @@ records.  ``fact_refuted_pairs`` and ``fact_bounded_force`` are the
 forcing search that reads every evaluated output through its stored
 facts, each order output built as an all-pairs diagram; the shipped one
 reads an order operator's output chain by position and must give the same
-refuted pairs, outcomes and certificates.
+refuted pairs, outcomes and certificates.  ``AxiomTableOperator`` is an
+operator given by an explicit (premise, fact) axiom list, the forcing and
+kernel tests' fixture for operators that are not extension complete.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from embedlab.diagram import (
     total_order_diagram,
 )
 from embedlab.forcing import FORCED, REFUTED, UNKNOWN, ForcingVerdict, extensions
-from embedlab.kernel import EnumerationOperator, StreamEvaluator, evaluate
+from embedlab.kernel import EnumerationOperator, StreamEvaluator
 from embedlab.pairing import encode_tuple, pair, tag
 from embedlab.sigma2 import refuting_witness_values
 
@@ -630,16 +632,57 @@ def fact_bounded_force(query) -> ForcingVerdict:
     if not alpha.is_total():
         raise InvalidInput("alpha must be a total linear order")
     base = alpha.chain()
-    out = evaluate(op, total_order_diagram(base), query.budget)
+    out = op.eval(total_order_diagram(base), query.budget)
     x, y = atom[1], atom[2]
     if x not in out.domain or y not in out.domain:
         raise NotInOutput(f"atom elements not in the output of alpha: {atom!r}")
     complement = ("lt", y, x)
     for chain in extensions(alpha, query.ext_bound):
         if chain != base:
-            out = evaluate(op, total_order_diagram(chain), query.budget)
+            out = op.eval(total_order_diagram(chain), query.budget)
         if complement in out.facts:
             return ForcingVerdict(REFUTED, certificate=total_order_diagram(chain))
     if op.extension_complete:
         return ForcingVerdict(FORCED)
     return ForcingVerdict(UNKNOWN)
+
+
+class AxiomTableOperator(EnumerationOperator):
+    """Operator given by an explicit finite (premise, fact) axiom list.
+
+    Budget n enables the first n axioms; an axiom fires when its premise
+    facts are all present in the input.
+    """
+
+    def __init__(self, name, axioms, input_signature=Signature.LINEAR_ORDER,
+                 output_signature=Signature.LINEAR_ORDER,
+                 extension_complete=False):
+        self.name = name
+        self.axioms = list(axioms)
+        self.input_signature = input_signature
+        self.output_signature = output_signature
+        self.extension_complete = extension_complete
+
+    def make_stream_evaluator(self):
+        return _AxiomTableStream(self.axioms)
+
+
+class _AxiomTableStream(StreamEvaluator):
+    """Fires each axiom below the budget whose premise facts have arrived."""
+
+    def __init__(self, axioms: list):
+        self.axioms = axioms
+        self.emitted: set = set()
+        self.scanned = 0  # axioms already tested against the current input
+
+    def step(self, diagram, delta, budget):
+        if delta:
+            # New input can satisfy a premise that failed before.
+            self.scanned = 0
+        new = []
+        for premise, fact in self.axioms[self.scanned:budget]:
+            if fact not in self.emitted and premise <= diagram.facts:
+                self.emitted.add(fact)
+                new.append(fact)
+        self.scanned = max(self.scanned, budget)
+        return new, None

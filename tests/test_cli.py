@@ -374,6 +374,24 @@ def test_bad_env_seed_exits_2(tmp_path):
     _assert_usage_error(invoke("suite", "--only", "phi_pair", env=env))
 
 
+@pytest.mark.parametrize("seed", ["\u0663", "1_0", "+3", " 3", "3 ", "--3", "-"])
+def test_env_seed_other_than_ascii_digits_exits_2(tmp_path, seed):
+    result = invoke("gen", "--family", "omega", "--stages", "5",
+                    "--out", str(tmp_path / "s.txt"), env={"EMBEDLAB_SEED": seed})
+    _assert_usage_error(result)
+    assert result.output.startswith("error: EMBEDLAB_SEED must be an integer")
+
+
+def test_env_seed_may_be_negative(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    result = invoke("gen", "--family", "omega", "--policy", "permuted", "--seed", "1",
+                    "--stages", "20", "--out", str(a), env={"EMBEDLAB_SEED": "-3"})
+    assert result.exit_code == 0
+    invoke("gen", "--family", "omega", "--policy", "permuted", "--seed", "-3",
+           "--stages", "20", "--out", str(b))
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("records", [
     [{"v": 2, "type": "header", "operator": "x", "signature": "linear_order"}],
     [{"v": 1, "type": "header", "operator": "x", "signature": "linear_order"},

@@ -16,7 +16,6 @@ from embedlab.diagram import (
     partition_diagram,
     total_order_diagram,
 )
-from embedlab.kernel import evaluate
 from embedlab.pairing import tag, untag
 
 
@@ -30,12 +29,12 @@ def test_dyadic_breadth_first():
 
 
 def test_replicate_one_copy_is_isomorphic():
-    out = evaluate(replicate(1), total_order_diagram([0, 1]), 10)
+    out = replicate(1).eval(total_order_diagram([0, 1]), 10)
     assert [untag(e) for e in out.chain()] == [(0, 0), (0, 1)]
 
 
 def test_replicate_two_copies_in_series():
-    out = evaluate(replicate(2), total_order_diagram([5, 7]), 10)
+    out = replicate(2).eval(total_order_diagram([5, 7]), 10)
     assert [untag(e) for e in out.chain()] == [
         (0, 5), (0, 7), (1, 5), (1, 7),
     ]
@@ -52,11 +51,11 @@ def test_replicate_requires_total_input():
     from embedlab.diagram import InvalidInput, parse_diagram
 
     with pytest.raises(InvalidInput):
-        evaluate(replicate(2), parse_diagram("el 0\nel 1"), 4)
+        replicate(2).eval(parse_diagram("el 0\nel 1"), 4)
 
 
 def test_reverse_swaps_order():
-    out = evaluate(reverse(replicate(1)), total_order_diagram([0, 1]), 10)
+    out = reverse(replicate(1)).eval(total_order_diagram([0, 1]), 10)
     assert ("lt", tag(0, 1), tag(0, 0)) in out.facts
     assert ("lt", tag(0, 0), tag(0, 1)) not in out.facts
 
@@ -64,22 +63,22 @@ def test_reverse_swaps_order():
 def test_fill_left_block_shape():
     fill = interval_fill(replicate(1), LEFT_CLOSED)
     alpha = total_order_diagram([0])
-    out = evaluate(fill, alpha, 36)
+    out = fill.eval(alpha, 36)
     chain = out.chain()
     assert len(chain) == 7  # endpoint + isqrt(36) midpoints
     least = chain[0]
     src, pos = untag(least)
     assert pos == 0  # the closed endpoint is the block minimum
     # Dense above the least: between the least and anything sits another.
-    grown = evaluate(fill, alpha, 144).chain()
+    grown = fill.eval(alpha, 144).chain()
     assert grown[0] == least
     assert grown[-1] != chain[-1]  # no greatest persists
 
 
 def test_fill_then_reverse_differs_from_reverse_then_fill():
     alpha = total_order_diagram([0, 1])
-    a = evaluate(reverse(interval_fill(replicate(1), LEFT_CLOSED)), alpha, 16)
-    b = evaluate(interval_fill(reverse(replicate(1)), LEFT_CLOSED), alpha, 16)
+    a = reverse(interval_fill(replicate(1), LEFT_CLOSED)).eval(alpha, 16)
+    b = interval_fill(reverse(replicate(1)), LEFT_CLOSED).eval(alpha, 16)
     assert a.facts != b.facts
     # reverse-after-fill ends in a closed endpoint; fill-after-reverse
     # starts with one.
@@ -88,9 +87,7 @@ def test_fill_then_reverse_differs_from_reverse_then_fill():
 
 
 def test_concatenate_places_first_below_second():
-    out = evaluate(
-        concatenate(replicate(1), replicate(1)), total_order_diagram([0, 1]), 8
-    )
+    out = concatenate(replicate(1), replicate(1)).eval(total_order_diagram([0, 1]), 8)
     chain = out.chain()
     assert len(chain) == 4
     sides = [untag(e)[0] for e in chain]
@@ -108,8 +105,8 @@ def test_concatenate_signature_checks():
 def test_disjoint_union_census_is_multiset_sum():
     d = partition_diagram([[0, 1], [2]])
     mult = class_multiplier()
-    left = evaluate(mult, d, 3)
-    union = evaluate(disjoint_union(class_multiplier(), class_multiplier()), d, 3)
+    left = mult.eval(d, 3)
+    union = disjoint_union(class_multiplier(), class_multiplier()).eval(d, 3)
     left_sizes = sorted(len(c) for c in left.sim_classes())
     union_sizes = sorted(len(c) for c in union.sim_classes())
     assert union_sizes == sorted(left_sizes * 2)
@@ -118,5 +115,5 @@ def test_disjoint_union_census_is_multiset_sum():
 def test_fill_grows_without_bound():
     fill = interval_fill(replicate(1), LEFT_CLOSED)
     alpha = total_order_diagram([0, 1])
-    sizes = [len(evaluate(fill, alpha, n).domain) for n in (4, 16, 64, 256)]
+    sizes = [len(fill.eval(alpha, n).domain) for n in (4, 16, 64, 256)]
     assert sizes == sorted(set(sizes)), sizes

@@ -28,7 +28,7 @@ from embedlab.diagram import (
     partition_diagram,
     total_order_diagram,
 )
-from embedlab.kernel import StreamEvaluator, evaluate, run
+from embedlab.kernel import StreamEvaluator, run
 from embedlab.pairing import decode_tuple, encode_tuple, pair, tag
 from embedlab.sigma2 import (
     Disjunct,
@@ -44,7 +44,7 @@ from embedlab.streams import CanonicalSpec, StructureStream, generate
 # --- ord2eq -----------------------------------------------------------------
 
 def test_ord2eq_three_chain_census():
-    out = evaluate(ord2eq(), total_order_diagram([0, 1, 2]), 24)
+    out = ord2eq().eval(total_order_diagram([0, 1, 2]), 24)
     sizes = sorted(len(c) for c in out.sim_classes())
     assert sizes[:2] == [1, 2] and sizes[2] > 20
     assert [tag(0, 0)] in out.sim_classes()
@@ -54,7 +54,7 @@ def test_ord2eq_three_chain_census():
 def test_ord2eq_grows_without_bound_in_budget():
     alpha = total_order_diagram([0, 1, 2])
     sizes = [
-        len(evaluate(ord2eq(), alpha, n).domain) for n in (4, 8, 16, 32)
+        len(ord2eq().eval(alpha, n).domain) for n in (4, 8, 16, 32)
     ]
     assert sizes == sorted(set(sizes))
 
@@ -63,7 +63,7 @@ def test_ord2eq_requires_total_order():
     from embedlab.diagram import parse_diagram
 
     with pytest.raises(InvalidInput):
-        evaluate(ord2eq(), parse_diagram("el 0\nel 1"), 4)
+        ord2eq().eval(parse_diagram("el 0\nel 1"), 4)
 
 
 def test_ord2eq_pins_at_most_one_each():
@@ -81,8 +81,8 @@ def test_ord2eq_dethroned_extremum_inflates():
     # 1 < 2 with min 1; then 0 arrives below: 1 becomes interior.
     small = total_order_diagram([1, 2])
     big = total_order_diagram([0, 1, 2])
-    before = evaluate(ord2eq(), small, 10)
-    after = evaluate(ord2eq(), big, 10)
+    before = ord2eq().eval(small, 10)
+    after = ord2eq().eval(big, 10)
     assert before.facts <= after.facts
     cls_of_1 = [c for c in after.sim_classes() if tag(1, 0) in c][0]
     assert len(cls_of_1) > 2
@@ -132,7 +132,7 @@ def full_budget(max_id):
 
 def test_eq2ord_worked_example_bit_exact():
     d = partition_diagram([[0, 1], [2]])
-    out = evaluate(eq2ord_v1(), d, full_budget(2))
+    out = eq2ord_v1().eval(d, full_budget(2))
     order = [decode_tuple(e) for e in out.chain()]
     assert order == [
         (0, 1, 2), (0, 1), (0, 2), (0,), (1, 2), (1,), (2,),
@@ -141,7 +141,7 @@ def test_eq2ord_worked_example_bit_exact():
 
 def test_eq2ord_minimal_tuple_has_no_extension():
     d = partition_diagram([[0, 1], [2]])
-    out = evaluate(eq2ord_v1(), d, full_budget(2) + 50)
+    out = eq2ord_v1().eval(d, full_budget(2) + 50)
     least = decode_tuple(out.chain()[0])
     assert least == (0, 1, 2)
     # No admissible proper extension exists: class of 2 has size one.
@@ -255,7 +255,7 @@ def test_eq2ord_no_stable_minimum_when_all_classes_grow():
 
 def test_multiplier_budget_many_copies():
     d = partition_diagram([[4]])
-    out = evaluate(class_multiplier(), d, 5)
+    out = class_multiplier().eval(d, 5)
     assert sorted(len(c) for c in out.sim_classes()) == [1] * 5
 
 

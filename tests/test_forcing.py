@@ -22,12 +22,7 @@ from embedlab.forcing import (
     extensions,
     trichotomy_scan,
 )
-from embedlab.kernel import (
-    AxiomTableOperator,
-    EnumerationOperator,
-    StreamEvaluator,
-    evaluate,
-)
+from embedlab.kernel import EnumerationOperator, StreamEvaluator
 from embedlab.pairing import tag
 from embedlab.registry import build_operator
 
@@ -106,7 +101,7 @@ def test_refuted_with_alpha_itself():
 def test_certificate_reverifies():
     op = replicate(3)
     alpha = total_order_diagram([2, 0])
-    out = evaluate(op, alpha, 8)
+    out = op.eval(alpha, 8)
     elems = sorted(out.domain)
     found = 0
     for i, x in enumerate(elems):
@@ -114,14 +109,14 @@ def test_certificate_reverifies():
             v = bounded_force(ForcingQuery(op, alpha, ("lt", x, y), 2, 8))
             if v.outcome == REFUTED:
                 found += 1
-                replay = evaluate(op, v.certificate, 8)
+                replay = op.eval(v.certificate, 8)
                 assert ("lt", y, x) in replay.facts
     assert found > 0
 
 
 def unknown_fixture():
     # The refuting axiom needs two fresh elements (canonical ids 1, 2).
-    return AxiomTableOperator("fixture", [
+    return reference_ops.AxiomTableOperator("fixture", [
         (frozenset({("el", 0)}), ("el", 10)),
         (frozenset({("el", 0)}), ("el", 11)),
         (frozenset({("el", 0)}), ("lt", 10, 11)),
@@ -143,7 +138,7 @@ def test_unknown_then_refuted_as_bound_grows():
 def test_honesty_monotone_no_forced_refuted_flip():
     op = replicate(2)
     alpha = total_order_diagram([0, 1, 2])
-    out = evaluate(op, alpha, 8)
+    out = op.eval(alpha, 8)
     elems = sorted(out.domain)
     for i, x in enumerate(elems):
         for y in elems[i + 1:]:
@@ -164,8 +159,7 @@ def test_ill_posed_atom():
 
 
 def test_trichotomy_replicate_identity_permutation():
-    report = trichotomy_scan(replicate(1), 3, 2, 8,
-                             check_extension_stability=False)
+    report = trichotomy_scan(replicate(1), 3, 2, 8)
     assert report.clean
     # Unique forced permutation mirrors the source order.
     perm = report.details["permutations"]["0 1 2"]
@@ -182,9 +176,9 @@ def test_trichotomy_replicate_two_lexicographic():
 def test_trichotomy_matches_bounded_force_verdicts():
     op = replicate(2)
     alpha = total_order_diagram([1, 0])
-    out = evaluate(op, alpha, 8)
+    out = op.eval(alpha, 8)
     elems = sorted(out.domain)
-    report = trichotomy_scan(op, 2, 2, 8, check_extension_stability=False)
+    report = trichotomy_scan(op, 2, 2, 8)
     perm = report.details["permutations"]["1 0"]
     for i, x in enumerate(perm):
         for y in perm[i + 1:]:
@@ -194,7 +188,7 @@ def test_trichotomy_matches_bounded_force_verdicts():
 
 def conflicted_fixture():
     # An axiom table that decides a pair both ways across extensions.
-    return AxiomTableOperator("conflicted", [
+    return reference_ops.AxiomTableOperator("conflicted", [
         (frozenset({("el", 0)}), ("el", 10)),
         (frozenset({("el", 0)}), ("el", 11)),
         (frozenset({("lt", 0, 1)}), ("lt", 10, 11)),
@@ -203,8 +197,7 @@ def conflicted_fixture():
 
 
 def test_trichotomy_catches_broken_fixture():
-    report = trichotomy_scan(conflicted_fixture(), 1, 2, 10,
-                             check_extension_stability=False)
+    report = trichotomy_scan(conflicted_fixture(), 1, 2, 10)
     assert not report.clean
 
 
@@ -270,7 +263,7 @@ def test_forcing_reads_chains_as_the_fact_reference(name, chain, ext_bound, budg
     outcomes, certificates and errors of reading every output's facts."""
     op = FORCING_OPERATORS[name]()
     alpha = total_order_diagram(chain)
-    elements = sorted(evaluate(op, alpha, budget).domain)
+    elements = sorted(op.eval(alpha, budget).domain)
     assert forcing._refuted_pairs(op, alpha, elements, ext_bound, budget) == \
         reference_ops.fact_refuted_pairs(op, alpha, elements, ext_bound, budget)
     ids = elements + [999]  # 999 is in no output

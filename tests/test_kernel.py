@@ -12,6 +12,7 @@ from embedlab.combinators import (
     reverse,
 )
 from embedlab.constructions import (
+    StagePair,
     class_multiplier,
     eq2ord_v1,
     eq2ord_v2,
@@ -29,14 +30,13 @@ from embedlab.diagram import (
     total_order_diagram,
 )
 from embedlab.kernel import (
-    AxiomTableOperator,
     EnumerationOperator,
     RunLog,
     StreamEvaluator,
-    evaluate,
     parse_schedule,
     run,
 )
+from embedlab.registry import build_operator
 from embedlab.sigma2 import greatest_element_sentence, least_element_sentence
 from embedlab.streams import (
     EQUIV_FAMILIES,
@@ -46,7 +46,7 @@ from embedlab.streams import (
     generate,
     restrict,
 )
-from reference_ops import reference_facts
+from reference_ops import AxiomTableOperator, reference_facts
 
 
 def order_ops():
@@ -77,10 +77,10 @@ def equiv_ops():
 def test_budget_zero_empty_and_monotone_in_budget():
     alpha = total_order_diagram([0, 1, 2])
     for op in order_ops():
-        assert evaluate(op, alpha, 0).facts == frozenset()
+        assert op.eval(alpha, 0).facts == frozenset()
         prev = frozenset()
         for n in range(9):
-            facts = evaluate(op, alpha, n).facts
+            facts = op.eval(alpha, n).facts
             assert prev <= facts
             prev = facts
 
@@ -97,14 +97,32 @@ def test_eval_equals_union_of_deltas():
 
 
 def test_evaluate_signature_check():
+    """eval is the checked batch entry point: signature, then budget."""
     from embedlab.diagram import partition_diagram
 
     with pytest.raises(SignatureError):
-        evaluate(replicate(1), partition_diagram([[0, 1]]), 4)
+        replicate(1).eval(partition_diagram([[0, 1]]), 4)
     with pytest.raises(SignatureError):
-        evaluate(eq2ord_v1(), total_order_diagram([0, 1]), 4)
+        eq2ord_v1().eval(total_order_diagram([0, 1]), 4)
     with pytest.raises(InvalidSpec):
-        evaluate(replicate(1), total_order_diagram([0]), -1)
+        replicate(1).eval(total_order_diagram([0]), -1)
+
+
+@pytest.mark.parametrize("expr,family", [
+    ("phi_pair", "omega"),
+    ("phi_sigma2", "omega_k"),
+    ("concat(eq2ord_v1|fill:left,eq2ord_v2|fill:right)", "e_hat_k"),
+    ("rev(replicate:2)", "omega_k"),
+])
+def test_one_op_runs_twice_to_the_same_log(expr, family):
+    """Every run steps a fresh evaluator, so an operator or construction
+    object carries no state from one run to the next."""
+    stream = generate(CanonicalSpec(family, "permuted", 2, seed=5), 24)
+    targets = StagePair(generate(CanonicalSpec("omega_k", k=2), 28),
+                        generate(CanonicalSpec("omega_star_k", k=2), 28))
+    op = build_operator(expr, targets=targets)
+    first = run(op, stream, len(stream)).to_jsonl()
+    assert run(op, stream, len(stream)).to_jsonl() == first
 
 
 def test_outputs_are_well_formed():
@@ -174,10 +192,10 @@ def test_covering_chain_evaluates_as_its_closure(op_factory):
     op = op_factory()
     sparse = parse_diagram("lt 3 0\nlt 0 2\nlt 2 1")
     closed = total_order_diagram(sparse.chain())
-    assert evaluate(op, sparse, 4).facts == evaluate(op, closed, 4).facts
+    assert op.eval(sparse, 4).facts == op.eval(closed, 4).facts
     assert op.eval_chain(sparse, 4) == op.eval_chain(closed, 4)
     with pytest.raises(InvalidInput):
-        evaluate(op, parse_diagram("lt 0 1\nel 2"), 4)
+        op.eval(parse_diagram("lt 0 1\nel 2"), 4)
 
 
 @pytest.mark.parametrize("op_factory", SPARSE_ORDER_OPERATORS)

@@ -35,7 +35,6 @@ from embedlab.kernel import (
     RunLog,
     StageRecord,
     StreamEvaluator,
-    evaluate,
     parse_schedule,
     run,
 )
@@ -520,4 +519,4 @@ def test_combinators_over_fact_operators_keep_their_logs_up_to_closure(
 @pytest.mark.parametrize("text", ["el 0\nel 1\n", "lt 0 1\nel 2\n"])
 def test_combinators_reject_a_non_total_inner_output(make, text):
     with pytest.raises(InvalidInput, match="total order"):
-        evaluate(make(), parse_diagram(text), 4)
+        make().eval(parse_diagram(text), 4)
