@@ -52,33 +52,26 @@ class ClassCensus:
 def census(log: RunLog, stability_window: int) -> ClassCensus:
     """Class census of an equivalence output log at its final stage.
 
-    One replay: each class is held by its root (its least member) with
-    the last stage at which it grew, by an element's entry or by a sim
-    fact; joining two classes keeps the later of their two stages and the
-    fact's.  A pinned class is frozen when it holds a pin at every stage of
-    the trailing window, as judged by the final partition.
+    One replay, each fact once (_UnionFind.replay): each class is held by
+    its root (its least member) with its size and the last stage at which
+    it grew, by an element's entry or by a sim fact; joining two classes
+    keeps the later of their two stages and the fact's.  A pinned class is
+    frozen when it holds a pin at every stage of the trailing window, as
+    judged by the final partition.
     """
     if stability_window < 1:
         raise InvalidSpec("the stability window must be >= 1")
     if log.signature is not Signature.EQUIVALENCE:
         raise SignatureError("census requires an equivalence log")
     classes = _UnionFind()
-    grew: dict = {}  # root -> last stage its class grew; stale once absorbed
+    grew: dict = {}  # root -> last stage its class grew
     pins: list = []  # per stage: set of pinned element ids, or None
     for rec in log.records:
         notes = rec.annotations or {}
         keys = [k for k in PIN_KEYS if k in notes]
         pins.append({notes[k] for k in keys if notes[k] is not None}
                     if keys else None)
-        stage = rec.stage
-        for f in rec.new_facts:
-            for x in f[1:]:
-                if x not in grew:
-                    grew[x] = stage
-                    classes.add(x)
-            if f[0] == "sim":
-                kept, absorbed = classes.union(f[1], f[2])
-                grew[kept] = max(grew[kept], grew[absorbed], stage)
+        classes.replay(rec.new_facts, rec.stage, grew)
 
     final_stage = log.records[-1].stage if log.records else -1
     annotated = any(p is not None for p in pins)
@@ -86,17 +79,16 @@ def census(log: RunLog, stability_window: int) -> ClassCensus:
     window = pins[-stability_window:]
     if annotated and None not in window:
         stably_pinned = set.intersection(*(
-            {classes.find(y) for y in p if y in grew} for p in window
+            {classes.find(y) for y in p if y in classes.parent} for p in window
         ))
 
     result = ClassCensus(
         stages=len(log.records), window=stability_window, annotated=annotated
     )
-    for members in classes.classes():
-        root = members[0]
+    for root in sorted(classes.size):
         frozen = (root in stably_pinned if annotated
                   else grew[root] <= final_stage - stability_window)
-        result.classes.append(ClassRecord(root, len(members), frozen, grew[root]))
+        result.classes.append(ClassRecord(root, classes.size[root], frozen, grew[root]))
     return result
 
 

@@ -32,6 +32,7 @@ from functools import cached_property
 from math import inf, isqrt
 
 from .diagram import (
+    ClassBatch,
     InvalidInput,
     InvalidSpec,
     PlacementBatch,
@@ -138,6 +139,10 @@ class Ord2Eq(EnumerationOperator):
 
 
 class _Ord2EqStream(StreamEvaluator):
+    """Element a's class is its root tag(a, 0) and its rings tag(a, j),
+    j >= 1, each joined to the root.  tag is increasing in a and in j, so
+    taking the elements in ascending order gives a sorted ClassBatch."""
+
     def __init__(self):
         self.chain: list = []
         self.rings: dict = {}  # element -> highest emitted ring
@@ -148,25 +153,26 @@ class _Ord2EqStream(StreamEvaluator):
             if f[0] == "el":
                 diagram.insert(self.chain, f[1])
         if budget < 1 or not self.chain:
-            return [], self._notes(budget)
-        new = []
-        last = len(self.chain) - 1
-        for pos, a in enumerate(self.chain):
+            return ClassBatch([], [], []), self._notes(budget)
+        els, heads, members = [], [], []
+        least, greatest = self.chain[0], self.chain[-1]
+        for a in sorted(self.chain):
             # Ring 0 is the class root; the minimum keeps size one, the
             # maximum size two, interior classes grow to budget + 2.
-            want = 0 if pos == 0 else 1 if pos == last else budget + 1
+            want = 0 if a == least else 1 if a == greatest else budget + 1
             have = self.rings.get(a, -1)
             if have >= want:
                 continue
             if have < 0:
                 root = self.roots[a] = tag(a, 0)
-                new.append(el(root))
+                els.append(root)
             else:
                 root = self.roots[a]
             for j in range(max(have, 0) + 1, want + 1):
-                new.append(sim(root, tag(a, j)))
+                heads.append(root)
+                members.append(tag(a, j))
             self.rings[a] = want
-        return new, self._notes(budget)
+        return ClassBatch(els, heads, members), self._notes(budget)
 
     def _notes(self, budget):
         if budget < 1 or not self.chain:

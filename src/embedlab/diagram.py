@@ -32,6 +32,12 @@ checks one on read (parse_batch) a few blocks at a time, so order logs
 cross the file boundary as placements both ways at about the cost of
 their bytes.
 
+ord2eq, whose output is a star (each new member joined to an element
+already named), returns a ClassBatch: the step's el ids and its sim facts
+as parallel head and member lists, in record order, rendered as two
+blocks.  A census replays records through _UnionFind.replay, which keeps
+each class's size at its root and walks one path per sim fact.
+
 Every number in an input is a natural in ASCII digits (is_natural).
 """
 
@@ -253,16 +259,20 @@ class FiniteDiagram:
 
 
 class _UnionFind:
-    """Disjoint classes of naturals; each class's root is its least member.
+    """Disjoint classes of naturals; each class's root is its least member,
+    and size maps each root to its class's size.
 
     Finds halve the path they walk, and union does its two finds inline.
     """
 
     def __init__(self, elements: Iterable[int] = ()):
         self.parent = {x: x for x in elements}
+        self.size = dict.fromkeys(self.parent, 1)
 
     def add(self, x: int) -> None:
-        self.parent.setdefault(x, x)
+        if x not in self.parent:
+            self.parent[x] = x
+            self.size[x] = 1
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -278,11 +288,51 @@ class _UnionFind:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
-        if a < b:
+        if a > b:
+            a, b = b, a
+        if a != b:
             parent[b] = a
-            return a, b
-        parent[a] = b
-        return b, a
+            self.size[a] += self.size.pop(b)
+        return a, b
+
+    def replay(self, facts, stage: int, grew: dict) -> None:
+        """Apply one run-log record's facts (a list or a ClassBatch): add
+        the elements they name and join the classes their sim facts relate.
+        grew maps each root to the last stage its class grew, by an
+        element's entry or a sim fact; stage is the record's, and a merge
+        keeps the later of the two classes' stages.
+
+        A sim fact walks its smaller end's path once.  When its larger end
+        is new, it joins the class under that root with no second find:
+        it is above the smaller end, so the root stays the least member.
+        """
+        parent, size = self.parent, self.size
+        for f in facts:
+            if f[0] != "sim":
+                for x in f[1:]:
+                    if x not in parent:
+                        parent[x] = x
+                        size[x] = 1
+                        grew[x] = stage
+                continue
+            a, b = f[1], f[2]
+            if a > b:
+                a, b = b, a
+            if a not in parent:
+                parent[a] = a
+                size[a] = 1
+                grew[a] = stage
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            if b not in parent:
+                parent[b] = a
+                size[a] += 1
+                if grew[a] < stage:
+                    grew[a] = stage
+                continue
+            kept, absorbed = self.union(a, b)
+            later = grew.pop(absorbed) if kept != absorbed else stage
+            grew[kept] = max(grew[kept], later, stage)
 
     def classes(self) -> list:
         """The classes, sorted, each sorted: its root comes first."""
@@ -410,6 +460,46 @@ def _sorted_facts(new, chain) -> list:
     return facts
 
 
+_SIM = repeat("sim")
+
+
+class ClassBatch:
+    """One step of an equivalence writer: the elements its ``el`` facts
+    name (els, ascending), and its ``sim`` facts as two parallel lists,
+    each head heads[i] joined to the member members[i] above it, the
+    (head, member) pairs ascending.  Iterating yields the record's facts
+    sorted: ``el x`` for x in els, then ``sim h m`` for each pair.  Its
+    writer, ord2eq, emits stars: each member is new to the log, joined to
+    an element already named.  len() counts the facts without building
+    them; format_facts and RunLog.to_jsonl write the record's lines
+    straight from the lists (format_blocks).
+    """
+
+    __slots__ = ("els", "heads", "members")
+
+    def __init__(self, els: list, heads: list, members: list):
+        self.els = els
+        self.heads = heads
+        self.members = members
+
+    def __len__(self) -> int:
+        return len(self.els) + len(self.members)
+
+    def __iter__(self) -> Iterator[Fact]:
+        return chain(zip(_EL, self.els), zip(_SIM, self.heads, self.members))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ClassBatch, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"ClassBatch(els={list(self.els)!r}, heads={list(self.heads)!r}, "
+                f"members={list(self.members)!r})")
+
+
 class IdText(dict):
     """Element id -> its decimal string, converted on first use, so each
     id is converted once however many lines and records name it."""
@@ -419,15 +509,23 @@ class IdText(dict):
         return s
 
 
-def format_blocks(batch: PlacementBatch, text: dict, sep: str) -> Iterator[str]:
+def format_blocks(batch, text: dict, sep: str) -> Iterator[str]:
     """A batch's record lines in blocks, each block its lines joined by
-    sep: the el lines, then one block per lt block of the layout.  Joined
-    by sep, the blocks are the record's lines joined by sep.  text maps
-    each chain element to its id string (an IdText fills itself in).
+    sep: the el lines, then one block per lt block of a PlacementBatch's
+    layout, or the sim lines of a ClassBatch.  Joined by sep, the blocks
+    are the record's lines joined by sep.  text maps each chain element
+    to its id string (an IdText fills itself in); a ClassBatch's ids are
+    converted where they are written.
 
     An old element's block is its suffix's template with the element's id
     put in, one str call; a new element's block is one join.  Lines hold
     only ASCII letters, digits and spaces, so NUL marks where the id goes."""
+    if isinstance(batch, ClassBatch):
+        if batch.els:
+            yield "el " + (sep + "el ").join(map(str, batch.els))
+        if batch.members:
+            yield sep.join(map("sim {} {}".format, batch.heads, batch.members))
+        return
     news, ids, index, suffixes, tops = _layout(batch.new, batch.chain)
     name = text.__getitem__
     if news:
@@ -459,10 +557,9 @@ def place(chain: list, x: int, rank: int) -> list:
 
 def format_facts(facts: Iterable[Fact]) -> list:
     """Each fact as its text line, ``rel a`` or ``rel a b``."""
-    if isinstance(facts, PlacementBatch):
-        if not facts.new:
-            return []
-        return "\n".join(format_blocks(facts, IdText(), "\n")).split("\n")
+    if isinstance(facts, (PlacementBatch, ClassBatch)):
+        text = "\n".join(format_blocks(facts, IdText(), "\n"))
+        return text.split("\n") if text else []
     return ["%s %s %s" % f if len(f) == 3 else "%s %s" % f for f in facts]
 
 

@@ -145,9 +145,10 @@ def experiment_monotonicity(seed: int) -> ExperimentResult:
     delta_memo: dict = {}
 
     def deltas_of(op_idx, op, alpha):
+        # Kept as fact lists: each is read once for every beta above alpha.
         key = (op_idx, alpha.facts)
         if key not in delta_memo:
-            delta_memo[key] = op.budget_deltas(alpha, max_budget)
+            delta_memo[key] = [list(d) for d in op.budget_deltas(alpha, max_budget)]
         return delta_memo[key]
 
     def check(op_idx, op, beta, alphas, label):

@@ -11,22 +11,25 @@ operator's full (possibly infinite) output on that input.  Each operator is
 defined once, by its stream evaluator: a ``step(diagram, delta, budget)``
 that emits only the facts new since the previous step, whether they are
 due to input growth (the delta) or to budget growth.
-Batch evaluation is derived from it: ``eval(alpha, n)``, the one checked
-batch entry point, tests the signature and the budget and then takes one
-step of a fresh evaluator over all of alpha at budget n; ``budget_deltas``
-and ``eval_chain`` are that step at budget 0 followed by budget-only
-steps, so budget monotonicity holds by construction.
+Batch evaluation is derived from it: ``eval(alpha, n)`` takes one step of
+a fresh evaluator over all of alpha at budget n; ``budget_deltas`` and
+``eval_chain`` are that step at budget 0 followed by budget-only steps,
+so budget monotonicity holds by construction.  All three batch entry
+points first make the same checks (_check_input): the signature of alpha
+and a natural budget.
 
 A stage construction consumes a stream of growing input diagrams and emits
 a cumulative output stage plus bookkeeping annotations at each step, by
 the same ``step`` with the budget ignored.
 
 The built-in order operators and constructions return each step's new
-facts as a diagram.PlacementBatch, which run() keeps as the stage record:
-its facts are built only when the record is read.  RunLog.to_jsonl writes
-a batch's record from the blocks diagram.format_blocks renders from its
-chain, and RunLog.from_jsonl reads such records back as batches, checking
-each against the same blocks.
+facts as a diagram.PlacementBatch, and ord2eq as a diagram.ClassBatch;
+run() keeps either as the stage record as it is, and its facts are built
+only when the record is read.  RunLog.to_jsonl writes a batch's record
+from the blocks diagram.format_blocks renders, byte for byte the lines of
+its facts.  RunLog.from_jsonl reads order records back as placement
+batches, checking each against the same blocks, and equivalence records
+as fact lists.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .diagram import (
+    ClassBatch,
     FiniteDiagram,
     IdText,
     InvalidInput,
@@ -68,7 +72,9 @@ class EnumerationOperator:
         raise NotImplementedError
 
     def budget_deltas(self, alpha: FiniteDiagram, max_budget: int) -> list:
-        """Facts new at each budget 0..max_budget (index 0 is empty)."""
+        """Facts new at each budget 0..max_budget (index 0 is empty), as
+        the steps return them.  Checks the signature and the budget first."""
+        _check_input(self, alpha, max_budget)
         evaluator = self.make_stream_evaluator()
         deltas = [evaluator.step(alpha, _as_delta(alpha), 0)[0]]
         for n in range(1, max_budget + 1):
@@ -99,12 +105,9 @@ def _as_delta(alpha: FiniteDiagram) -> list:
     return sorted(alpha.facts.union([("el", x) for x in alpha.domain]))
 
 
-def evaluate_facts(op: EnumerationOperator, alpha: FiniteDiagram, budget: int):
-    """op.eval's facts as op's step returns them, unbuilt: a list, or the
-    PlacementBatch of a built-in order operator.  Checks the signature and
-    the budget first.  The step is the first of a fresh evaluator, so such
-    a batch places its whole chain, and the chain orders every pair of the
-    output."""
+def _check_input(op: EnumerationOperator, alpha: FiniteDiagram, budget: int) -> None:
+    """The checks of every batch entry point: alpha has op's input
+    signature, and the budget is a natural."""
     if alpha.signature is not op.input_signature:
         raise SignatureError(
             f"{op.name} expects {op.input_signature.value} input, "
@@ -112,6 +115,16 @@ def evaluate_facts(op: EnumerationOperator, alpha: FiniteDiagram, budget: int):
         )
     if budget < 0:
         raise InvalidSpec("budget must be a natural")
+
+
+def evaluate_facts(op: EnumerationOperator, alpha: FiniteDiagram, budget: int):
+    """op.eval's facts as op's step returns them, unbuilt: a list, the
+    PlacementBatch of a built-in order operator or the ClassBatch of a
+    built-in equivalence operator.  Checks the signature and the budget
+    first.  The step is the first of a fresh evaluator, so a PlacementBatch
+    places its whole chain, and the chain orders every pair of the
+    output."""
+    _check_input(op, alpha, budget)
     return op.make_stream_evaluator().step(alpha, _as_delta(alpha), budget)[0]
 
 
@@ -148,10 +161,11 @@ class TuringConstruction:
 @dataclass
 class StageRecord:
     """One stage of a run: its new facts, sorted (a list, or a
-    PlacementBatch that yields them), and the operator's annotations."""
+    PlacementBatch or ClassBatch that yields them), and the operator's
+    annotations."""
 
     stage: int
-    new_facts: list | PlacementBatch
+    new_facts: list | PlacementBatch | ClassBatch
     annotations: dict | None = None
 
 
@@ -186,7 +200,7 @@ class RunLog:
         text = IdText()
         for rec in self.records:
             facts = rec.new_facts
-            if not isinstance(facts, PlacementBatch):
+            if not isinstance(facts, (PlacementBatch, ClassBatch)):
                 lines.append(json.dumps({
                     "v": 1,
                     "stage": rec.stage,
@@ -197,10 +211,10 @@ class RunLog:
             # A batch's lines hold only ASCII letters, digits and spaces,
             # so each is its own JSON string, and its blocks joined by the
             # separator json.dumps puts between strings are its list.
-            quote = '"' if facts.new else ""
+            body = '", "'.join(format_blocks(facts, text, '", "'))
+            quote = '"' if body else ""
             lines.append('{"annotations": %s, "new_facts": [%s%s%s], "stage": %s, "v": 1}' % (
-                json.dumps(rec.annotations, sort_keys=True), quote,
-                '", "'.join(format_blocks(facts, text, '", "')), quote,
+                json.dumps(rec.annotations, sort_keys=True), quote, body, quote,
                 json.dumps(rec.stage)))
         lines.append("")  # the final newline, without copying the text
         return "\n".join(lines)
@@ -348,7 +362,7 @@ def run(
     for s in range(stages):
         diagram = next(stage_iter)
         new_facts, notes = evaluator.step(diagram, stream.deltas[s], budgets[s])
-        if not isinstance(new_facts, PlacementBatch):
+        if not isinstance(new_facts, (PlacementBatch, ClassBatch)):
             new_facts = sorted(new_facts)
         log.records.append(StageRecord(s, new_facts, notes))
     return log

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from embedlab.classify import census, consistency_verdict, fingerprint
 from embedlab.combinators import replicate
 from embedlab.diagram import (
+    ClassBatch,
     InvalidSpec,
     Signature,
     SignatureError,
@@ -161,12 +162,55 @@ def _equivalence_log(source, family, policy, k, seed, stages):
     return run(build_operator(source), generate(spec, stages), stages)
 
 
+# Records no generator writes, one list of facts per stage: a sim joining
+# two old classes (with the smaller end a root, and with neither end a
+# root), a sim repeated within one class, sim a a (new and old), a sim
+# whose smaller end is new (and one written larger end first), a sim whose
+# larger end is new below a non-root, and el facts for known elements.
+HAND_RECORDS = (
+    [("el", 1), ("el", 5), ("el", 3), ("sim", 3, 5)],
+    [("sim", 1, 5)],
+    [("el", 0), ("el", 7), ("sim", 0, 7), ("sim", 5, 9)],
+    [("sim", 5, 7), ("sim", 1, 3)],
+    [("sim", 6, 6), ("el", 3), ("sim", 8, 9)],
+    [("sim", 12, 10), ("el", 6), ("sim", 6, 6)],
+    [],
+    [("sim", 10, 11), ("sim", 9, 20), ("el", 0)],
+)
+
+
+def class_batch(facts) -> ClassBatch:
+    """The ClassBatch that iterates as the facts sorted, each sim fact
+    written smaller end first."""
+    facts = sorted(f if f[0] == "el" or f[1] <= f[2] else ("sim", f[2], f[1])
+                   for f in facts)
+    sims = [f for f in facts if f[0] == "sim"]
+    return ClassBatch([f[1] for f in facts if f[0] == "el"],
+                      [f[1] for f in sims], [f[2] for f in sims])
+
+
+@st.composite
+def hand_logs(draw):
+    """A prefix of HAND_RECORDS at increasing stages, each record a list or
+    the ClassBatch of the same facts."""
+    count = draw(st.integers(1, len(HAND_RECORDS)))
+    stages = sorted(draw(st.sets(st.integers(0, 60), min_size=count, max_size=count)))
+    records = [
+        StageRecord(stage, class_batch(facts) if draw(st.booleans()) else list(facts))
+        for stage, facts in zip(stages, HAND_RECORDS)
+    ]
+    return RunLog("hand", Signature.EQUIVALENCE, "test", "identity", records)
+
+
 @st.composite
 def equivalence_logs(draw):
     """Stream logs of fair and permuted e, e_k and e_hat_k presentations,
-    optionally with drawn pins (some naming no element of the log), and
-    ord2eq and pair_formula2eq runs with the annotations they write."""
-    source = draw(st.sampled_from(["stream", "ord2eq", "pair_formula2eq"]))
+    optionally with drawn pins (some naming no element of the log), ord2eq
+    and pair_formula2eq runs with the annotations they write and the class
+    batches they return, and hand-built logs."""
+    source = draw(st.sampled_from(["stream", "ord2eq", "pair_formula2eq", "hand"]))
+    if source == "hand":
+        return draw(hand_logs())
     policy = draw(st.sampled_from(["fair", "permuted"]))
     seed = draw(st.integers(0, 9))
     k = draw(st.integers(1, 3))

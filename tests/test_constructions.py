@@ -399,10 +399,7 @@ def test_formula2eq_reads_each_fact_once_per_matrix(monkeypatch):
     assert 0 < len(calls) <= sum(map(len, stream.deltas)) * matrices
 
 
-def test_union_of_multipliers_tags_each_element_once(monkeypatch):
-    """Each multiplier tags each input element once per copy and the
-    union each side's output element once, so the calls are at most
-    twice the output domain; tagging both ends of every fact is more."""
+def _tag_calls(monkeypatch) -> list:
     calls = []
     counted = combinators.tag
 
@@ -411,8 +408,27 @@ def test_union_of_multipliers_tags_each_element_once(monkeypatch):
         return counted(copy, x)
 
     monkeypatch.setattr(combinators, "tag", counting)
+    return calls
+
+
+def test_union_of_multipliers_tags_each_element_once(monkeypatch):
+    """Each multiplier tags each input element once per copy and the
+    union each side's output element once, so the calls are at most
+    twice the output domain; tagging both ends of every fact is more."""
+    calls = _tag_calls(monkeypatch)
     stream = generate(CanonicalSpec("e_k", "permuted", k=3, seed=7), 24)
     log = run(disjoint_union(class_multiplier(), class_multiplier()),
+              stream, len(stream))
+    assert 0 < len(calls) <= 2 * len(log.final_diagram().domain)
+
+
+def test_pair_formula2eq_tags_each_element_once(monkeypatch):
+    """formula2eq's copies tag each element of its output once, and the
+    union each side's element once, though a growing class names its root
+    again at many stages."""
+    calls = _tag_calls(monkeypatch)
+    stream = generate(CanonicalSpec("omega_k", "permuted", k=2, seed=7), 64)
+    log = run(pair_formula2eq(least_element_sentence(), greatest_element_sentence()),
               stream, len(stream))
     assert 0 < len(calls) <= 2 * len(log.final_diagram().domain)
 

@@ -147,8 +147,9 @@ def test_union_keeps_the_least_root():
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 12), st.integers(0, 12)),
                 max_size=40))
 def test_union_find_matches_reference(steps):
-    """Random adds and unions: the (kept, absorbed) returns, find and
-    classes() are those of the plain union-find that keeps the least root."""
+    """Random adds and unions: the (kept, absorbed) returns, find,
+    classes() and the root sizes are those of the plain union-find that
+    keeps the least root."""
     classes, want = _UnionFind(), reference_ops._UnionFind()
     for is_union, a, b in steps:
         for x in (a, b) if is_union else (a,):
@@ -164,3 +165,4 @@ def test_union_find_matches_reference(steps):
     for x in sorted(want.parent):
         groups.setdefault(want.find(x), []).append(x)
     assert classes.classes() == list(groups.values())
+    assert classes.size == {root: len(members) for root, members in groups.items()}

@@ -108,6 +108,20 @@ def test_evaluate_signature_check():
         replicate(1).eval(total_order_diagram([0]), -1)
 
 
+@pytest.mark.parametrize("entry", ["budget_deltas", "eval_chain"])
+def test_budget_chains_are_checked_like_eval(entry):
+    """The budget chains make eval's checks: a negative budget is
+    InvalidSpec, and an input of the wrong signature raises the
+    operator's message, not one from deep inside the evaluator."""
+    from embedlab.diagram import partition_diagram
+
+    chains = getattr(replicate(2), entry)
+    with pytest.raises(InvalidSpec):
+        chains(total_order_diagram([0, 1]), -1)
+    with pytest.raises(SignatureError, match="replicate:2 expects linear_order input"):
+        chains(partition_diagram([[0, 1], [2]]), 3)
+
+
 @pytest.mark.parametrize("expr,family", [
     ("phi_pair", "omega"),
     ("phi_sigma2", "omega_k"),
