@@ -132,8 +132,7 @@ def _order_stages(log: RunLog):
             seen |= named
     # Each stage's order is the final order on the elements it has; a
     # final diagram that is not a total order raises when insert needs it.
-    order = FiniteDiagram.raw(Signature.LINEAR_ORDER, log.final_facts(),
-                              frozenset(seen))
+    order = FiniteDiagram(Signature.LINEAR_ORDER, log.final_facts(), frozenset(seen))
     chain: list = []
     for stage, new_elements in arrivals:
         for x in new_elements:

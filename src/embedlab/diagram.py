@@ -14,6 +14,12 @@ needs to be closed: covering pairs present the same order as all pairs.
 Code that reads an order or a partition asks FiniteDiagram (chain, below,
 insert, holds, sim_classes) rather than the stored facts.
 
+A diagram from outside the program arrives only as text, and is checked
+once, where parse_diagram reads it: each line's relation, arity and
+ASCII-natural ids and ``lt a a`` (parse_facts), a file's mix of lt and
+sim (file_signature), and lt cycles.  Diagrams built in code are trusted:
+diagram_from_facts builds one from its facts with no check.
+
 Code that writes an order keeps it as a chain, a list of elements in
 increasing order, and inserts each new element at its rank.  The facts
 that present a grown chain are decided here alone: a PlacementBatch (the
@@ -27,10 +33,9 @@ text, and is computed once each time a record is expanded, written or
 checked.  The text is rendered in blocks (format_blocks):
 the el lines, then one block per element that opens lt lines, which for
 an old element is its suffix's template with the element's id put in.
-The same renderer writes a record (format_facts, RunLog.to_jsonl) and
-checks one on read (parse_batch) a few blocks at a time, so order logs
-cross the file boundary as placements both ways at about the cost of
-their bytes.
+The same renderer writes a record (RunLog.to_jsonl) and checks one on
+read (parse_batch) a few blocks at a time, so order logs cross the file
+boundary as placements both ways at about the cost of their bytes.
 
 ord2eq, whose output is a star (each new member joined to an element
 already named), returns a ClassBatch: the step's el ids and its sim facts
@@ -46,7 +51,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, combinations, compress, count, islice, repeat
 from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -119,50 +124,15 @@ _REL_OF_SIGNATURE = {
 
 @dataclass(frozen=True)
 class FiniteDiagram:
-    """A consistent finite set of facts plus its element domain."""
+    """A consistent finite set of facts plus its element domain.
+
+    Built by parse_diagram from a diagram file, which checks it, or from
+    facts built in code, which are trusted, by diagram_from_facts (or by
+    the constructor, where the domain is already known)."""
 
     signature: Signature
     facts: frozenset = field(default_factory=frozenset)
     domain: frozenset = field(default_factory=frozenset)
-
-    @staticmethod
-    def make(signature: Signature, facts: Iterable[Fact]) -> "FiniteDiagram":
-        """Validating constructor; use for any externally supplied facts."""
-        fs = set()
-        domain = set()
-        allowed = _REL_OF_SIGNATURE[signature]
-        for f in facts:
-            rel = f[0]
-            if rel == "el":
-                if len(f) != 2:
-                    raise ParseError(f"el has arity 1: {f!r}")
-                domain.add(f[1])
-                fs.add(f)
-                continue
-            if rel != allowed:
-                raise _not_admitted(rel, signature)
-            if len(f) != 3:
-                raise ParseError(f"{rel} has arity 2: {f!r}")
-            a, b = f[1], f[2]
-            if rel == "lt" and a == b:
-                raise InconsistentDiagram(f"lt {a} {a}")
-            if rel == "sim":
-                f = sim(a, b)
-            fs.add(f)
-            domain.add(a)
-            domain.add(b)
-        for x in domain:
-            if not isinstance(x, int) or x < 0:
-                raise ParseError(f"element ids must be naturals, got {x!r}")
-        d = FiniteDiagram(signature, frozenset(fs), frozenset(domain))
-        if signature is Signature.LINEAR_ORDER and d.has_lt_cycle():
-            raise InconsistentDiagram("lt facts contain a cycle")
-        return d
-
-    @staticmethod
-    def raw(signature: Signature, facts: frozenset, domain: frozenset) -> "FiniteDiagram":
-        """Trusted constructor for internally generated fact sets (no checks)."""
-        return FiniteDiagram(signature, facts, domain)
 
     @cached_property
     def _topo(self) -> tuple:
@@ -368,7 +338,7 @@ class PlacementBatch:
     one, sorted: ``el x`` for each new element x, then every lt pair with
     a new element at either end.  That is the step's run-log record; it is
     built each time the batch is iterated and never stored.  len() counts
-    the facts without building them.  format_facts writes the record's
+    the facts without building them.  format_blocks writes the record's
     lines straight from the batch, and parse_batch reads such lines back
     into a batch.
     """
@@ -411,8 +381,8 @@ class PlacementBatch:
             facts += zip(_EL, chain)
         else:
             facts = list(self)
-        return FiniteDiagram.raw(Signature.LINEAR_ORDER, frozenset(facts),
-                                 frozenset(chain) if self.new else frozenset())
+        return FiniteDiagram(Signature.LINEAR_ORDER, frozenset(facts),
+                             frozenset(chain) if self.new else frozenset())
 
 
 def _layout(new, chain) -> tuple:
@@ -471,8 +441,8 @@ class ClassBatch:
     sorted: ``el x`` for x in els, then ``sim h m`` for each pair.  Its
     writer, ord2eq, emits stars: each member is new to the log, joined to
     an element already named.  len() counts the facts without building
-    them; format_facts and RunLog.to_jsonl write the record's lines
-    straight from the lists (format_blocks).
+    them; RunLog.to_jsonl writes the record's lines straight from the
+    lists (format_blocks).
     """
 
     __slots__ = ("els", "heads", "members")
@@ -557,9 +527,6 @@ def place(chain: list, x: int, rank: int) -> list:
 
 def format_facts(facts: Iterable[Fact]) -> list:
     """Each fact as its text line, ``rel a`` or ``rel a b``."""
-    if isinstance(facts, (PlacementBatch, ClassBatch)):
-        text = "\n".join(format_blocks(facts, IdText(), "\n"))
-        return text.split("\n") if text else []
     return ["%s %s %s" % f if len(f) == 3 else "%s %s" % f for f in facts]
 
 
@@ -694,19 +661,28 @@ def content_lines(text: str) -> Iterator[str]:
             yield line
 
 
-def parse_diagram(text: str, signature: Signature | None = None) -> FiniteDiagram:
+def file_signature(rels: set, kind: str) -> Signature:
+    """The signature of a diagram or stream file (kind names which) whose
+    facts use the relations rels: EQUIVALENCE if they hold ``sim``, else
+    LINEAR_ORDER, so a file of ``el`` facts alone is an order.  A file
+    that mixes ``lt`` and ``sim`` raises ParseError."""
+    if "lt" in rels and "sim" in rels:
+        raise ParseError(f"{kind} mixes lt and sim facts")
+    return Signature.EQUIVALENCE if "sim" in rels else Signature.LINEAR_ORDER
+
+
+def parse_diagram(text: str) -> FiniteDiagram:
     """Parse the line-oriented diagram format (``el``/``lt``/``sim``, # comments).
 
-    The signature is inferred from the facts when not given; a file with
-    only ``el`` facts defaults to LINEAR_ORDER.
+    The one place a diagram from outside is checked: parse_facts checks
+    each line, file_signature the relations, and an lt cycle raises
+    InconsistentDiagram.
     """
     facts = parse_facts(content_lines(text))
-    rels = {f[0] for f in facts}
-    if "lt" in rels and "sim" in rels:
-        raise ParseError("diagram mixes lt and sim facts")
-    if signature is None:
-        signature = Signature.EQUIVALENCE if "sim" in rels else Signature.LINEAR_ORDER
-    return FiniteDiagram.make(signature, facts)
+    d = diagram_from_facts(file_signature({f[0] for f in facts}, "diagram"), facts)
+    if d.has_lt_cycle():
+        raise InconsistentDiagram("lt facts contain a cycle")
+    return d
 
 
 def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDiagram:
@@ -714,7 +690,7 @@ def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDia
     if isinstance(facts, PlacementBatch):
         return facts.diagram()
     fs = frozenset(facts)
-    return FiniteDiagram.raw(signature, fs, frozenset(chain.from_iterable(fs)) - RELATIONS)
+    return FiniteDiagram(signature, fs, frozenset(chain.from_iterable(fs)) - RELATIONS)
 
 
 def format_diagram(diagram: FiniteDiagram) -> str:
@@ -734,14 +710,9 @@ def total_order_diagram(chain: Iterable[int]) -> FiniteDiagram:
 
 def partition_diagram(classes: Iterable[Iterable[int]]) -> FiniteDiagram:
     """Equivalence diagram whose stored sims are the full within-class closure."""
-    facts = set()
-    domain = set()
+    facts = []
     for cls in classes:
         members = sorted(cls)
-        domain.update(members)
-        for x in members:
-            facts.add(el(x))
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                facts.add(("sim", a, b))
-    return FiniteDiagram.raw(Signature.EQUIVALENCE, frozenset(facts), frozenset(domain))
+        facts += map(el, members)
+        facts += (("sim", a, b) for a, b in combinations(members, 2))
+    return diagram_from_facts(Signature.EQUIVALENCE, facts)

@@ -56,26 +56,6 @@ PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Identifies one experiment run; equal configs give equal artifacts."""
-
-    experiment: str
-    seed: int
-
-    @property
-    def params(self) -> dict:
-        return PARAMS[self.experiment]
-
-    def digest(self) -> str:
-        payload = json.dumps(
-            {"experiment": self.experiment, "seed": self.seed,
-             "params": self.params},
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 @dataclass
 class ExperimentResult:
     name: str
@@ -296,7 +276,7 @@ def experiment_eq2ord_oracle(seed: int) -> ExperimentResult:
                 facts = [("el", x) for x in domain]
                 facts += [("sim", a, b) for i, (a, b) in enumerate(pairs)
                           if mask >> i & 1]
-                diagram = FiniteDiagram.make(Signature.EQUIVALENCE, facts)
+                diagram = diagram_from_facts(Signature.EQUIVALENCE, facts)
                 checked += 1
                 chain1 = _output_chain(v1, diagram, budget)
                 if chain1 != _oracle_tuple_order(diagram, 2, 1):
@@ -308,7 +288,7 @@ def experiment_eq2ord_oracle(seed: int) -> ExperimentResult:
                                        "facts": sorted(map(list, facts))})
 
     # Worked instance: classes {0,1},{2} in the stated order.
-    worked = FiniteDiagram.make(
+    worked = diagram_from_facts(
         Signature.EQUIVALENCE,
         [("el", 0), ("el", 1), ("el", 2), ("sim", 0, 1)],
     )
@@ -577,7 +557,11 @@ class SuiteResult:
 
 
 def config_digest(name: str, seed: int) -> str:
-    return ExperimentConfig(name, seed).digest()
+    """Identifies one experiment run by its name, seed and PARAMS entry;
+    equal digests give equal artifacts."""
+    payload = json.dumps({"experiment": name, "seed": seed, "params": PARAMS[name]},
+                         sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def run_suite(seed: int, only: list | None = None) -> SuiteResult:

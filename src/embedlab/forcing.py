@@ -104,6 +104,8 @@ def bounded_force(query: ForcingQuery) -> ForcingVerdict:
         raise InvalidSpec(f"atom must be lt over distinct elements: {atom!r}")
     if not alpha.is_total():
         raise InvalidInput("alpha must be a total linear order")
+    if query.ext_bound < 0:
+        raise InvalidSpec(f"ext_bound must be a natural, got {query.ext_bound}")
     x, y = atom[1], atom[2]
     wanted = {x, y}
     for n, chain in enumerate(extensions(alpha, query.ext_bound)):

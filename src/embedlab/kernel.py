@@ -25,11 +25,12 @@ the same ``step`` with the budget ignored.
 The built-in order operators and constructions return each step's new
 facts as a diagram.PlacementBatch, and ord2eq as a diagram.ClassBatch;
 run() keeps either as the stage record as it is, and its facts are built
-only when the record is read.  RunLog.to_jsonl writes a batch's record
-from the blocks diagram.format_blocks renders, byte for byte the lines of
-its facts.  RunLog.from_jsonl reads order records back as placement
-batches, checking each against the same blocks, and equivalence records
-as fact lists.
+only when the record is read.  RunLog.to_jsonl writes every record
+through one template: a batch's from the blocks diagram.format_blocks
+renders, byte for byte the lines of its facts, and a fact list's from its
+lines (diagram.format_facts).  RunLog.from_jsonl reads order records back
+as placement batches, checking each against the same blocks, and
+equivalence records as fact lists.
 """
 
 from __future__ import annotations
@@ -200,18 +201,14 @@ class RunLog:
         text = IdText()
         for rec in self.records:
             facts = rec.new_facts
-            if not isinstance(facts, (PlacementBatch, ClassBatch)):
-                lines.append(json.dumps({
-                    "v": 1,
-                    "stage": rec.stage,
-                    "new_facts": format_facts(facts),
-                    "annotations": rec.annotations,
-                }, sort_keys=True))
-                continue
-            # A batch's lines hold only ASCII letters, digits and spaces,
-            # so each is its own JSON string, and its blocks joined by the
-            # separator json.dumps puts between strings are its list.
-            body = '", "'.join(format_blocks(facts, text, '", "'))
+            # Fact lines hold only ASCII letters, digits and spaces, so
+            # each is its own JSON string, and lines or blocks joined by
+            # the separator json.dumps puts between strings are its list.
+            if isinstance(facts, (PlacementBatch, ClassBatch)):
+                facts = format_blocks(facts, text, '", "')
+            else:
+                facts = format_facts(facts)
+            body = '", "'.join(facts)
             quote = '"' if body else ""
             lines.append('{"annotations": %s, "new_facts": [%s%s%s], "stage": %s, "v": 1}' % (
                 json.dumps(rec.annotations, sort_keys=True), quote, body, quote,

@@ -32,11 +32,6 @@ from .constructions import (
 from .diagram import InvalidSpec, is_natural
 from .sigma2 import greatest_element_sentence, least_element_sentence
 
-OPERATOR_IDS = (
-    "replicate", "ord2eq", "eq2ord_v1", "eq2ord_v2", "class_multiplier",
-    "formula2eq", "pair_formula2eq", "phi_pair", "phi_sigma2",
-)
-
 CONSTRUCTION_IDS = ("phi_pair", "phi_sigma2")
 
 

@@ -30,6 +30,7 @@ from .diagram import (
     content_lines,
     diagram_from_facts,
     el,
+    file_signature,
     format_facts,
     is_natural,
     parse_facts,
@@ -150,9 +151,7 @@ class StructureStream:
             facts.update(delta)
             for f in delta:
                 domain.update(f[1:])
-            yield FiniteDiagram.raw(
-                self.signature, frozenset(facts), frozenset(domain)
-            )
+            yield FiniteDiagram(self.signature, frozenset(facts), frozenset(domain))
 
     def stage(self, s: int) -> FiniteDiagram:
         if not 0 <= s < len(self.deltas):
@@ -198,10 +197,7 @@ class StructureStream:
         if block is None:
             raise ParseError("stream file has no stages")
         deltas.append(_stage_delta(block, seen, rels))
-        if "lt" in rels and "sim" in rels:
-            raise ParseError("stream mixes lt and sim facts")
-        signature = Signature.EQUIVALENCE if "sim" in rels else Signature.LINEAR_ORDER
-        return StructureStream(signature, deltas, provenance)
+        return StructureStream(file_signature(rels, "stream"), deltas, provenance)
 
 
 def _stage_delta(lines: list, seen: set, rels: set) -> list:

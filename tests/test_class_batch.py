@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from embedlab.classify import census
 from embedlab.constructions import ord2eq
-from embedlab.diagram import ClassBatch, Signature, format_facts
+from embedlab.diagram import ClassBatch, IdText, Signature, format_blocks, format_facts
 from embedlab.kernel import RunLog, StageRecord, run
 from embedlab.streams import CanonicalSpec, generate
 
@@ -37,7 +37,8 @@ notes = st.none() | st.fixed_dictionaries(
 def test_class_batch_records_are_their_facts(steps):
     for batch, _ in steps:
         assert len(batch) == len(list(batch))
-        assert format_facts(batch) == format_facts(list(batch))
+        assert ("\n".join(format_blocks(batch, IdText(), "\n"))
+                == "\n".join(format_facts(list(batch))))
     batches = _log([StageRecord(s, b, n) for s, (b, n) in enumerate(steps)])
     lists = _log([StageRecord(s, list(b), n) for s, (b, n) in enumerate(steps)])
     text = batches.to_jsonl()

@@ -229,6 +229,15 @@ def test_force_bad_atom_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_force_negative_ext_exits_2(tmp_path):
+    alpha = tmp_path / "a.txt"
+    alpha.write_text("lt 0 1\n")
+    result = invoke("force", "--op", "replicate:1", "--alpha", str(alpha),
+                    "--atom", "lt 0 2", "--ext", "-3")
+    assert result.exit_code == 2
+    assert result.output == "error: ext_bound must be a natural, got -3\n"
+
+
 def test_run_logs_are_byte_identical_for_same_config(tmp_path):
     stream = tmp_path / "s.txt"
     invoke("gen", "--family", "one_plus_eta", "--policy", "permuted",

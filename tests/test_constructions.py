@@ -20,11 +20,11 @@ from embedlab.constructions import (
     tuple_precedes,
 )
 from embedlab.diagram import (
-    FiniteDiagram,
     InvalidInput,
     InvalidSpec,
     PlacementBatch,
     Signature,
+    diagram_from_facts,
     partition_diagram,
     total_order_diagram,
 )
@@ -166,7 +166,7 @@ def test_eq2ord_matches_oracle_up_to_four(op_factory, thresholds, reverse_expect
                 facts = [("el", x) for x in domain]
                 facts += [("sim", a, b) for i, (a, b) in enumerate(pairs)
                           if mask >> i & 1]
-                d = FiniteDiagram.make(Signature.EQUIVALENCE, facts)
+                d = diagram_from_facts(Signature.EQUIVALENCE, facts)
                 els, lt = brute_force_order(d, *thresholds)
                 out = op.eval(d, budget)
                 got_lt = {f[1:] for f in out.facts if f[0] == "lt"}

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 import reference_ops
 
 from embedlab.diagram import (
-    FiniteDiagram,
+    EmbedlabError,
     InconsistentDiagram,
     InvalidInput,
     ParseError,
     Signature,
-    SignatureError,
     _UnionFind,
+    diagram_from_facts,
     el,
     format_diagram,
     parse_diagram,
@@ -20,6 +20,7 @@ from embedlab.diagram import (
     sim,
     total_order_diagram,
 )
+from embedlab.streams import StructureStream
 
 
 def test_parse_simple_order():
@@ -45,19 +46,37 @@ def test_parse_sim_closure_one_class():
     assert d.sim_classes() == [[0, 1, 2]]
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_diagram("foo 1 2")
-    with pytest.raises(ParseError):
-        parse_diagram("lt 1")
-    with pytest.raises(ParseError):
-        parse_diagram("el 1 2")
-    with pytest.raises(ParseError):
-        parse_diagram("lt 1 x")
-    with pytest.raises(ParseError):
-        parse_diagram("lt 0 1\nsim 1 2")
-    with pytest.raises(InconsistentDiagram):
-        parse_diagram("lt 3 3")
+def _stream(text):
+    return StructureStream.from_text("-- stage 0\n" + text)
+
+
+# Each diagram-file and stream-file error, with the message the CLI
+# prints after "error: ".
+FILE_ERRORS = [
+    ("unknown_relation", "foo 1 2", ParseError, "unknown relation token 'foo'"),
+    ("lt_arity", "lt 1", ParseError, "lt takes 2 argument(s): 'lt 1'"),
+    ("el_arity", "el 1 2", ParseError, "el takes 1 argument(s): 'el 1 2'"),
+    ("non_natural", "lt 1 x", ParseError, "non-natural argument in 'lt 1 x'"),
+    ("lt_a_a", "lt 3 3", InconsistentDiagram, "lt 3 3"),
+]
+
+
+@pytest.mark.parametrize("read, text, error, message", [
+    *(pytest.param(read, text, error, message, id=f"{kind}-{case}")
+      for case, text, error, message in FILE_ERRORS
+      for kind, read in (("diagram", parse_diagram), ("stream", _stream))),
+    pytest.param(parse_diagram, "lt 0 1\nsim 1 2", ParseError,
+                 "diagram mixes lt and sim facts", id="diagram-mixed"),
+    pytest.param(_stream, "lt 0 1\nsim 1 2", ParseError,
+                 "stream mixes lt and sim facts", id="stream-mixed"),
+    pytest.param(parse_diagram, "lt 0 1\nlt 1 2\nlt 2 0", InconsistentDiagram,
+                 "lt facts contain a cycle", id="diagram-lt_cycle"),
+])
+def test_parse_errors(read, text, error, message):
+    with pytest.raises(EmbedlabError) as exc:
+        read(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 def test_comments_and_blank_lines():
@@ -105,13 +124,6 @@ def test_partition_diagram_classes():
     assert d.sim_classes() == [[0, 1], [2]]
 
 
-def test_signature_mismatch_on_make():
-    with pytest.raises(SignatureError):
-        FiniteDiagram.make(Signature.LINEAR_ORDER, [("sim", 0, 1)])
-    with pytest.raises(SignatureError):
-        FiniteDiagram.make(Signature.EQUIVALENCE, [("lt", 0, 1)])
-
-
 @given(n=st.integers(0, 7), data=st.data())
 def test_sim_classes_are_the_closure_of_sim(n, data):
     """Against the components of the graph of the stored sim facts."""
@@ -132,7 +144,7 @@ def test_sim_classes_are_the_closure_of_sim(n, data):
         return tuple(sorted(seen))
 
     want = [list(c) for c in sorted({component(x) for x in range(n)})]
-    assert FiniteDiagram.make(Signature.EQUIVALENCE, facts).sim_classes() == want
+    assert diagram_from_facts(Signature.EQUIVALENCE, facts).sim_classes() == want
 
 
 def test_union_keeps_the_least_root():

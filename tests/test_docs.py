@@ -1,6 +1,10 @@
-"""Cross-references from code and docs to README sections."""
+"""Cross-references from code and docs to README sections and to the
+package's names."""
 
+import ast
+import importlib
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +44,65 @@ def test_readme_citations_name_existing_headings():
     missing = [(str(path.relative_to(ROOT)), title) for path, title in citations
                if title not in _headings(_readme_of(path))]
     assert not missing
+
+
+# A backticked name with a dot in it: `kernel.evaluate_facts`,
+# ``FiniteDiagram.insert``.  Spans that are file names are skipped.
+DOTTED = re.compile(r"(`+)([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)\1")
+FILE_SUFFIXES = (".py", ".json", ".jsonl", ".md", ".txt")
+
+
+def _inline_text(readme: Path) -> str:
+    """The README's text outside fenced code blocks."""
+    kept, fenced = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced:
+            kept.append(line)
+    return "\n".join(kept)
+
+
+def _docstrings(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nodes = [n for n in ast.walk(tree) if isinstance(
+        n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [doc for doc in map(ast.get_docstring, nodes) if doc]
+
+
+def _resolves(name: str, modules: dict) -> bool:
+    """name's head is the package, one of its modules, a name one of its
+    modules defines or imports, or a standard-library module; and each
+    later part is an attribute of the part before it."""
+    head, *rest = name.split(".")
+    if head in modules:
+        owners = [modules[head]]
+    elif head in sys.stdlib_module_names:
+        owners = [importlib.import_module(head)]
+    else:
+        owners = [getattr(m, head) for m in modules.values() if hasattr(m, head)]
+    for owner in owners:
+        for part in rest:
+            if not hasattr(owner, part):
+                break
+            owner = getattr(owner, part)
+        else:
+            return True
+    return False
+
+
+def test_dotted_names_in_docs_resolve():
+    """A name deleted from the package does not linger in README.md or in
+    a docstring."""
+    package = ROOT / "src" / "embedlab"
+    modules = {"embedlab": importlib.import_module("embedlab")}
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "__init__":
+            modules[path.stem] = importlib.import_module(f"embedlab.{path.stem}")
+    texts = [("README.md", _inline_text(ROOT / "README.md"))]
+    texts += [(path.name, doc) for path in sorted(package.glob("*.py"))
+              for doc in _docstrings(path)]
+    names = [(where, m.group(2)) for where, text in texts
+             for m in DOTTED.finditer(text) if not m.group(2).endswith(FILE_SUFFIXES)]
+    assert names, "no dotted name found; has the pattern drifted?"
+    assert [(where, name) for where, name in names if not _resolves(name, modules)] == []

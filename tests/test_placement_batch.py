@@ -22,10 +22,12 @@ from embedlab.combinators import (
 )
 from embedlab.constructions import StagePair
 from embedlab.diagram import (
+    IdText,
     InvalidInput,
     PlacementBatch,
     Signature,
     diagram_from_facts,
+    format_blocks,
     format_facts,
     parse_batch,
     parse_diagram,
@@ -93,8 +95,8 @@ LONG_IDS = st.one_of(st.integers(0, 10**6), st.integers(10**100, 10**110))
 def test_batch_lines_match_fact_lines_and_read_back(batch):
     new, chain = batch
     b = PlacementBatch(new, chain)
-    lines = format_facts(b)
-    assert lines == format_facts(list(b))
+    lines = format_facts(list(b))
+    assert "\n".join(format_blocks(b, IdText(), "\n")) == "\n".join(lines)
     fresh = set(new)
     old = tuple(x for x in chain if x not in fresh)
     text = {x: str(x) for x in old}
