@@ -19,7 +19,6 @@ from .diagram import (
     lt,
     sim,
     parse_diagram,
-    format_diagram,
     total_order_diagram,
     partition_diagram,
 )

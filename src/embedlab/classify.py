@@ -11,17 +11,14 @@ window heuristic applies only to logs without pin annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain as iter_chain
 
 from .diagram import (
-    FiniteDiagram,
-    InconsistentDiagram,
     InvalidSpec,
     PlacementBatch,
-    RELATIONS,
     Signature,
     SignatureError,
     _UnionFind,
+    arrivals,
 )
 from .kernel import PIN_KEYS, RunLog
 from .streams import CanonicalSpec
@@ -115,34 +112,16 @@ def _order_stages(log: RunLog):
     chain after the stage).  Batch records hold both: a run in memory, or
     a decoded log whose records are all as to_jsonl writes them.  Fact
     records (covering pairs, a fact operator such as README's Mirror, a
-    hand-written log) are replayed: each stage's new elements are inserted
-    into a running chain in the order of the log's final facts, which are
-    then checked against that chain."""
-    if all(isinstance(rec.new_facts, PlacementBatch) for rec in log.records):
-        for rec in log.records:
+    hand-written log) are replayed by arrivals, which reads the order of
+    all the log's facts once."""
+    records = log.records
+    if all(isinstance(rec.new_facts, PlacementBatch) for rec in records):
+        for rec in records:
             if rec.new_facts.new:
                 yield rec.stage, rec.new_facts.new, rec.new_facts.chain
         return
-    seen: set = set()
-    arrivals: list = []  # (stage, elements entering at it)
-    for rec in log.records:
-        named = set(iter_chain.from_iterable(rec.new_facts)) - RELATIONS
-        if not named <= seen:
-            arrivals.append((rec.stage, sorted(named - seen)))
-            seen |= named
-    # Each stage's order is the final order on the elements it has; a
-    # final diagram that is not a total order raises when insert needs it.
-    order = FiniteDiagram(Signature.LINEAR_ORDER, log.final_facts(), frozenset(seen))
-    chain: list = []
-    for stage, new_elements in arrivals:
-        for x in new_elements:
-            order.insert(chain, x)
-        yield stage, new_elements, chain
-    # insert compares only the pairs its binary search visits, so a cycle
-    # among the stored facts shows as a fact against the replayed chain.
-    rank = {x: i for i, x in enumerate(chain)}
-    if any(rank[f[1]] > rank[f[2]] for f in order.facts if f[0] == "lt"):
-        raise InconsistentDiagram("lt facts contain a cycle")
+    for i, new_elements, chain in arrivals(rec.new_facts for rec in records):
+        yield records[i].stage, new_elements, chain
 
 
 def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:

@@ -79,7 +79,7 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen(family, k, policy, seed, stages, out):
     """Generate a canonical structure stream file."""
-    spec = CanonicalSpec(family, policy, k, _seed_option(seed))
+    spec = CanonicalSpec(family, policy, k, _seed_option(seed)).check_k()
     stream = generate(spec, stages)
     Path(out).write_text(stream.to_text(), encoding="utf-8")
     final = stream.final()

@@ -13,8 +13,8 @@ concatenate build their output chain from their inner chains, tagging each
 element once; none of them compares or emits a pair, since diagram.py
 expands a batch into facts only when something reads them.  An inner
 operator that returns plain facts, such as a user-defined one, is read
-through one adapter, _OrderBatches, which inserts its new elements into a
-chain and raises InvalidInput unless its output so far is a total order.
+through one adapter, _OrderBatches, which takes its chain from the order
+of its facts and raises InvalidInput unless they present a total order.
 Each evaluator node's ``step`` steps its inner evaluators and builds its
 own output; none only forwards to another.
 """
@@ -93,8 +93,8 @@ def replicate(q: int) -> Replicate:
 class _OrderBatches(StreamEvaluator):
     """An inner order evaluator's output as placement batches.
 
-    Batches pass through.  Plain facts are collected, and each step's new
-    elements are inserted into a chain with FiniteDiagram.insert; the
+    Batches pass through.  Plain facts are collected, and after each step
+    that adds facts the chain is their order (FiniteDiagram.chain); the
     facts so far must present a total order, else InvalidInput.
     """
 
@@ -115,8 +115,7 @@ class _OrderBatches(StreamEvaluator):
                 raise InvalidInput(
                     "an order combinator needs its inner output to be a total order")
             placed = sorted(order.domain.difference(self.chain))
-            for x in placed:
-                order.insert(self.chain, x)
+            self.chain = order.chain()
         return PlacementBatch(placed, tuple(self.chain)), notes
 
 

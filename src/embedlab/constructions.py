@@ -37,6 +37,7 @@ from .diagram import (
     InvalidSpec,
     PlacementBatch,
     Signature,
+    arrivals,
     el,
     sim,
 )
@@ -70,13 +71,6 @@ def _weight_ordered():
         w += 1
 
 
-def _chains_from(start: int):
-    i = start
-    while True:
-        yield tuple(range(start, i + 1))
-        i += 1
-
-
 def _chains_from_step(start: int, step: int):
     i = 1
     while True:
@@ -86,8 +80,8 @@ def _chains_from_step(start: int, step: int):
 
 _TUPLE_SOURCES = [
     _weight_ordered(),
-    _chains_from(0),
-    _chains_from(1),
+    _chains_from_step(0, 1),
+    _chains_from_step(1, 1),
     _chains_from_step(1, 2),
 ]
 _TUPLE_LOCK = threading.Lock()
@@ -298,8 +292,7 @@ class Formula2Eq(EnumerationOperator):
 
     output_signature = Signature.EQUIVALENCE
 
-    def __init__(self, sentence: Sigma2Sentence, seed_size: int = 1,
-                 name: str | None = None):
+    def __init__(self, sentence: Sigma2Sentence, seed_size: int = 1):
         if any(d.exists_arity != 1 for d in sentence.disjuncts):
             raise InvalidSpec("formula2eq requires existential arity 1")
         if seed_size not in (1, 2):
@@ -307,7 +300,7 @@ class Formula2Eq(EnumerationOperator):
         self.sentence = sentence
         self.seed_size = seed_size
         self.input_signature = sentence.signature
-        self.name = name or f"formula2eq:{sentence.name}:{seed_size}"
+        self.name = f"formula2eq:{sentence.name}:{seed_size}"
 
     def make_stream_evaluator(self):
         return _Formula2EqStream(self)
@@ -405,7 +398,9 @@ class StagePair:
     """Stage presentations of the two targets; stage s has domain 0..s.
 
     Finite stages of equal size embed into each other by the unique
-    order isomorphism, so the stage functions are the identity.
+    order isomorphism, so the stage functions are the identity.  The
+    targets are read once, in full, when the first run of the pair needs
+    them, and every run of the pair indexes what was read (entry_ranks).
     """
 
     a: StructureStream
@@ -416,31 +411,22 @@ class StagePair:
                 or self.b.signature is not Signature.LINEAR_ORDER):
             raise InvalidSpec("phi_pair targets must be linear order streams")
 
-
-class _TargetReader:
-    """Tracks a target stream's chain and the rank at which each stage's
-    element entered it, in the order of the stream's final diagram."""
-
-    def __init__(self, stream: StructureStream):
-        self.stream = stream
-        self.chain: list = []
-        self.insert_ranks: list = []
-
-    def rank_of_stage(self, t: int) -> int:
-        """Rank at which element t entered the target's chain at stage t."""
-        while len(self.chain) <= t:
-            s = len(self.chain)
-            if s >= len(self.stream):
-                raise InvalidInput("target stream is shorter than the run")
-            new = [f[1] for f in self.stream.deltas[s] if f[0] == "el"]
-            if new != [s]:
-                raise InvalidInput("target stages must add element s at stage s")
-            self.insert_ranks.append(self._order.insert(self.chain, s))
-        return self.insert_ranks[t]
-
     @cached_property
-    def _order(self):
-        return self.stream.final()
+    def entry_ranks(self) -> dict:
+        """Each target's entry ranks by the name phi_pair builds it under,
+        "A" or "B": for each stage s, the rank at which element s entered
+        the target's chain."""
+        return {"A": _entry_ranks(self.a), "B": _entry_ranks(self.b)}
+
+
+def _entry_ranks(stream: StructureStream) -> list:
+    """A target's entry ranks, replayed in the order of all its facts.
+    Every stage s must add element s and no other."""
+    ranks = [chain.index(s) for s, new, chain in arrivals(stream.deltas)
+             if new == [s]]
+    if len(ranks) < len(stream):
+        raise InvalidInput("target stages must add element s at stage s")
+    return ranks
 
 
 class PhiPair(TuringConstruction):
@@ -459,11 +445,17 @@ class PhiPair(TuringConstruction):
         self.targets = targets
         self.building = "A"
         self.t = self.l = self.r = None
-        self.readers = {"A": _TargetReader(targets.a), "B": _TargetReader(targets.b)}
         self.chain: list = []  # output elements in output order, ids from 0 up
 
     def make_stream_evaluator(self):
         return PhiPair(self.targets)
+
+    def _entry_rank(self) -> int:
+        """Rank at which element t entered the target being built."""
+        ranks = self.targets.entry_ranks[self.building]
+        if self.t >= len(ranks):
+            raise InvalidInput("target stream is shorter than the run")
+        return ranks[self.t]
 
     def step(self, diagram, delta, budget):
         new = [f[1] for f in delta if f[0] == "el"]
@@ -477,7 +469,7 @@ class PhiPair(TuringConstruction):
 
         if self.t is None:
             self.t, self.l, self.r = 0, d, d
-            self.readers["A"].rank_of_stage(0)
+            self._entry_rank()  # a bad or empty target raises before any output
             chain.append(0)
             placed.append(0)
         else:
@@ -491,7 +483,7 @@ class PhiPair(TuringConstruction):
                 switched = True
             else:
                 self.t += 1
-                insert_rank = self.readers[self.building].rank_of_stage(self.t)
+                insert_rank = self._entry_rank()
                 placed.append(len(chain))
                 chain.insert(insert_rank, len(chain))
             self.l, self.r = new_l, new_r

@@ -28,6 +28,11 @@ new element and one lt fact for every pair with a new element at either
 end, so a run log stores every pair while the operators that write it
 never build a pair.  place() is the same rule for one element.
 
+An order given by fact deltas (a stream's stages, a run log's fact
+records) is replayed one way, arrivals(), which reads the order of all
+the facts once (chain); the classifier and phi_pair's targets use it, and
+insert is left to evaluators placing a stage's new input elements.
+
 One layout (_layout) orders a batch's record for both its facts and its
 text, and is computed once each time a record is expanded, written or
 checked.  The text is rendered in blocks (format_blocks):
@@ -49,6 +54,7 @@ Every number in an input is a natural in ASCII digits (is_natural).
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, count, islice, repeat
@@ -324,6 +330,30 @@ def _insert(chain: list, x: int, below) -> int:
             hi = mid
     chain.insert(lo, x)
     return lo
+
+
+def arrivals(deltas: Iterable) -> Iterator[tuple]:
+    """Replay a linear order given by fact deltas (a stream's stages, a
+    run log's records): each delta that names new elements, as (its
+    index, those elements ascending, the chain so far, one list grown in
+    place).  The order of all the facts is read once, by chain(), before
+    anything is yielded, so a cycle or an unordered pair raises first."""
+    facts: set = set()
+    seen: set = set()
+    named: list = []  # (delta index, the elements it names first)
+    for i, delta in enumerate(deltas):
+        delta = set(delta)
+        facts |= delta
+        if new := set(chain.from_iterable(delta)) - RELATIONS - seen:
+            seen |= new
+            named.append((i, sorted(new)))
+    order = FiniteDiagram(Signature.LINEAR_ORDER, frozenset(facts), frozenset(seen))
+    rank = dict(zip(order.chain(), count())).__getitem__
+    grown: list = []
+    for i, new in named:
+        for x in new:
+            insort(grown, x, key=rank)
+        yield i, new, grown
 
 
 _EL = repeat("el")
@@ -691,15 +721,6 @@ def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDia
         return facts.diagram()
     fs = frozenset(facts)
     return FiniteDiagram(signature, fs, frozenset(chain.from_iterable(fs)) - RELATIONS)
-
-
-def format_diagram(diagram: FiniteDiagram) -> str:
-    lines = format_facts(sorted(diagram.facts))
-    # Elements that occur in no fact still need an el declaration.
-    covered = set(chain.from_iterable(diagram.facts))
-    for x in sorted(diagram.domain - covered):
-        lines.append(f"el {x}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def total_order_diagram(chain: Iterable[int]) -> FiniteDiagram:

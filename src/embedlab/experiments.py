@@ -40,7 +40,7 @@ from .forcing import trichotomy_scan
 from .kernel import evaluate_facts, run
 from .pairing import decode_tuple, encode_tuple
 from .sigma2 import greatest_element_sentence, least_element_sentence
-from .streams import CanonicalSpec, derive_seed, generate
+from .streams import CanonicalSpec, _order_slot_keys, derive_seed, generate
 
 PARAMS = {
     "monotonicity": {"max_size": 6, "max_budget": 16},
@@ -347,15 +347,11 @@ def hash_stable(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
 
 
-def _omega_k_rank(k: int, t: int) -> int:
-    """Rank of element t in the omega.k fair presentation's stage t."""
-    key = (t % k, t // k)
-    return sum(1 for j in range(t + 1) if (j % k, j // k) < key)
-
-
-def _omega_star_k_rank(k: int, t: int) -> int:
-    key = (t % k, -(t // k))
-    return sum(1 for j in range(t + 1) if (j % k, -(j // k)) < key)
+def _fair_rank(spec: CanonicalSpec, t: int) -> int:
+    """Rank of element t in stage t of spec's fair presentation: the
+    number of elements before it whose slot key is smaller."""
+    keys = _order_slot_keys(spec, t + 1)
+    return sum(1 for key in keys if key < keys[t])
 
 
 def experiment_phi_pair(seed: int) -> ExperimentResult:
@@ -365,10 +361,10 @@ def experiment_phi_pair(seed: int) -> ExperimentResult:
     twice."""
     p = PARAMS["phi_pair"]
     stages = p["domain"]
-    targets = StagePair(
-        generate(CanonicalSpec("omega_k", k=2), stages + 4),
-        generate(CanonicalSpec("omega_star_k", k=2), stages + 4),
-    )
+    target_specs = {"A": CanonicalSpec("omega_k", k=2),
+                    "B": CanonicalSpec("omega_star_k", k=2)}
+    targets = StagePair(generate(target_specs["A"], stages + 4),
+                        generate(target_specs["B"], stages + 4))
     records = []
     failures = []
 
@@ -381,7 +377,7 @@ def experiment_phi_pair(seed: int) -> ExperimentResult:
             problems.append(f"settled on {final}")
         if last_switch > p["max_switch_stage"]:
             problems.append(f"late switch at {last_switch}")
-        rank_oracle = _omega_k_rank if want_building == "A" else _omega_star_k_rank
+        target = target_specs[want_building]
         for r in log.records:
             a = r.annotations
             if r.stage <= last_switch:
@@ -389,7 +385,7 @@ def experiment_phi_pair(seed: int) -> ExperimentResult:
             if a["switched"]:
                 problems.append("switch after stabilization")
             elif r.stage > 0:
-                if a["insert_rank"] != rank_oracle(2, a["t"]):
+                if a["insert_rank"] != _fair_rank(target, a["t"]):
                     problems.append(f"rank mismatch at stage {r.stage}")
                     break
         if problems:

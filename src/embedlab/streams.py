@@ -109,6 +109,13 @@ class CanonicalSpec:
             else Signature.EQUIVALENCE
         )
 
+    def check_k(self) -> "CanonicalSpec":
+        """This spec; InvalidSpec if it gives a k other than 1 to a family
+        that would drop it (one not in PARAMETRIC_FAMILIES)."""
+        if self.k != 1 and self.family not in PARAMETRIC_FAMILIES:
+            raise InvalidSpec(f"family {self.family!r} takes no k, got {self.k}")
+        return self
+
     def label(self) -> str:
         parts = [self.family]
         if self.family in PARAMETRIC_FAMILIES:
@@ -130,7 +137,7 @@ class CanonicalSpec:
             k = int(parts[1])
         elif len(parts) > 2:
             raise InvalidSpec(f"bad spec {text!r}")
-        return CanonicalSpec(family, policy, k, seed)
+        return CanonicalSpec(family, policy, k, seed).check_k()
 
 
 class StructureStream:

@@ -34,6 +34,9 @@ reads an order operator's output chain by position and must give the same
 refuted pairs, outcomes and certificates.  ``AxiomTableOperator`` is an
 operator given by an explicit (premise, fact) axiom list, the forcing and
 kernel tests' fixture for operators that are not extension complete.
+``covering`` and ``covering_stream`` cut an order presentation down to
+its covering pairs stage by stage, reading each stage's order from its
+prefix's facts with ``chain()`` rather than through ``diagram.arrivals``.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from embedlab.diagram import (
     NotInOutput,
     ParseError,
     Signature,
+    diagram_from_facts,
     el,
     sim,
     total_order_diagram,
@@ -72,6 +76,7 @@ from embedlab.forcing import FORCED, REFUTED, UNKNOWN, ForcingVerdict, extension
 from embedlab.kernel import EnumerationOperator, StreamEvaluator
 from embedlab.pairing import encode_tuple, pair, tag
 from embedlab.sigma2 import refuting_witness_values
+from embedlab.streams import StructureStream
 
 
 def _sim(a: int, b: int) -> tuple:
@@ -686,3 +691,28 @@ class _AxiomTableStream(StreamEvaluator):
                 new.append(fact)
         self.scanned = max(self.scanned, budget)
         return new, None
+
+
+def covering(deltas) -> list:
+    """Each delta's el facts plus only the lt facts between each element
+    that is new in it and its immediate neighbours in the order so far."""
+    out = []
+    facts: set = set()
+    seen: set = set()
+    for delta in deltas:
+        facts.update(delta)
+        line = diagram_from_facts(Signature.LINEAR_ORDER, facts).chain()
+        new = {x for f in delta for x in f[1:]} - seen
+        seen |= new
+        out.append(sorted(
+            [f for f in delta if f[0] == "el"]
+            + [("lt", a, b) for a, b in zip(line, line[1:])
+               if a in new or b in new]))
+    return out
+
+
+def covering_stream(stream: StructureStream) -> StructureStream:
+    """The stream cut to its covering pairs, read back through the file
+    format so that the parser sees the sparse facts too."""
+    text = StructureStream(stream.signature, covering(stream.deltas), "").to_text()
+    return StructureStream.from_text(text, stream.provenance)

@@ -458,6 +458,23 @@ def test_classify_bad_stage_numbers_exit_2(tmp_path, edit):
     _assert_usage_error(invoke("classify", "--log", str(log), "--claim", "omega_k:2"))
 
 
+@pytest.mark.parametrize("claim", ["omega:7", "eta:2"])
+def test_classify_k_on_a_family_that_takes_none_exits_2(tmp_path, claim):
+    """omega:7 is not a claim of omega.7 (that is omega_k:7): a k that the
+    family would drop is rejected, not read as plain omega."""
+    log = _logged_run(tmp_path, "replicate:1", "omega", 1, 5)
+    _assert_usage_error(invoke("classify", "--log", str(log), "--claim", claim))
+    result = invoke("classify", "--log", str(log), "--claim", "omega_k:7")
+    assert json.loads(result.output)["claim"] == "omega_k:7:fair"
+
+
+def test_gen_k_on_a_family_that_takes_none_exits_2(tmp_path):
+    out = tmp_path / "s.txt"
+    _assert_usage_error(invoke("gen", "--family", "omega", "--k", "4",
+                               "--stages", "5", "--out", str(out)))
+    assert not out.exists()
+
+
 def test_classify_accepts_gaps_in_stage_numbers(tmp_path):
     log = _logged_run(tmp_path, "replicate:1", "omega_k", 2, 40)
     _rewrite_records(log, lambda i, rec: rec.update(stage=2 * i))

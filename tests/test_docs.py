@@ -106,3 +106,45 @@ def test_dotted_names_in_docs_resolve():
              for m in DOTTED.finditer(text) if not m.group(2).endswith(FILE_SUFFIXES)]
     assert names, "no dotted name found; has the pattern drifted?"
     assert [(where, name) for where, name in names if not _resolves(name, modules)] == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """(name, statement) for each module-level function, class or
+    constant whose name starts with one underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(name, node) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def test_private_names_have_a_user():
+    """Every module-level _name in the package is read somewhere in the
+    package outside its own definition, so a helper does not stay behind
+    after its last caller moved away."""
+    package = ROOT / "src" / "embedlab"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    uses: dict = {}  # name -> the nodes that read it
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                uses.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                uses.setdefault(n.attr, []).append(n)
+    definitions = [(module, name, node) for module, tree in trees.items()
+                   for name, node in _private_definitions(tree)]
+    assert definitions, "no private name found; has the walk drifted?"
+    unused = []
+    for module, name, node in definitions:
+        own = set(map(id, ast.walk(node)))
+        if all(id(n) in own for n in uses.get(name, ())):
+            unused.append(f"{module}.{name}")
+    assert unused == []

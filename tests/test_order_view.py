@@ -1,12 +1,16 @@
 """One order view: every reader of lt (and of sim in sentence literals) asks
 FiniteDiagram, so an order given by its covering pairs reads exactly like
-its all-pairs closure."""
+its all-pairs closure, and an order given by fact deltas is replayed one
+way (diagram.arrivals)."""
+
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_ops
+from reference_ops import covering, covering_stream
 from embedlab.classify import consistency_verdict, fingerprint
 from embedlab.combinators import replicate
 from embedlab.constructions import (
@@ -21,6 +25,7 @@ from embedlab.diagram import (
     InconsistentDiagram,
     InvalidInput,
     Signature,
+    arrivals,
     diagram_from_facts,
     parse_diagram,
     partition_diagram,
@@ -33,36 +38,18 @@ from embedlab.sigma2 import (
     literal_holds,
     parse_sentence,
 )
-from embedlab.streams import ORDER_FAMILIES, CanonicalSpec, StructureStream, generate
+from embedlab.streams import (
+    ORDER_FAMILIES,
+    CanonicalSpec,
+    StructureStream,
+    generate,
+    restrict,
+)
 
 TWO_VARIABLE = parse_sentence(
     "exists 2\ndisjunct 0\nforall 0: lt x0 x1\nforall 1: not lt y0 x0\n",
     name="two_variable",
 )
-
-
-def covering(deltas) -> list:
-    """Each delta's el facts plus only the lt facts between each element
-    that is new in it and its immediate neighbours in the order so far."""
-    out = []
-    facts: set = set()
-    seen: set = set()
-    for delta in deltas:
-        facts.update(delta)
-        line = diagram_from_facts(Signature.LINEAR_ORDER, facts).chain()
-        new = {x for f in delta for x in f[1:]} - seen
-        seen |= new
-        out.append(sorted(
-            [f for f in delta if f[0] == "el"]
-            + [("lt", a, b) for a, b in zip(line, line[1:])
-               if a in new or b in new]))
-    return out
-
-
-def covering_stream(stream: StructureStream) -> StructureStream:
-    # Through the file format, so the parser sees the sparse facts too.
-    text = StructureStream(stream.signature, covering(stream.deltas), "").to_text()
-    return StructureStream.from_text(text, stream.provenance)
 
 
 def covering_log(log: RunLog) -> RunLog:
@@ -149,6 +136,84 @@ def test_covering_stream_classifies_as_all_pairs(presentation):
                          CanonicalSpec(spec.family, k=spec.k))
 
 
+@st.composite
+def replayed_streams(draw):
+    """A generated order stream, possibly restricted to a drawn set of its
+    elements (so some stages add nothing), possibly cut to covering pairs."""
+    _, stream = draw(order_streams())
+    if draw(st.booleans()):
+        stream = restrict(stream, draw(st.sets(st.integers(0, len(stream) - 1))))
+    if draw(st.booleans()):
+        stream = covering_stream(stream)
+    return stream
+
+
+@given(replayed_streams())
+@COVERING_SETTINGS
+def test_arrivals_yield_each_prefix_order(stream):
+    """At each delta that names new elements, arrivals yields those
+    elements and the order that chain() reads from the deltas so far."""
+    got = [(i, list(new), list(line)) for i, new, line in arrivals(stream.deltas)]
+    want = []
+    seen: set = set()
+    for i in range(len(stream)):
+        prefix = diagram_from_facts(
+            Signature.LINEAR_ORDER, chain.from_iterable(stream.deltas[:i + 1]))
+        if prefix.domain - seen:
+            want.append((i, sorted(prefix.domain - seen), prefix.chain()))
+            seen |= prefix.domain
+    assert got == want
+
+
+def _fact_log(*deltas) -> RunLog:
+    log = RunLog("x", Signature.LINEAR_ORDER, "", "")
+    log.records = [StageRecord(s, list(delta)) for s, delta in enumerate(deltas)]
+    return log
+
+
+def _phi_pair_run(target_a, stages: int):
+    target_b = generate(CanonicalSpec("omega_star_k", k=2), stages + 4)
+    run(phi_pair(StagePair(target_a, target_b)),
+        generate(CanonicalSpec("omega"), stages), stages)
+
+
+def _target(*deltas) -> StructureStream:
+    return StructureStream(Signature.LINEAR_ORDER, list(deltas), "target")
+
+
+# Errors of an order given by its facts: (what raises, class, message).
+ORDER_FACT_ERRORS = {
+    "log_cycle_with_every_pair": (
+        lambda: fingerprint(_fact_log(
+            [("el", 0), ("el", 1), ("lt", 0, 1)],
+            [("el", 2), ("lt", 1, 2), ("lt", 2, 0)]), 5),
+        InconsistentDiagram, "lt facts contain a cycle"),
+    "log_not_total": (
+        lambda: fingerprint(_fact_log(
+            [("el", 0), ("el", 1)], [("el", 2), ("lt", 0, 2)]), 5),
+        InvalidInput, "diagram is not a total order"),
+    "target_shorter_than_run": (
+        lambda: _phi_pair_run(generate(CanonicalSpec("omega_k", k=2), 3), 10),
+        InvalidInput, "target stream is shorter than the run"),
+    "target_stage_adds_two": (
+        lambda: _phi_pair_run(_target(
+            [("el", 0), ("el", 1), ("lt", 0, 1)],
+            [("el", 2), ("lt", 0, 2), ("lt", 1, 2)]), 2),
+        InvalidInput, "target stages must add element s at stage s"),
+    "target_stage_adds_none": (
+        lambda: _phi_pair_run(_target([("el", 0)], [], [("el", 1), ("lt", 0, 1)]), 3),
+        InvalidInput, "target stages must add element s at stage s"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_FACT_ERRORS))
+def test_order_fact_errors(name):
+    call, cls, message = ORDER_FACT_ERRORS[name]
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls and str(info.value) == message
+
+
 def test_fair_omega_2_verdict_does_not_depend_on_presentation():
     spec = CanonicalSpec("omega_k", k=2)
     stream = generate(spec, 80)
@@ -179,14 +244,6 @@ def test_fingerprint_matches_reference_on_all_pairs_logs(family, policy):
         for threshold in (1, 5, 20):
             assert (fingerprint(log, threshold)
                     == reference_ops.fingerprint(log, threshold))
-
-
-def test_fingerprint_rejects_non_total_log():
-    log = RunLog("x", Signature.LINEAR_ORDER, "", "")
-    log.records = [StageRecord(0, [("el", 0), ("el", 1)]),
-                   StageRecord(1, [("el", 2), ("lt", 0, 2)])]
-    with pytest.raises(InvalidInput):
-        fingerprint(log, 5)
 
 
 # --- long chains ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from embedlab import constructions
 from embedlab.constructions import StagePair, phi_pair, phi_sigma2
 from embedlab.diagram import InvalidSpec, Signature
 from embedlab.kernel import run
@@ -72,6 +73,25 @@ def test_phi_pair_switch_count_small_on_permuted():
         assert log.records[-1].annotations["building"] == "A"
         # Stable after the true minimum arrived and one more top appears.
         assert max(switch_stages, default=0) <= 34
+
+
+def test_stage_pair_reads_its_targets_once(monkeypatch):
+    """Runs that share a StagePair index the same entry ranks: each target
+    is replayed once, however many runs there are, and every run logs what
+    it logs with a pair of its own."""
+    replays = []
+    entry_ranks = constructions._entry_ranks
+    monkeypatch.setattr(constructions, "_entry_ranks",
+                        lambda stream: replays.append(stream) or entry_ranks(stream))
+    targets = make_targets(44)
+    streams = [generate(CanonicalSpec(family, "permuted", seed=seed), 40)
+               for family in ("omega", "omega_star") for seed in (1, 2, 3)]
+    shared = [run(phi_pair(targets), stream, 40) for stream in streams]
+    assert replays == [targets.a, targets.b]
+    for stream, log in zip(streams, shared):
+        own = run(phi_pair(make_targets(44)), stream, 40)
+        assert [(r.new_facts, r.annotations) for r in log.records] == [
+            (r.new_facts, r.annotations) for r in own.records]
 
 
 def test_phi_pair_output_stays_total():

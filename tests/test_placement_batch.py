@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops
+from reference_ops import covering_stream
 from embedlab import diagram, kernel
 from embedlab.classify import fingerprint
 from embedlab.combinators import (
@@ -41,7 +42,7 @@ from embedlab.kernel import (
     run,
 )
 from embedlab.registry import build_operator
-from embedlab.streams import ORDER_FAMILIES, CanonicalSpec, StructureStream, generate
+from embedlab.streams import ORDER_FAMILIES, CanonicalSpec, generate
 
 
 def naive_facts(new, chain) -> list:
@@ -430,7 +431,7 @@ def test_edited_records_read_as_facts(data):
 
 def test_covering_and_mirror_logs_read_as_facts(monkeypatch):
     stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=4), 16)
-    covering = _covering(stream)
+    covering = covering_stream(stream)
     for log in (RunLog.from_stream(covering), run(Mirror(), covering, 16)):
         decoded = _assert_read_as_facts(log.to_jsonl(), monkeypatch)
         assert not all(isinstance(r.new_facts, PlacementBatch) for r in decoded.records)
@@ -466,20 +467,6 @@ class _MirrorStream(StreamEvaluator):
         return new, None
 
 
-def _covering(stream: StructureStream) -> StructureStream:
-    """The stream with each stage's lt facts cut to the new elements'
-    immediate neighbours."""
-    deltas = []
-    facts: set = set()
-    for delta in stream.deltas:
-        facts.update(delta)
-        line = diagram_from_facts(Signature.LINEAR_ORDER, facts).chain()
-        new = {f[1] for f in delta if f[0] == "el"}
-        deltas.append([f for f in delta if f[0] == "el"] + [
-            ("lt", a, b) for a, b in zip(line, line[1:]) if a in new or b in new])
-    return StructureStream(stream.signature, deltas, stream.provenance)
-
-
 MIRROR_COMBINATORS = {
     "reverse": (lambda: reverse(Mirror()),
                 lambda: reference_ops.fact_reverse(Mirror())),
@@ -499,7 +486,7 @@ def test_combinators_over_fact_operators_keep_their_logs_up_to_closure(
         name, cover, schedule):
     stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=4), 20)
     if cover:
-        stream = _covering(stream)
+        stream = covering_stream(stream)
     make, make_reference = MIRROR_COMBINATORS[name]
     sched, fn = parse_schedule(schedule)
     log = run(make(), stream, 20, fn, sched)
