@@ -11,8 +11,13 @@ sim facts are stored unordered (normalized to a < b); the class partition
 is their reflexive-symmetric-transitive closure.  The order is the
 transitive closure of the lt facts, which must be acyclic.  Neither set
 needs to be closed: covering pairs present the same order as all pairs.
-Code that reads an order or a partition asks FiniteDiagram (chain, below,
-insert, holds, sim_classes) rather than the stored facts.
+Code that reads an order or a partition asks for it (chain, below,
+insert, holds, sim_classes) rather than reading the stored facts.
+FiniteDiagram holds the one copy of those rules and answers them for a
+whole diagram.  A run, which sees its input one delta at a time, reads
+its stages through a StageView: one per run, grown in place by each
+delta, so drawing a stage costs what is new at it.  An order whose deltas
+are all known in advance is replayed by arrivals() instead.
 
 A diagram from outside the program arrives only as text, and is checked
 once, where parse_diagram reads it: each line's relation, arity and
@@ -28,10 +33,11 @@ new element and one lt fact for every pair with a new element at either
 end, so a run log stores every pair while the operators that write it
 never build a pair.  place() is the same rule for one element.
 
-An order given by fact deltas (a stream's stages, a run log's fact
-records) is replayed one way, arrivals(), which reads the order of all
-the facts once (chain); the classifier and phi_pair's targets use it, and
-insert is left to evaluators placing a stage's new input elements.
+An order given by fact deltas that are all known in advance (a
+phi_pair target's stages, a run log's fact records) is replayed one way,
+arrivals(), which reads the order of all the facts once (chain); the
+classifier and phi_pair's targets use it, and insert is left to
+evaluators placing a stage's new input elements.
 
 One layout (_layout) orders a batch's record for both its facts and its
 text, and is computed once each time a record is expanded, written or
@@ -58,6 +64,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, compress, count, islice, repeat
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -134,11 +141,18 @@ class FiniteDiagram:
 
     Built by parse_diagram from a diagram file, which checks it, or from
     facts built in code, which are trusted, by diagram_from_facts (or by
-    the constructor, where the domain is already known)."""
+    the constructor, where the domain is already known).
+
+    Its reading rules (below, insert, holds, chain, is_total,
+    sim_classes) are StageView's too.  They read the facts as _stored,
+    the order through _topo and _ranks and the partition through
+    _classes, which each class provides."""
 
     signature: Signature
     facts: frozenset = field(default_factory=frozenset)
     domain: frozenset = field(default_factory=frozenset)
+
+    _stored = property(attrgetter("facts"))
 
     @cached_property
     def _topo(self) -> tuple:
@@ -193,11 +207,13 @@ class FiniteDiagram:
         """a < b in a total order diagram.  Stored lt facts need not be
         transitively closed, so a pair without one is decided by chain()
         positions, which raise InvalidInput if the diagram is not total."""
-        if ("lt", a, b) in self.facts:
+        stored = self._stored
+        if ("lt", a, b) in stored:
             return True
-        if ("lt", b, a) in self.facts:
+        if ("lt", b, a) in stored:
             return False
-        return self._ranks[a] < self._ranks[b]
+        ranks = self._ranks
+        return ranks[a] < ranks[b]
 
     @cached_property
     def _ranks(self) -> dict:
@@ -217,21 +233,28 @@ class FiniteDiagram:
             return rel == "sim"
         if rel == "lt":
             return self.below(a, b)
-        return sim(a, b) in self.facts or self._class_of[a] == self._class_of[b]
-
-    @cached_property
-    def _class_of(self) -> dict:
-        return {x: i for i, c in enumerate(self.sim_classes()) for x in c}
+        if sim(a, b) in self._stored:
+            return True
+        classes = self._classes
+        return classes.find(a) == classes.find(b)
 
     def sim_classes(self) -> list:
         """Partition of the domain by the closure of sim (sorted classes)."""
-        if self.signature is not Signature.EQUIVALENCE:
-            raise SignatureError("sim_classes() requires an equivalence diagram")
+        return self._classes.classes()
+
+    @cached_property
+    def _classes(self) -> "_UnionFind":
+        _check_equivalence(self)
         classes = _UnionFind(self.domain)
         for f in self.facts:
             if f[0] == "sim":
                 classes.union(f[1], f[2])
-        return classes.classes()
+        return classes
+
+
+def _check_equivalence(diagram) -> None:
+    if diagram.signature is not Signature.EQUIVALENCE:
+        raise SignatureError("sim_classes() requires an equivalence diagram")
 
 
 class _UnionFind:
@@ -330,6 +353,99 @@ def _insert(chain: list, x: int, below) -> int:
             hi = mid
     chain.insert(lo, x)
     return lo
+
+
+class StageView:
+    """The cumulative input of a run at its current stage: one object per
+    run, grown in place by each delta (grow), that a step reads as it
+    reads a FiniteDiagram, through the same rules.  It is valid for one
+    step only: the next growth changes it.
+
+    Nothing is rebuilt at a stage: grow adds the delta to one fact set,
+    and the facts and the domain are brought up to date only when read.
+    below answers a pair from its stored fact first; the order of an
+    unstored pair is read from a FiniteDiagram of the facts so far, built
+    the first time a stage's order is read, so it raises what that
+    diagram raises, at the same call.  The partition is a _UnionFind
+    joined by the deltas since it was last read.
+    """
+
+    below = FiniteDiagram.below
+    insert = FiniteDiagram.insert
+    holds = FiniteDiagram.holds
+    chain = FiniteDiagram.chain
+    is_total = FiniteDiagram.is_total
+    sim_classes = FiniteDiagram.sim_classes
+
+    def __init__(self, signature: Signature):
+        self.signature = signature
+        self.delta: list = []        # the facts new at the latest growth
+        self._stored: set = set()    # every fact so far
+        self._deltas: list = []      # each growth's new facts
+        self._named: set = set()     # the elements of the first _counted deltas
+        self._counted = 0
+        self._partition = _UnionFind()  # the classes of the first _joined deltas
+        self._joined = 0
+        self._facts = self._domain = self._diagram = None
+
+    def grow(self, delta) -> None:
+        """Add a delta (a sized collection of facts), keeping as self.delta
+        its facts new to the view: the delta itself unless one of its
+        facts was seen before, which a length check finds."""
+        stored = self._stored
+        size = len(stored)
+        stored.update(delta)
+        if len(stored) - size != len(delta):
+            old = set(chain.from_iterable(self._deltas))
+            delta = [f for f in dict.fromkeys(delta) if f not in old]
+        self._deltas.append(delta)
+        self.delta = delta
+        self._facts = self._domain = self._diagram = None
+
+    @property
+    def facts(self) -> frozenset:
+        if self._facts is None:
+            self._facts = frozenset(self._stored)
+        return self._facts
+
+    @property
+    def domain(self) -> frozenset:
+        if self._domain is None:
+            named = self._named
+            for delta in self._deltas[self._counted:]:
+                named.update(chain.from_iterable(delta))
+            named -= RELATIONS
+            self._counted = len(self._deltas)
+            self._domain = frozenset(named)
+        return self._domain
+
+    @property
+    def _order(self) -> FiniteDiagram:
+        """This stage as a FiniteDiagram, which reads its order."""
+        if self._diagram is None:
+            self._diagram = FiniteDiagram(self.signature, self.facts, self.domain)
+        return self._diagram
+
+    @property
+    def _topo(self) -> tuple:
+        return self._order._topo
+
+    @property
+    def _ranks(self) -> dict:
+        return self._order._ranks
+
+    @property
+    def _classes(self) -> "_UnionFind":
+        _check_equivalence(self)
+        classes = self._partition
+        for delta in self._deltas[self._joined:]:
+            for x in set(chain.from_iterable(delta)) - RELATIONS:
+                classes.add(x)
+            for f in delta:
+                if f[0] == "sim":
+                    classes.union(f[1], f[2])
+        self._joined = len(self._deltas)
+        return classes
 
 
 def arrivals(deltas: Iterable) -> Iterator[tuple]:

@@ -11,6 +11,12 @@ policy shuffles which structural slot arrives when, over a bounded prefix,
 using a seeded 64-bit linear congruential generator (Knuth's MMIX constants
 a=6364136223846793005, c=1442695040888963407) so presentations are
 reproducible across implementations.
+
+A stream's stages are drawn by iter_stages as one diagram.StageView,
+grown in place by each delta, so drawing a stage costs one set update of
+its delta rather than a copy of every fact so far.  A stage is valid only
+until the next one is drawn; stage(s) builds a FiniteDiagram of stage s
+that can be kept.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .diagram import (
     ParseError,
     RELATIONS,
     Signature,
+    StageView,
     content_lines,
     diagram_from_facts,
     el,
@@ -151,14 +158,14 @@ class StructureStream:
     def __len__(self) -> int:
         return len(self.deltas)
 
-    def iter_stages(self) -> Iterator[FiniteDiagram]:
-        facts: set = set()
-        domain: set = set()
+    def iter_stages(self) -> Iterator[StageView]:
+        """The stages as one StageView, grown by each delta before it is
+        yielded again, so a stage is valid until the next one is drawn;
+        its delta attribute is the stage's facts new to the view."""
+        view = StageView(self.signature)
         for delta in self.deltas:
-            facts.update(delta)
-            for f in delta:
-                domain.update(f[1:])
-            yield FiniteDiagram(self.signature, frozenset(facts), frozenset(domain))
+            view.grow(delta)
+            yield view
 
     def stage(self, s: int) -> FiniteDiagram:
         if not 0 <= s < len(self.deltas):

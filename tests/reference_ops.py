@@ -34,6 +34,9 @@ reads an order operator's output chain by position and must give the same
 refuted pairs, outcomes and certificates.  ``AxiomTableOperator`` is an
 operator given by an explicit (premise, fact) axiom list, the forcing and
 kernel tests' fixture for operators that are not extension complete.
+``Mirror`` is README's example of an operator that returns plain facts
+(the input order reversed, from budget 1), which the order combinators
+read through their fact adapter.
 ``covering`` and ``covering_stream`` cut an order presentation down to
 its covering pairs stage by stage, reading each stage's order from its
 prefix's facts with ``chain()`` rather than through ``diagram.arrivals``.
@@ -690,6 +693,28 @@ class _AxiomTableStream(StreamEvaluator):
                 self.emitted.add(fact)
                 new.append(fact)
         self.scanned = max(self.scanned, budget)
+        return new, None
+
+
+class Mirror(EnumerationOperator):
+    """The input order reversed, from budget 1 (README's example)."""
+
+    name = "mirror"
+
+    def make_stream_evaluator(self):
+        return _MirrorStream()
+
+
+class _MirrorStream(StreamEvaluator):
+    def __init__(self):
+        self.pending = []
+
+    def step(self, diagram, delta, budget):
+        self.pending += delta
+        if budget < 1:
+            return [], None
+        new = [f if f[0] == "el" else ("lt", f[2], f[1]) for f in self.pending]
+        self.pending = []
         return new, None
 
 

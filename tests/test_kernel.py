@@ -292,11 +292,10 @@ def _check_agreement(op, stream, schedule):
     that stage's diagram and, for leaf operators, the closed form."""
     name, fn = parse_schedule(schedule)
     log = run(op, stream, len(stream), fn, name)
-    stages = stream.iter_stages()
     facts: set = set()
     for rec in log.records:
         facts.update(rec.new_facts)
-        diagram, budget = next(stages), fn(rec.stage)
+        diagram, budget = stream.stage(rec.stage), fn(rec.stage)
         assert frozenset(facts) == op.eval(diagram, budget).facts, (
             f"stage {rec.stage}")
         want = reference_facts(op, diagram, budget)

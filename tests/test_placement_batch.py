@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_ops
-from reference_ops import covering_stream
+from reference_ops import Mirror, covering_stream
 from embedlab import diagram, kernel
 from embedlab.classify import fingerprint
 from embedlab.combinators import (
@@ -33,14 +33,7 @@ from embedlab.diagram import (
     parse_batch,
     parse_diagram,
 )
-from embedlab.kernel import (
-    EnumerationOperator,
-    RunLog,
-    StageRecord,
-    StreamEvaluator,
-    parse_schedule,
-    run,
-)
+from embedlab.kernel import RunLog, StageRecord, parse_schedule, run
 from embedlab.registry import build_operator
 from embedlab.streams import ORDER_FAMILIES, CanonicalSpec, generate
 
@@ -443,28 +436,6 @@ def test_covering_and_mirror_logs_read_as_facts(monkeypatch):
 
 
 # --- inner operators that return plain facts --------------------------------
-
-
-class Mirror(EnumerationOperator):
-    """The input order reversed, from budget 1 (README's example)."""
-
-    name = "mirror"
-
-    def make_stream_evaluator(self):
-        return _MirrorStream()
-
-
-class _MirrorStream(StreamEvaluator):
-    def __init__(self):
-        self.pending = []
-
-    def step(self, diagram, delta, budget):
-        self.pending += delta
-        if budget < 1:
-            return [], None
-        new = [f if f[0] == "el" else ("lt", f[2], f[1]) for f in self.pending]
-        self.pending = []
-        return new, None
 
 
 MIRROR_COMBINATORS = {
