@@ -25,12 +25,12 @@ from fractions import Fraction
 from itertools import chain as iter_chain
 
 from .diagram import (
+    FiniteDiagram,
     InvalidInput,
     InvalidSpec,
     PlacementBatch,
     Signature,
     SignatureError,
-    diagram_from_facts,
     el,
     sim,
 )
@@ -93,24 +93,25 @@ def replicate(q: int) -> Replicate:
 class _OrderBatches(StreamEvaluator):
     """An inner order evaluator's output as placement batches.
 
-    Batches pass through.  Plain facts are collected, and after each step
-    that adds facts the chain is their order (FiniteDiagram.chain); the
-    facts so far must present a total order, else InvalidInput.
+    Batches pass through.  Plain facts grow one diagram, and after each
+    step that adds facts new to it the chain is their order
+    (FiniteDiagram.chain); the facts so far must present a total order,
+    else InvalidInput.
     """
 
     def __init__(self, inner: StreamEvaluator):
         self.inner = inner
-        self.facts: set = set()
+        self.order = FiniteDiagram(Signature.LINEAR_ORDER, set())
         self.chain: list = []
 
     def step(self, diagram, delta, budget):
         new, notes = self.inner.step(diagram, delta, budget)
         if isinstance(new, PlacementBatch):
             return new, notes
+        order = self.order
+        order.grow(list(new))  # a step may return any iterable of facts
         placed = []
-        if new:
-            self.facts.update(new)
-            order = diagram_from_facts(Signature.LINEAR_ORDER, self.facts)
+        if order.delta:
             if not order.is_total():
                 raise InvalidInput(
                     "an order combinator needs its inner output to be a total order")

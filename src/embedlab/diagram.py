@@ -13,11 +13,12 @@ transitive closure of the lt facts, which must be acyclic.  Neither set
 needs to be closed: covering pairs present the same order as all pairs.
 Code that reads an order or a partition asks for it (chain, below,
 insert, holds, sim_classes) rather than reading the stored facts.
-FiniteDiagram holds the one copy of those rules and answers them for a
-whole diagram.  A run, which sees its input one delta at a time, reads
-its stages through a StageView: one per run, grown in place by each
-delta, so drawing a stage costs what is new at it.  An order whose deltas
-are all known in advance is replayed by arrivals() instead.
+FiniteDiagram holds the one copy of those rules.  A diagram built from
+facts never changes.  A run, which sees its input one delta at a time,
+reads its stages from one FiniteDiagram built empty and grown in place
+by each delta, so drawing a stage costs what is new at it, and a stage
+is valid for one step only.  An order whose deltas are all known in
+advance is replayed by arrivals() instead.
 
 A diagram from outside the program arrives only as text, and is checked
 once, where parse_diagram reads it: each line's relation, arity and
@@ -61,10 +62,7 @@ from __future__ import annotations
 
 import enum
 from bisect import insort
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, combinations, compress, count, islice, repeat
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -135,33 +133,88 @@ _REL_OF_SIGNATURE = {
 }
 
 
-@dataclass(frozen=True)
 class FiniteDiagram:
-    """A consistent finite set of facts plus its element domain.
+    """A finite set of facts and its element domain, the elements the
+    facts name.
 
-    Built by parse_diagram from a diagram file, which checks it, or from
-    facts built in code, which are trusted, by diagram_from_facts (or by
-    the constructor, where the domain is already known).
+    Built from facts, it holds them in a frozenset and never changes:
+    parse_diagram builds one from a diagram file, which it checks, and
+    diagram_from_facts from facts built in code, which are trusted (the
+    constructor takes the domain too, where the caller knows it).
 
-    Its reading rules (below, insert, holds, chain, is_total,
-    sim_classes) are StageView's too.  They read the facts as _stored,
-    the order through _topo and _ranks and the partition through
-    _classes, which each class provides."""
+    Built empty, FiniteDiagram(signature, set()), it is a run's input: one
+    diagram per run, grown in place by each delta (grow), so it is valid
+    for one step only.  Nothing is rebuilt at a growth: the delta is added
+    to one fact set and the cached order is reset.  The frozen facts and
+    the domain are computed when read, and the partition is a _UnionFind
+    joined by the deltas since it was last read.
 
-    signature: Signature
-    facts: frozenset = field(default_factory=frozenset)
-    domain: frozenset = field(default_factory=frozenset)
+    Two diagrams are equal when their signatures, facts and domains are.
+    A diagram can grow, so it is not hashable."""
 
-    _stored = property(attrgetter("facts"))
+    __slots__ = ("signature", "delta", "_stored", "_deltas", "_facts",
+                 "_domain", "_order", "_ranks", "_partition", "_joined")
 
-    @cached_property
+    def __init__(self, signature: Signature, facts=frozenset(),
+                 domain: frozenset | None = None):
+        self.signature = signature
+        self.delta: list = []           # the facts new at the latest growth
+        self._stored = facts            # every fact so far
+        self._deltas = [facts] if facts else []
+        self._facts = None
+        self._domain = domain
+        self._order = self._ranks = self._partition = None
+        self._joined = 0                # the deltas _partition has joined
+
+    def grow(self, delta) -> None:
+        """Add a delta (a sized collection of facts), keeping as self.delta
+        its facts new to the diagram: the delta itself unless one of its
+        facts was seen before, which a length check finds.  Only a diagram
+        built empty holds a set that can grow."""
+        stored = self._stored
+        size = len(stored)
+        stored.update(delta)
+        if len(stored) - size != len(delta):
+            old = set(chain.from_iterable(self._deltas))
+            delta = [f for f in dict.fromkeys(delta) if f not in old]
+        self._deltas.append(delta)
+        self.delta = delta
+        self._facts = self._domain = self._order = self._ranks = None
+
+    @property
+    def facts(self) -> frozenset:
+        if self._facts is None:
+            self._facts = frozenset(self._stored)
+        return self._facts
+
+    @property
+    def domain(self) -> frozenset:
+        if self._domain is None:
+            self._domain = frozenset(chain.from_iterable(self._stored)) - RELATIONS
+        return self._domain
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteDiagram):
+            return NotImplemented
+        return (self.signature is other.signature and self.facts == other.facts
+                and self.domain == other.domain)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"FiniteDiagram({self.signature}, facts={set(self.facts)!r}, "
+                f"domain={set(self.domain)!r})")
+
     def _topo(self) -> tuple:
-        """Kahn's pass over the lt facts: the elements in a topological
-        order, and whether every step had a single ready element.  The
-        order is shorter than the domain when the facts contain a cycle.
-        Iterative, so chains of any length pass."""
+        """Kahn's pass over the lt facts, once until the diagram grows: the
+        elements in a topological order, and whether every step had a
+        single ready element.  The order is shorter than the domain when
+        the facts contain a cycle.  Iterative, so chains of any length
+        pass."""
+        if self._order is not None:
+            return self._order
         succ: dict = {x: [] for x in self.domain}
-        for f in self.facts:
+        for f in self._stored:
             if f[0] == "lt":
                 succ[f[1]].append(f[2])
         indeg = dict.fromkeys(succ, 0)
@@ -179,16 +232,17 @@ class FiniteDiagram:
                 indeg[y] -= 1
                 if indeg[y] == 0:
                     ready.append(y)
-        return order, unique
+        self._order = order, unique
+        return self._order
 
     def has_lt_cycle(self) -> bool:
-        return len(self._topo[0]) < len(self.domain)
+        return len(self._topo()[0]) < len(self.domain)
 
     def chain(self) -> list:
         """Topologically sorted domain of a total linear order diagram."""
         if self.signature is not Signature.LINEAR_ORDER:
             raise SignatureError("chain() requires a linear order diagram")
-        order, unique = self._topo
+        order, unique = self._topo()
         if len(order) < len(self.domain):
             raise InconsistentDiagram("lt facts contain a cycle")
         if not unique:
@@ -200,7 +254,7 @@ class FiniteDiagram:
         the topological order is unique: one ready element at every step."""
         if self.signature is not Signature.LINEAR_ORDER:
             return False
-        order, unique = self._topo
+        order, unique = self._topo()
         return unique and len(order) == len(self.domain)
 
     def below(self, a: int, b: int) -> bool:
@@ -212,12 +266,9 @@ class FiniteDiagram:
             return True
         if ("lt", b, a) in stored:
             return False
-        ranks = self._ranks
-        return ranks[a] < ranks[b]
-
-    @cached_property
-    def _ranks(self) -> dict:
-        return {x: i for i, x in enumerate(self.chain())}
+        if self._ranks is None:
+            self._ranks = dict(zip(self.chain(), count()))
+        return self._ranks[a] < self._ranks[b]
 
     def insert(self, chain: list, x: int) -> int:
         """Insert x into chain, a list of elements in increasing order, at
@@ -235,26 +286,28 @@ class FiniteDiagram:
             return self.below(a, b)
         if sim(a, b) in self._stored:
             return True
-        classes = self._classes
+        classes = self._classes()
         return classes.find(a) == classes.find(b)
 
     def sim_classes(self) -> list:
         """Partition of the domain by the closure of sim (sorted classes)."""
-        return self._classes.classes()
+        return self._classes().classes()
 
-    @cached_property
     def _classes(self) -> "_UnionFind":
-        _check_equivalence(self)
-        classes = _UnionFind(self.domain)
-        for f in self.facts:
-            if f[0] == "sim":
-                classes.union(f[1], f[2])
+        """The partition, joined by the deltas since it was last read."""
+        if self.signature is not Signature.EQUIVALENCE:
+            raise SignatureError("sim_classes() requires an equivalence diagram")
+        if self._partition is None:
+            self._partition = _UnionFind()
+        classes = self._partition
+        for delta in self._deltas[self._joined:]:
+            for x in set(chain.from_iterable(delta)) - RELATIONS:
+                classes.add(x)
+            for f in delta:
+                if f[0] == "sim":
+                    classes.union(f[1], f[2])
+        self._joined = len(self._deltas)
         return classes
-
-
-def _check_equivalence(diagram) -> None:
-    if diagram.signature is not Signature.EQUIVALENCE:
-        raise SignatureError("sim_classes() requires an equivalence diagram")
 
 
 class _UnionFind:
@@ -264,9 +317,9 @@ class _UnionFind:
     Finds halve the path they walk, and union does its two finds inline.
     """
 
-    def __init__(self, elements: Iterable[int] = ()):
-        self.parent = {x: x for x in elements}
-        self.size = dict.fromkeys(self.parent, 1)
+    def __init__(self):
+        self.parent: dict = {}
+        self.size: dict = {}
 
     def add(self, x: int) -> None:
         if x not in self.parent:
@@ -353,99 +406,6 @@ def _insert(chain: list, x: int, below) -> int:
             hi = mid
     chain.insert(lo, x)
     return lo
-
-
-class StageView:
-    """The cumulative input of a run at its current stage: one object per
-    run, grown in place by each delta (grow), that a step reads as it
-    reads a FiniteDiagram, through the same rules.  It is valid for one
-    step only: the next growth changes it.
-
-    Nothing is rebuilt at a stage: grow adds the delta to one fact set,
-    and the facts and the domain are brought up to date only when read.
-    below answers a pair from its stored fact first; the order of an
-    unstored pair is read from a FiniteDiagram of the facts so far, built
-    the first time a stage's order is read, so it raises what that
-    diagram raises, at the same call.  The partition is a _UnionFind
-    joined by the deltas since it was last read.
-    """
-
-    below = FiniteDiagram.below
-    insert = FiniteDiagram.insert
-    holds = FiniteDiagram.holds
-    chain = FiniteDiagram.chain
-    is_total = FiniteDiagram.is_total
-    sim_classes = FiniteDiagram.sim_classes
-
-    def __init__(self, signature: Signature):
-        self.signature = signature
-        self.delta: list = []        # the facts new at the latest growth
-        self._stored: set = set()    # every fact so far
-        self._deltas: list = []      # each growth's new facts
-        self._named: set = set()     # the elements of the first _counted deltas
-        self._counted = 0
-        self._partition = _UnionFind()  # the classes of the first _joined deltas
-        self._joined = 0
-        self._facts = self._domain = self._diagram = None
-
-    def grow(self, delta) -> None:
-        """Add a delta (a sized collection of facts), keeping as self.delta
-        its facts new to the view: the delta itself unless one of its
-        facts was seen before, which a length check finds."""
-        stored = self._stored
-        size = len(stored)
-        stored.update(delta)
-        if len(stored) - size != len(delta):
-            old = set(chain.from_iterable(self._deltas))
-            delta = [f for f in dict.fromkeys(delta) if f not in old]
-        self._deltas.append(delta)
-        self.delta = delta
-        self._facts = self._domain = self._diagram = None
-
-    @property
-    def facts(self) -> frozenset:
-        if self._facts is None:
-            self._facts = frozenset(self._stored)
-        return self._facts
-
-    @property
-    def domain(self) -> frozenset:
-        if self._domain is None:
-            named = self._named
-            for delta in self._deltas[self._counted:]:
-                named.update(chain.from_iterable(delta))
-            named -= RELATIONS
-            self._counted = len(self._deltas)
-            self._domain = frozenset(named)
-        return self._domain
-
-    @property
-    def _order(self) -> FiniteDiagram:
-        """This stage as a FiniteDiagram, which reads its order."""
-        if self._diagram is None:
-            self._diagram = FiniteDiagram(self.signature, self.facts, self.domain)
-        return self._diagram
-
-    @property
-    def _topo(self) -> tuple:
-        return self._order._topo
-
-    @property
-    def _ranks(self) -> dict:
-        return self._order._ranks
-
-    @property
-    def _classes(self) -> "_UnionFind":
-        _check_equivalence(self)
-        classes = self._partition
-        for delta in self._deltas[self._joined:]:
-            for x in set(chain.from_iterable(delta)) - RELATIONS:
-                classes.add(x)
-            for f in delta:
-                if f[0] == "sim":
-                    classes.union(f[1], f[2])
-        self._joined = len(self._deltas)
-        return classes
 
 
 def arrivals(deltas: Iterable) -> Iterator[tuple]:
@@ -835,8 +795,7 @@ def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDia
     """Trusted diagram whose domain is the elements its facts name."""
     if isinstance(facts, PlacementBatch):
         return facts.diagram()
-    fs = frozenset(facts)
-    return FiniteDiagram(signature, fs, frozenset(chain.from_iterable(fs)) - RELATIONS)
+    return FiniteDiagram(signature, frozenset(facts))
 
 
 def total_order_diagram(chain: Iterable[int]) -> FiniteDiagram:

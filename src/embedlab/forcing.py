@@ -25,7 +25,12 @@ from .diagram import (
     diagram_from_facts,
     total_order_diagram,
 )
-from .kernel import EnumerationOperator, evaluate_facts
+from .kernel import (
+    EnumerationOperator,
+    TuringConstruction,
+    _check_input,
+    evaluate_facts,
+)
 
 FORCED = "FORCED"
 REFUTED = "REFUTED"
@@ -96,8 +101,14 @@ def _lt_pairs(out, wanted: set) -> set:
 
 
 def bounded_force(query: ForcingQuery) -> ForcingVerdict:
-    """Three-valued bounded decision of alpha forcing the atom."""
+    """Three-valued bounded decision of alpha forcing the atom.  op must
+    be a batch operator, not a stage construction, and alpha gets the
+    checks of its evaluation (kernel._check_input) first."""
     op, alpha, atom = query.op, query.alpha, query.atom
+    if isinstance(op, TuringConstruction):
+        raise InvalidSpec(f"{op.name} is a stage construction, not an operator "
+                          "a forcing query can evaluate")
+    _check_input(op, alpha, query.budget)
     if op.output_signature is not Signature.LINEAR_ORDER:
         raise InvalidSpec("forcing queries concern order outputs")
     if atom[0] != "lt" or len(atom) != 3 or atom[1] == atom[2]:

@@ -23,10 +23,10 @@ a cumulative output stage plus bookkeeping annotations at each step, by
 the same ``step`` with the budget ignored.
 
 run() draws its stages from StructureStream.iter_stages: one
-diagram.StageView per run, grown by each delta, which a step reads as it
-reads a FiniteDiagram and must not keep past its step.  Each step gets
-only the facts new to the view, so a stream built in code that repeats
-a fact passes it on once.
+FiniteDiagram per run, built empty and grown by each delta, which a step
+must not keep past its step.  Each step gets only the facts new to the
+diagram, so a stream built in code that repeats a fact passes it on
+once.
 
 The built-in order operators and constructions return each step's new
 facts as a diagram.PlacementBatch, and ord2eq as a diagram.ClassBatch;
@@ -363,8 +363,8 @@ def run(
     evaluator = op.make_stream_evaluator()
     stage_iter = stream.iter_stages()
     for s in range(stages):
-        view = next(stage_iter)
-        new_facts, notes = evaluator.step(view, view.delta, budgets[s])
+        stage = next(stage_iter)
+        new_facts, notes = evaluator.step(stage, stage.delta, budgets[s])
         if not isinstance(new_facts, (PlacementBatch, ClassBatch)):
             new_facts = sorted(new_facts)
         log.records.append(StageRecord(s, new_facts, notes))

@@ -12,11 +12,11 @@ using a seeded 64-bit linear congruential generator (Knuth's MMIX constants
 a=6364136223846793005, c=1442695040888963407) so presentations are
 reproducible across implementations.
 
-A stream's stages are drawn by iter_stages as one diagram.StageView,
-grown in place by each delta, so drawing a stage costs one set update of
-its delta rather than a copy of every fact so far.  A stage is valid only
-until the next one is drawn; stage(s) builds a FiniteDiagram of stage s
-that can be kept.
+A stream's stages are drawn by iter_stages as one FiniteDiagram, built
+empty and grown in place by each delta, so drawing a stage costs one set
+update of its delta rather than a copy of every fact so far.  A stage is
+valid only until the next one is drawn; stage(s) builds a FiniteDiagram
+of stage s that can be kept.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .diagram import (
     ParseError,
     RELATIONS,
     Signature,
-    StageView,
     content_lines,
     diagram_from_facts,
     el,
@@ -158,14 +157,15 @@ class StructureStream:
     def __len__(self) -> int:
         return len(self.deltas)
 
-    def iter_stages(self) -> Iterator[StageView]:
-        """The stages as one StageView, grown by each delta before it is
-        yielded again, so a stage is valid until the next one is drawn;
-        its delta attribute is the stage's facts new to the view."""
-        view = StageView(self.signature)
+    def iter_stages(self) -> Iterator[FiniteDiagram]:
+        """The stages as one FiniteDiagram, built empty and grown by each
+        delta before it is yielded again, so a stage is valid until the
+        next one is drawn; its delta attribute is the stage's facts new to
+        the diagram."""
+        stage = FiniteDiagram(self.signature, set())
         for delta in self.deltas:
-            view.grow(delta)
-            yield view
+            stage.grow(delta)
+            yield stage
 
     def stage(self, s: int) -> FiniteDiagram:
         if not 0 <= s < len(self.deltas):

@@ -340,6 +340,30 @@ def test_force_on_bad_order_exits_2(tmp_path, text):
                                str(alpha), "--atom", "lt 0 2"))
 
 
+def test_force_equivalence_alpha_for_an_order_operator_exits_3(tmp_path):
+    """alpha gets evaluation's own signature check first, so a diagram of
+    the wrong signature exits 3, as it does for run."""
+    alpha = tmp_path / "a.txt"
+    alpha.write_text("sim 0 1\n")
+    result = invoke("force", "--op", "replicate:1", "--alpha", str(alpha),
+                    "--atom", "lt 0 2")
+    assert result.exit_code == 3
+    assert result.output == (
+        "error: replicate:1 expects linear_order input, got equivalence\n")
+
+
+def test_force_on_a_stage_construction_exits_2(tmp_path):
+    """A forcing query evaluates a batch operator; a stage construction
+    is named and rejected rather than evaluated as one."""
+    alpha = tmp_path / "a.txt"
+    alpha.write_text("lt 0 1\n")
+    result = invoke("force", "--op", "phi_sigma2", "--alpha", str(alpha),
+                    "--atom", "lt 0 1")
+    _assert_usage_error(result)
+    assert result.output == ("error: phi_sigma2 is a stage construction, not an "
+                             "operator a forcing query can evaluate\n")
+
+
 def test_run_drops_repeated_stream_facts(tmp_path):
     """A fact repeating one read before (sim 1 0 repeats sim 0 1) is not
     new input, so class_multiplier emits nothing twice."""

@@ -148,7 +148,9 @@ def test_sim_classes_are_the_closure_of_sim(n, data):
 
 
 def test_union_keeps_the_least_root():
-    classes = _UnionFind([3, 1, 4, 5, 9])
+    classes = _UnionFind()
+    for x in (3, 1, 4, 5, 9):
+        classes.add(x)
     assert classes.union(4, 9) == (4, 9)
     assert classes.union(9, 1) == (1, 4)
     assert classes.union(4, 1) == (1, 1)

@@ -81,7 +81,7 @@ def test_stages_monotone_and_growing(family, k):
     for stage, d in enumerate(s.iter_stages()):
         assert len(d.domain) >= stage + 1
         assert len(d.domain) <= 2 * (stage + 1)
-        # One view serves every stage, so compare snapshots of its facts.
+        # One grown diagram serves every stage, so compare snapshots of its facts.
         facts = frozenset(d.facts)
         assert prev <= facts
         prev = facts
