@@ -32,6 +32,7 @@ from .diagram import (
     Signature,
     SignatureError,
     el,
+    new_elements,
     sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator
@@ -71,7 +72,7 @@ class _ReplicateStream(StreamEvaluator):
         self.pending: list = []
 
     def step(self, diagram, delta, budget):
-        self.pending.extend(f[1] for f in delta if f[0] == "el")
+        self.pending += new_elements(delta)
         if budget < 1:
             return PlacementBatch((), tuple(self.output)), None
         new = []

@@ -39,6 +39,7 @@ from .diagram import (
     Signature,
     arrivals,
     el,
+    new_elements,
     sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
@@ -143,9 +144,8 @@ class _Ord2EqStream(StreamEvaluator):
         self.roots: dict = {}  # element -> its class root, tag(element, 0)
 
     def step(self, diagram, delta, budget):
-        for f in delta:
-            if f[0] == "el":
-                diagram.insert(self.chain, f[1])
+        for x in new_elements(delta):
+            diagram.insert(self.chain, x)
         if budget < 1 or not self.chain:
             return ClassBatch([], [], []), self._notes(budget)
         els, heads, members = [], [], []
@@ -458,7 +458,7 @@ class PhiPair(TuringConstruction):
         return ranks[self.t]
 
     def step(self, diagram, delta, budget):
-        new = [f[1] for f in delta if f[0] == "el"]
+        new = new_elements(delta)
         if len(new) != 1:
             raise InvalidInput("phi_pair needs one new element per stage")
         d = new[0]
@@ -527,10 +527,10 @@ class PhiSigma2(TuringConstruction):
         return PhiSigma2(self.phi, self.psi)
 
     def step(self, diagram, delta, budget):
-        new_elements = [f[1] for f in delta if f[0] == "el"]
+        new = new_elements(delta)
         phi, psi = self.trackers
-        phi.update(diagram, new_elements)
-        psi.update(diagram, new_elements)
+        phi.update(diagram, new)
+        psi.update(diagram, new)
         chain = self.chain
         e = len(chain)
         least_phi = phi.least()

@@ -17,8 +17,12 @@ FiniteDiagram holds the one copy of those rules.  A diagram built from
 facts never changes.  A run, which sees its input one delta at a time,
 reads its stages from one FiniteDiagram built empty and grown in place
 by each delta, so drawing a stage costs what is new at it, and a stage
-is valid for one step only.  An order whose deltas are all known in
-advance is replayed by arrivals() instead.
+is valid for one step only.  An order grown by placement batches alone,
+such as a stream file's stages read as placements, keeps their chain and
+stores no fact; its readers read the chain, and an evaluator that needs
+only a stage's new elements takes them from the batch (new_elements).
+An order whose deltas are all known in advance is replayed by arrivals()
+instead.
 
 A diagram from outside the program arrives only as text, and is checked
 once, where parse_diagram reads it: each line's relation, arity and
@@ -46,8 +50,12 @@ checked.  The text is rendered in blocks (format_blocks):
 the el lines, then one block per element that opens lt lines, which for
 an old element is its suffix's template with the element's id put in.
 The same renderer writes a record (RunLog.to_jsonl) and checks one on
-read (parse_batch) a few blocks at a time, so order logs cross the file
-boundary as placements both ways at about the cost of their bytes.
+read a few blocks at a time.  parse_batch is the one reader of such
+lines, a run log's records and a stream file's stages alike: it places
+each new element by the length of its block of lt lines, found by
+bisection, and accepts the record only if it renders back to its lines.
+So order logs and order stream files cross the file boundary as
+placements at about the cost of their bytes.
 
 ord2eq, whose output is a star (each new member joined to an element
 already named), returns a ClassBatch: the step's el ids and its sim facts
@@ -61,7 +69,7 @@ Every number in an input is a natural in ASCII digits (is_natural).
 from __future__ import annotations
 
 import enum
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import chain, combinations, compress, count, islice, repeat
 from typing import Iterable, Iterator
 
@@ -144,25 +152,32 @@ class FiniteDiagram:
 
     Built empty, FiniteDiagram(signature, set()), it is a run's input: one
     diagram per run, grown in place by each delta (grow), so it is valid
-    for one step only.  Nothing is rebuilt at a growth: the delta is added
-    to one fact set and the cached order is reset.  The frozen facts and
-    the domain are computed when read, and the partition is a _UnionFind
-    joined by the deltas since it was last read.
+    for one step only.  Nothing is rebuilt at a growth.  A linear order
+    grown by placement batches alone keeps their chain, which its order
+    readers read, and stores no fact.  Any other delta is added to one
+    fact set, the batches so far expanded into it first, and the cached
+    order is reset.  The frozen facts and the domain are computed when
+    read, and the partition is a _UnionFind joined by the deltas since it
+    was last read.
 
     Two diagrams are equal when their signatures, facts and domains are.
     A diagram can grow, so it is not hashable."""
 
-    __slots__ = ("signature", "delta", "_stored", "_deltas", "_facts",
-                 "_domain", "_order", "_ranks", "_partition", "_joined")
+    __slots__ = ("signature", "delta", "_stored", "_deltas", "_facts", "_domain",
+                 "_chain", "_order", "_ranks", "_partition", "_joined")
 
     def __init__(self, signature: Signature, facts=frozenset(),
                  domain: frozenset | None = None):
         self.signature = signature
         self.delta: list = []           # the facts new at the latest growth
-        self._stored = facts            # every fact so far
+        self._stored = facts            # every fact so far, unless _chain holds them
         self._deltas = [facts] if facts else []
         self._facts = None
         self._domain = domain
+        # The chain of an order built empty, while every delta so far was a
+        # placement batch that grew it; else None.
+        self._chain = (() if signature is Signature.LINEAR_ORDER
+                       and type(facts) is set and not facts else None)
         self._order = self._ranks = self._partition = None
         self._joined = 0                # the deltas _partition has joined
 
@@ -170,7 +185,21 @@ class FiniteDiagram:
         """Add a delta (a sized collection of facts), keeping as self.delta
         its facts new to the diagram: the delta itself unless one of its
         facts was seen before, which a length check finds.  Only a diagram
-        built empty holds a set that can grow."""
+        built empty holds a set that can grow.
+
+        A PlacementBatch that grows the chain of an order grown by batches
+        alone (its old elements in the chain's order, its new ones absent)
+        replaces that chain, and its facts are not built.  Any other delta
+        first expands the batches so far into the fact set."""
+        if self._chain is not None:
+            if isinstance(delta, PlacementBatch) and self._grows_chain(delta):
+                self._chain = delta.chain
+                self._deltas.append(delta)
+                self.delta = delta
+                self._facts = self._domain = self._ranks = None
+                return
+            self._stored.update(chain.from_iterable(self._deltas))
+            self._chain = None
         stored = self._stored
         size = len(stored)
         stored.update(delta)
@@ -181,16 +210,26 @@ class FiniteDiagram:
         self.delta = delta
         self._facts = self._domain = self._order = self._ranks = None
 
+    def _grows_chain(self, batch: "PlacementBatch") -> bool:
+        """True iff batch's chain is the chain with its new elements, none
+        of them in the chain, inserted."""
+        new = set(batch.new)
+        return [x for x in batch.chain if x not in new] == list(self._chain)
+
     @property
     def facts(self) -> frozenset:
         if self._facts is None:
-            self._facts = frozenset(self._stored)
+            self._facts = frozenset(self._stored if self._chain is None
+                                    else chain.from_iterable(self._deltas))
         return self._facts
 
     @property
     def domain(self) -> frozenset:
         if self._domain is None:
-            self._domain = frozenset(chain.from_iterable(self._stored)) - RELATIONS
+            if self._chain is not None:
+                self._domain = frozenset(self._chain)
+            else:
+                self._domain = frozenset(chain.from_iterable(self._stored)) - RELATIONS
         return self._domain
 
     def __eq__(self, other) -> bool:
@@ -242,6 +281,8 @@ class FiniteDiagram:
         """Topologically sorted domain of a total linear order diagram."""
         if self.signature is not Signature.LINEAR_ORDER:
             raise SignatureError("chain() requires a linear order diagram")
+        if self._chain is not None:
+            return list(self._chain)
         order, unique = self._topo()
         if len(order) < len(self.domain):
             raise InconsistentDiagram("lt facts contain a cycle")
@@ -254,6 +295,8 @@ class FiniteDiagram:
         the topological order is unique: one ready element at every step."""
         if self.signature is not Signature.LINEAR_ORDER:
             return False
+        if self._chain is not None:
+            return True
         order, unique = self._topo()
         return unique and len(order) == len(self.domain)
 
@@ -261,19 +304,30 @@ class FiniteDiagram:
         """a < b in a total order diagram.  Stored lt facts need not be
         transitively closed, so a pair without one is decided by chain()
         positions, which raise InvalidInput if the diagram is not total."""
-        stored = self._stored
-        if ("lt", a, b) in stored:
-            return True
-        if ("lt", b, a) in stored:
-            return False
+        if self._chain is None:
+            stored = self._stored
+            if ("lt", a, b) in stored:
+                return True
+            if ("lt", b, a) in stored:
+                return False
         if self._ranks is None:
             self._ranks = dict(zip(self.chain(), count()))
         return self._ranks[a] < self._ranks[b]
 
     def insert(self, chain: list, x: int) -> int:
         """Insert x into chain, a list of elements in increasing order, at
-        its place in this diagram's order; returns that index."""
-        return _insert(chain, x, self.below)
+        its place in this diagram's order, found by binary search; returns
+        that index."""
+        below = self.below
+        lo, hi = 0, len(chain)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if below(chain[mid], x):
+                lo = mid + 1
+            else:
+                hi = mid
+        chain.insert(lo, x)
+        return lo
 
     def holds(self, fact: Fact) -> bool:
         """Truth of an lt or sim fact over domain elements in the structure
@@ -394,20 +448,6 @@ class _UnionFind:
         return [sorted(groups[r]) for r in sorted(groups)]
 
 
-def _insert(chain: list, x: int, below) -> int:
-    """Insert x into chain after the elements that below(y, x) puts under
-    it, found by binary search; returns the index."""
-    lo, hi = 0, len(chain)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if below(chain[mid], x):
-            lo = mid + 1
-        else:
-            hi = mid
-    chain.insert(lo, x)
-    return lo
-
-
 def arrivals(deltas: Iterable) -> Iterator[tuple]:
     """Replay a linear order given by fact deltas (a stream's stages, a
     run log's records): each delta that names new elements, as (its
@@ -489,6 +529,14 @@ class PlacementBatch:
             facts = list(self)
         return FiniteDiagram(Signature.LINEAR_ORDER, frozenset(facts),
                              frozenset(chain) if self.new else frozenset())
+
+
+def new_elements(delta) -> list:
+    """The elements a delta's el facts declare, in the delta's order; a
+    PlacementBatch's new elements, read without building its facts."""
+    if isinstance(delta, PlacementBatch):
+        return sorted(delta.new)
+    return [f[1] for f in delta if f[0] == "el"]
 
 
 def _layout(new, chain) -> tuple:
@@ -703,17 +751,20 @@ def _parse_facts(lines: Iterable[str], signature: Signature | None) -> list:
 
 
 def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
-    """Read a run-log record as the placement batch that grows chain, or
-    None when lines is not exactly what format_facts writes for one.
+    """Read a record, a run-log record's facts or a stream file stage's,
+    as the placement batch that grows chain, or None when lines is not
+    exactly what format_facts writes for one.
 
-    The leading ``el`` lines name the new elements; each is placed by
-    binary search, asking whether the record holds the line ``lt y x``.
-    The candidate is accepted only if it renders back to lines: each run
-    of rendered blocks must equal as many lines joined by newlines as it
-    holds, and the blocks must use up every line.  So an accepted record
-    is one parse_facts reads as the batch's facts, and a line holding a
-    newline is never taken for two.  text maps each element of chain to
-    its id string; the new ids are added.
+    The leading ``el`` lines name the new elements.  A record's ``lt``
+    lines are sorted by their first id, and a new element x opens one
+    block of them, ``lt x y`` for each element y above x in the grown
+    chain; so x is placed by its block's length, and the block is found by
+    bisection over the ``lt`` lines.  The candidate is accepted only if it
+    renders back to lines: each run of rendered blocks must equal as many
+    lines joined by newlines as it holds, and the blocks must use up every
+    line.  So an accepted record is one parse_facts reads as the batch's
+    facts, and a line holding a newline is never taken for two.  text maps
+    each element of chain to its id string; the new ids are added.
     """
     if type(lines) is not list:
         return None
@@ -724,18 +775,25 @@ def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
         k += 1
     if not k:
         return None if lines else PlacementBatch((), chain)
+    n = len(chain) + k
+    placed: dict = {}  # rank in the grown chain -> the new element there
     try:
         new = [int(line[3:]) for line in lines[:k]]
-        present = set(lines)
-    except (ValueError, TypeError):  # a bad id, or an unhashable entry
+        for x in new:
+            lo = bisect_left(lines, x, k, key=_first_id)
+            rank = n - 1 - (bisect_right(lines, x, lo, key=_first_id) - lo)
+            if rank < 0 or rank in placed:
+                return None
+            placed[rank] = x
+    except (ValueError, TypeError, AttributeError):  # a bad id or entry
         return None
-    if min(new) < 0 or len(set(new)) < k or any(x in text for x in new):
+    if min(new) < 0 or any(x in text for x in new):
         return None
     grown = list(chain)
+    for rank in sorted(placed):
+        grown.insert(rank, placed[rank])
     for x in new:
         text[x] = str(x)
-        tail = " " + text[x]
-        _insert(grown, x, lambda y, _: "lt " + text[y] + tail in present)
     batch = PlacementBatch(new, tuple(grown))
     blocks = format_blocks(batch, text, "\n")
     i = 0
@@ -750,6 +808,11 @@ def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
     except TypeError:  # an entry that is not a string
         return None
     return batch if i == len(lines) else None
+
+
+def _first_id(line: str) -> int:
+    """The first id of an ``lt a b`` line, by which a record sorts them."""
+    return int(line[3:line.index(" ", 3)])
 
 
 def parse_fact(line: str) -> Fact:

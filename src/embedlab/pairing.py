@@ -7,8 +7,6 @@ The pairing is the standard diagonal one: pair(x, y) = (x+y)(x+y+1)/2 + y.
 
 from __future__ import annotations
 
-from math import isqrt
-
 
 def pair(x: int, y: int) -> int:
     if x < 0 or y < 0:
@@ -17,22 +15,9 @@ def pair(x: int, y: int) -> int:
     return s * (s + 1) // 2 + y
 
 
-def unpair(z: int) -> tuple[int, int]:
-    if z < 0:
-        raise ValueError("pairing is defined on naturals")
-    # Largest s with s(s+1)/2 <= z.
-    s = (isqrt(8 * z + 1) - 1) // 2
-    y = z - s * (s + 1) // 2
-    return s - y, y
-
-
 def tag(copy_index: int, source: int) -> int:
     """Encode a (copy, source-element) pair as a single element id."""
     return pair(copy_index, source)
-
-
-def untag(encoded: int) -> tuple[int, int]:
-    return unpair(encoded)
 
 
 def encode_tuple(items: tuple[int, ...]) -> int:

@@ -29,10 +29,6 @@ class Literal:
     rel: str
     args: tuple  # of ("x", i) | ("y", j)
 
-    def text(self) -> str:
-        vars_ = " ".join(f"{kind}{i}" for kind, i in self.args)
-        return f"{'not ' if self.negated else ''}{self.rel} {vars_}"
-
 
 @dataclass(frozen=True)
 class Matrix:
@@ -267,16 +263,6 @@ def _parse_literal(text: str, exists_arity: int, forall_arity: int) -> Literal:
             raise ParseError(f"variable {tok!r} out of range")
         args.append((kind, i))
     return Literal(negated, rel, tuple(args))
-
-
-def format_sentence(sentence: Sigma2Sentence) -> str:
-    arity = sentence.disjuncts[0].exists_arity
-    lines = [f"exists {arity}"]
-    for i, d in enumerate(sentence.disjuncts):
-        lines.append(f"disjunct {i}")
-        for m in d.matrices:
-            lines.append(f"forall {m.forall_arity}: {m.literal.text()}")
-    return "\n".join(lines) + "\n"
 
 
 def resolve_sentence(spec: str) -> Sigma2Sentence:

@@ -17,6 +17,11 @@ empty and grown in place by each delta, so drawing a stage costs one set
 update of its delta rather than a copy of every fact so far.  A stage is
 valid only until the next one is drawn; stage(s) builds a FiniteDiagram
 of stage s that can be kept.
+
+An order stream file is read as placements: each stage that is what
+to_text writes for a generated order becomes a diagram.PlacementBatch,
+and the diagram those batches grow keeps their chain instead of a set of
+every pair.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .diagram import (
     file_signature,
     format_facts,
     is_natural,
+    parse_batch,
     parse_facts,
     place,
 )
@@ -161,7 +167,7 @@ class StructureStream:
         """The stages as one FiniteDiagram, built empty and grown by each
         delta before it is yielded again, so a stage is valid until the
         next one is drawn; its delta attribute is the stage's facts new to
-        the diagram."""
+        the diagram (a stage read as a PlacementBatch is the batch)."""
         stage = FiniteDiagram(self.signature, set())
         for delta in self.deltas:
             stage.grow(delta)
@@ -185,33 +191,62 @@ class StructureStream:
 
     @staticmethod
     def from_text(text: str, provenance: str = "file") -> "StructureStream":
-        """Parse a stream file.  An element gets an ``el`` fact at the
-        start of the first stage that names it unless that stage or an
-        earlier one declares it, since evaluators learn elements from
-        ``el`` facts.  A fact that repeats one read before is dropped, so
-        every delta holds only new facts."""
+        """Parse a stream file.  A stage is kept as a PlacementBatch while
+        its lines are what format_facts writes for a batch that places at
+        least one element in the chain so far (diagram.parse_batch), as
+        each stage to_text writes for a generated order is.  From the first
+        stage that is not, stages are read as facts: an element gets an
+        ``el`` fact at the start of the first stage that names it unless
+        that stage or an earlier one declares it, since evaluators learn
+        elements from ``el`` facts, and a fact that repeats one read
+        before is dropped, so every delta holds only new facts.  Both
+        readings give the same facts and errors, and an equivalence
+        stream's deltas are fact lists."""
         deltas: list = []
-        block: list | None = None  # fact lines of the current stage
-        seen: set = set()          # facts read so far
+        grown, ids = (), {}  # the chain so far and its id strings, while batches
+        seen = None          # facts read so far, once a stage is read as facts
         rels: set = set()
-        for line in content_lines(text):
-            if line.startswith("--"):
-                if block is not None:
-                    deltas.append(_stage_delta(block, seen, rels))
-                parts = line.split()
-                if len(parts) != 3 or parts[1] != "stage" or not is_natural(parts[2]):
-                    raise ParseError(f"bad stage separator {line!r}")
-                if int(parts[2]) != len(deltas):
-                    raise ParseError(f"stage blocks out of order at {line!r}")
-                block = []
-            elif block is None:
-                raise ParseError("facts before first stage separator")
-            else:
-                block.append(line)
-        if block is None:
-            raise ParseError("stream file has no stages")
-        deltas.append(_stage_delta(block, seen, rels))
-        return StructureStream(file_signature(rels, "stream"), deltas, provenance)
+        for lines in _stage_blocks(text):
+            if seen is None:
+                batch = parse_batch(lines, grown, ids)
+                if batch is not None and batch.new:
+                    deltas.append(batch)
+                    grown = batch.chain
+                    if len(grown) > 1:
+                        rels.add("lt")
+                    continue
+                seen = set(chain.from_iterable(deltas))
+            deltas.append(_stage_delta(lines, seen, rels))
+        signature = file_signature(rels, "stream")
+        if signature is Signature.EQUIVALENCE:
+            deltas = [list(d) for d in deltas]
+        return StructureStream(signature, deltas, provenance)
+
+
+def _stage_blocks(text: str) -> Iterator[list]:
+    """The fact lines of each stage of a stream file, in order.  A stage is
+    yielded before the separator after it is checked, so a bad fact in it
+    raises first."""
+    block: list | None = None
+    stages = 0
+    for line in content_lines(text):
+        if line.startswith("--"):
+            if block is not None:
+                yield block
+                stages += 1
+            parts = line.split()
+            if len(parts) != 3 or parts[1] != "stage" or not is_natural(parts[2]):
+                raise ParseError(f"bad stage separator {line!r}")
+            if int(parts[2]) != stages:
+                raise ParseError(f"stage blocks out of order at {line!r}")
+            block = []
+        elif block is None:
+            raise ParseError("facts before first stage separator")
+        else:
+            block.append(line)
+    if block is None:
+        raise ParseError("stream file has no stages")
+    yield block
 
 
 def _stage_delta(lines: list, seen: set, rels: set) -> list:

@@ -40,6 +40,11 @@ read through their fact adapter.
 ``covering`` and ``covering_stream`` cut an order presentation down to
 its covering pairs stage by stage, reading each stage's order from its
 prefix's facts with ``chain()`` rather than through ``diagram.arrivals``.
+``stream_file`` writes a stream file of given stage lines as they are,
+where ``StructureStream.to_text`` sorts them.
+``unpair`` and ``untag`` invert the pairing and ``tag``, and
+``format_sentence`` writes a sentence in the file form parse_sentence
+reads; the program needs neither direction, the tests read both.
 """
 
 from __future__ import annotations
@@ -736,8 +741,40 @@ def covering(deltas) -> list:
     return out
 
 
+def stream_file(blocks: list) -> str:
+    """A stream file whose stages hold the given lines, in order."""
+    return "".join(f"-- stage {s}\n" + "".join(line + "\n" for line in lines)
+                   for s, lines in enumerate(blocks))
+
+
 def covering_stream(stream: StructureStream) -> StructureStream:
     """The stream cut to its covering pairs, read back through the file
     format so that the parser sees the sparse facts too."""
     text = StructureStream(stream.signature, covering(stream.deltas), "").to_text()
     return StructureStream.from_text(text, stream.provenance)
+
+
+def unpair(z: int) -> tuple[int, int]:
+    """The inverse of the diagonal pairing: unpair(pair(x, y)) == (x, y)."""
+    if z < 0:
+        raise ValueError("pairing is defined on naturals")
+    # Largest s with s(s+1)/2 <= z.
+    s = (isqrt(8 * z + 1) - 1) // 2
+    y = z - s * (s + 1) // 2
+    return s - y, y
+
+
+untag = unpair  # tag(copy, source) -> (copy, source)
+
+
+def format_sentence(sentence) -> str:
+    """A Sigma2Sentence in the sentence-file form."""
+    lines = [f"exists {sentence.disjuncts[0].exists_arity}"]
+    for i, d in enumerate(sentence.disjuncts):
+        lines.append(f"disjunct {i}")
+        for m in d.matrices:
+            lit = m.literal
+            variables = " ".join(f"{kind}{j}" for kind, j in lit.args)
+            lines.append(f"forall {m.forall_arity}: "
+                         f"{'not ' if lit.negated else ''}{lit.rel} {variables}")
+    return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import pytest
 
+from reference_ops import untag
 from embedlab.combinators import (
     LEFT_CLOSED,
     concatenate,
@@ -16,7 +17,7 @@ from embedlab.diagram import (
     partition_diagram,
     total_order_diagram,
 )
-from embedlab.pairing import tag, untag
+from embedlab.pairing import tag
 
 
 def test_dyadic_breadth_first():

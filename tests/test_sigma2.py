@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_ops import format_sentence
 from embedlab import sigma2
 from embedlab.diagram import EmbedlabError, ParseError, total_order_diagram
 from embedlab.sigma2 import (
     Literal,
     WitnessTracker,
-    format_sentence,
     greatest_element_sentence,
     least_element_sentence,
     literal_holds,

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference_ops import Mirror, covering_stream
+from reference_ops import Mirror, covering, covering_stream, stream_file
+from embedlab import diagram
 from embedlab.combinators import replicate, reverse
 from embedlab.constructions import formula2eq, ord2eq
 from embedlab.diagram import (
@@ -17,13 +18,16 @@ from embedlab.diagram import (
     FiniteDiagram,
     InconsistentDiagram,
     InvalidInput,
+    PlacementBatch,
     Signature,
+    format_facts,
 )
 from embedlab.kernel import run
 from embedlab.sigma2 import least_element_sentence
 from embedlab.streams import (
     EQUIV_FAMILIES,
     ORDER_FAMILIES,
+    PARAMETRIC_FAMILIES,
     CanonicalSpec,
     StructureStream,
     generate,
@@ -141,6 +145,67 @@ def _stream(*deltas) -> StructureStream:
     return StructureStream(Signature.LINEAR_ORDER, list(deltas), "x")
 
 
+@st.composite
+def text_read_streams(draw):
+    """An order stream written as a file and read back, so that its stages
+    are placement batches, from a drawn stage on written as covering pairs
+    or with each stage's lines reversed, which are read as facts."""
+    family = draw(st.sampled_from(ORDER_FAMILIES))
+    k = draw(st.integers(1, 3)) if family in PARAMETRIC_FAMILIES else 1
+    spec = CanonicalSpec(family, draw(st.sampled_from(("fair", "permuted"))), k,
+                         draw(st.integers(0, 2**16)))
+    stream = generate(spec, draw(st.integers(1, 14)))
+    blocks = [format_facts(sorted(d)) for d in stream.deltas]
+    cut = draw(st.integers(0, len(blocks)))
+    tail = draw(st.sampled_from(("none", "covering", "reversed")))
+    if tail == "covering":
+        blocks[cut:] = map(format_facts, covering(stream.deltas)[cut:])
+    elif tail == "reversed":
+        blocks[cut:] = [lines[::-1] for lines in blocks[cut:]]
+    return StructureStream.from_text(stream_file(blocks))
+
+
+_BATCH_IDS = st.lists(st.integers(0, 5), max_size=6, unique=True)
+
+
+@st.composite
+def drawn_batch_streams(draw):
+    """Placement batches, each placing distinct elements of its chain,
+    drawn freely: most do not grow the chain before them (an old element
+    moved, dropped or placed again)."""
+    deltas = []
+    for _ in range(draw(st.integers(1, 6))):
+        chain = draw(st.permutations(draw(_BATCH_IDS)))
+        new = draw(st.lists(st.sampled_from(chain), max_size=3, unique=True)
+                   if chain else st.just([]))
+        deltas.append(PlacementBatch(new, tuple(chain)))
+    if draw(st.booleans()):  # two batches that grow a chain come first
+        deltas = [PlacementBatch((0, 1), (1, 0)), PlacementBatch((2,), (1, 2, 0)), *deltas]
+    return StructureStream(Signature.LINEAR_ORDER, deltas, "drawn batches")
+
+
+@given(text_read_streams() | drawn_batch_streams(), st.data())
+# A batch that reverses the chain's old elements: its facts make a cycle.
+@example(_stream(PlacementBatch((0, 1), (0, 1)), PlacementBatch((2,), (1, 2, 0))), None)
+# A batch that places an old element again.
+@example(_stream(PlacementBatch((0, 1), (0, 1)), PlacementBatch((0, 2), (0, 2, 1))), None)
+@VIEW_SETTINGS
+def test_stages_grown_from_placements_read_like_the_cumulative_diagram(stream, data):
+    """A stage grown by placement batches, or by facts after them, answers
+    every reading as the diagram built from the cumulative facts does and
+    equals it, and its delta holds the stage's new facts."""
+    read = [True] * len(stream) if data is None else data.draw(
+        st.lists(st.booleans(), min_size=len(stream), max_size=len(stream)))
+    seen: set = set()
+    for s, view in enumerate(stream.iter_stages()):
+        fresh = [f for f in dict.fromkeys(stream.deltas[s]) if f not in seen]
+        seen.update(fresh)
+        assert view.delta == fresh
+        if read[s] or s == len(stream) - 1:
+            assert _readings(view) == _readings(stream.stage(s)), f"stage {s}"
+            assert view == stream.stage(s), f"stage {s}"
+
+
 NOT_TOTAL = _stream([("el", 0)], [("el", 1)])
 CYCLIC = _stream([("el", 0), ("el", 1), ("lt", 0, 1)], [("el", 2), ("lt", 1, 0)])
 
@@ -219,3 +284,49 @@ def test_a_run_builds_no_diagram_per_stage(monkeypatch):
     calls = _count_diagram_work(monkeypatch)
     assert run(replicate(2), stream, 80).records[-1].new_facts.chain
     assert calls == ["init"]
+
+
+def _count_expansions(monkeypatch) -> list:
+    """Record, for each placement batch expanded into its facts, the size
+    of its chain."""
+    calls: list = []
+    expand = diagram._sorted_facts
+
+    def counted(new, chain):
+        calls.append(len(chain))
+        return expand(new, chain)
+
+    monkeypatch.setattr(diagram, "_sorted_facts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("op", [replicate(2), ord2eq()], ids=["replicate:2", "ord2eq"])
+def test_a_run_over_a_placement_file_reads_its_chain(op, monkeypatch):
+    """An order file read as placements grows a run's diagram by its
+    chain: the run builds that diagram only, runs no Kahn pass and expands
+    no batch into facts."""
+    text = generate(CanonicalSpec("omega_k", "permuted", 2, seed=7), 120).to_text()
+    stream = StructureStream.from_text(text)
+    assert all(isinstance(d, PlacementBatch) for d in stream.deltas)
+    calls = _count_diagram_work(monkeypatch)
+    expanded = _count_expansions(monkeypatch)
+    assert run(op, stream, 120).records[-1].new_facts
+    assert calls == ["init"] and expanded == []
+
+
+def test_covering_stages_expand_the_batches_before_them_once(monkeypatch):
+    """From the first stage read as facts, a grown diagram stores facts:
+    it expands each batch before that stage once, at that stage."""
+    stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=7), 40)
+    cut = 20
+    blocks = [format_facts(sorted(d)) for d in stream.deltas[:cut]]
+    blocks += map(format_facts, covering(stream.deltas)[cut:])
+    read = StructureStream.from_text(stream_file(blocks))
+    assert [isinstance(d, PlacementBatch) for d in read.deltas] == [True] * cut + [False] * 20
+    expanded = _count_expansions(monkeypatch)
+    counts = []
+    for view in read.iter_stages():
+        assert view.chain() == stream.stage(len(counts)).chain()
+        counts.append(len(expanded))
+    assert counts == [0] * cut + [cut] * 20
+    assert expanded == list(range(1, cut + 1))

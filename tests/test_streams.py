@@ -2,8 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedlab.diagram import InvalidSpec, Signature
+from reference_ops import covering, stream_file
+from embedlab import streams
+from embedlab.constructions import StagePair
+from embedlab.diagram import (
+    EmbedlabError,
+    InvalidSpec,
+    ParseError,
+    PlacementBatch,
+    Signature,
+    format_facts,
+)
+from embedlab.kernel import run
+from embedlab.registry import build_operator
 from embedlab.streams import (
+    ORDER_FAMILIES,
+    PARAMETRIC_FAMILIES,
     CanonicalSpec,
     StructureStream,
     generate,
@@ -165,3 +179,130 @@ def test_stream_file_elements_may_be_implicit():
     equiv = StructureStream.from_text("-- stage 0\nel 0\nsim 1 0\n")
     assert equiv.signature is Signature.EQUIVALENCE
     assert equiv.deltas == [[("el", 1), ("el", 0), ("sim", 0, 1)]]
+
+
+# --- order files read as placements -----------------------------------------
+
+
+def _order_stream(family: str, policy: str, stages: int) -> StructureStream:
+    k = 2 if family in PARAMETRIC_FAMILIES else 1
+    return generate(CanonicalSpec(family, policy, k, seed=3), stages)
+
+
+@pytest.mark.parametrize("family", ORDER_FAMILIES)
+@pytest.mark.parametrize("policy", ("fair", "permuted"))
+def test_order_files_read_one_batch_per_stage(family, policy):
+    """Each stage to_text writes for a generated order is read back as one
+    PlacementBatch, whose facts are the stage's."""
+    for stages in range(1, 41):
+        stream = _order_stream(family, policy, stages)
+        read = StructureStream.from_text(stream.to_text())
+        assert read.signature is Signature.LINEAR_ORDER
+        assert all(isinstance(d, PlacementBatch) for d in read.deltas)
+        assert [list(d) for d in read.deltas] == [sorted(d) for d in stream.deltas]
+
+
+RUN_EXPRESSIONS = ("replicate:2", "rev(replicate:3)", "ord2eq", "pair_formula2eq",
+                   "phi_sigma2", "phi_pair")
+
+
+@pytest.mark.parametrize("family", ORDER_FAMILIES)
+@pytest.mark.parametrize("policy", ("fair", "permuted"))
+def test_runs_over_a_read_file_write_the_stream_logs(family, policy):
+    """A run over an order file read as placements writes, byte for byte,
+    the log of the same run over the stream in memory."""
+    targets = StagePair(generate(CanonicalSpec("omega_k", k=2), 44),
+                        generate(CanonicalSpec("omega_star_k", k=2), 44))
+    for stages in (1, 2, 40):
+        stream = _order_stream(family, policy, stages)
+        read = StructureStream.from_text(stream.to_text(), stream.provenance)
+        for expr in RUN_EXPRESSIONS:
+            op = build_operator(expr, targets=targets)
+            assert run(op, read, stages).to_jsonl() == run(op, stream, stages).to_jsonl(), expr
+
+
+def _read(text: str):
+    """What from_text makes of text: the signature and each delta's facts,
+    or the class and message of the error it raises."""
+    try:
+        stream = StructureStream.from_text(text)
+    except EmbedlabError as exc:
+        return type(exc), str(exc)
+    return stream.signature, [list(d) for d in stream.deltas]
+
+
+EDITED = 5  # the stage an edit changes: every stage before it places elements
+
+
+def _double_a_space(blocks: list, k: int) -> None:
+    blocks[k][1] = blocks[k][1].replace(" ", "  ", 1)
+
+
+# name: (an edit of the stages' lines at stage k, whether reading fails)
+STAGE_EDITS = {
+    "reordered lines": (lambda b, k: b[k].insert(1, b[k].pop(2)), False),
+    "duplicated line": (lambda b, k: b[k].append(b[k][-1]), False),
+    "doubled space": (_double_a_space, False),
+    "implicit el": (lambda b, k: b[k].pop(0), False),
+    "repeated earlier fact": (lambda b, k: b[k].append(b[k - 1][-1]), False),
+    "stage with no new element": (lambda b, k: b.insert(k, []), False),
+    "stage repeating a fact": (lambda b, k: b.insert(k, [b[k - 1][-1]]), False),
+    "sim line": (lambda b, k: b[k].append("sim 0 1"), True),
+    "non-natural id": (lambda b, k: b[k].append("lt 0 -1"), True),
+    "lt a a": (lambda b, k: b[k].append("lt 3 3"), True),
+    "unknown relation": (lambda b, k: b[k].append("gt 0 1"), True),
+}
+
+
+def _canonical_blocks(stages: int = 12) -> tuple:
+    stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=5), stages)
+    return stream, [format_facts(sorted(d)) for d in stream.deltas]
+
+
+def _assert_read_as_facts_from(text: str, k: int | None, monkeypatch):
+    """from_text reads text as it does with the batch reader patched off,
+    and, unless it raises, keeps every stage before k as a batch and reads
+    stage k and every later one as facts."""
+    got = _read(text)
+    with monkeypatch.context() as m:
+        m.setattr(streams, "parse_batch", lambda *args: None)
+        assert _read(text) == got
+    if k is None:
+        assert isinstance(got[0], type) and issubclass(got[0], EmbedlabError)
+        return
+    read = StructureStream.from_text(text)
+    kinds = [isinstance(d, PlacementBatch) for d in read.deltas]
+    assert kinds == [True] * k + [False] * (len(kinds) - k)
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_EDITS))
+def test_an_edited_stage_and_every_later_one_read_as_facts(name, monkeypatch):
+    edit, fails = STAGE_EDITS[name]
+    _, blocks = _canonical_blocks()
+    edit(blocks, EDITED)
+    _assert_read_as_facts_from(stream_file(blocks), None if fails else EDITED, monkeypatch)
+
+
+def test_stages_switched_to_covering_pairs_read_as_facts(monkeypatch):
+    stream, blocks = _canonical_blocks()
+    cover = [format_facts(d) for d in covering(stream.deltas)]
+    text = stream_file(blocks[:EDITED] + cover[EDITED:])
+    _assert_read_as_facts_from(text, EDITED, monkeypatch)
+    assert _read(text)[1] == [sorted(d) for d in stream.deltas[:EDITED]] + [
+        sorted(d) for d in covering(stream.deltas)[EDITED:]]
+
+
+def test_lt_facts_of_batches_count_towards_a_mix(monkeypatch):
+    """lt facts only batches hold still make a later sim fact a mix."""
+    text = "-- stage 0\nel 0\n-- stage 1\nel 1\nlt 0 1\n-- stage 2\nel 2\nsim 0 2\n"
+    _assert_read_as_facts_from(text, None, monkeypatch)
+    assert _read(text) == (ParseError, "stream mixes lt and sim facts")
+
+
+def test_equivalence_files_read_as_fact_lists(monkeypatch):
+    """A first stage of one el line reads as a placement, but an
+    equivalence file's deltas are fact lists."""
+    text = generate(CanonicalSpec("e"), 6).to_text()
+    assert text.startswith("-- stage 0\nel 0\n-- stage 1\n")
+    _assert_read_as_facts_from(text, 0, monkeypatch)
+    assert StructureStream.from_text(text).signature is Signature.EQUIVALENCE
