@@ -31,9 +31,7 @@ from .diagram import (
     PlacementBatch,
     Signature,
     SignatureError,
-    el,
     new_elements,
-    sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator
 from .pairing import tag
@@ -292,12 +290,12 @@ class CopyTags(dict):
             if a is None:
                 a = self[f[1]] = tag(copy, f[1])
             if f[0] == "el":
-                out.append(el(a))
+                out.append(("el", a))
                 continue
             b = get(f[2])
             if b is None:
                 b = self[f[2]] = tag(copy, f[2])
-            out.append(sim(a, b))
+            out.append(("sim", a, b) if a <= b else ("sim", b, a))
         return out
 
 

@@ -45,7 +45,12 @@ from .diagram import (
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
 from .pairing import encode_tuple, pair, tag
 from .combinators import CopyTags, DisjointUnion, Reverse
-from .sigma2 import Sigma2Sentence, refuting_witness_values, WitnessTracker
+from .sigma2 import (
+    Sigma2Sentence,
+    WitnessTracker,
+    placement_refuting_values,
+    refuting_witness_values,
+)
 from .streams import StructureStream
 
 
@@ -286,8 +291,10 @@ class Formula2Eq(EnumerationOperator):
     Refutations are read from each step's delta alone, never from the
     stage diagram: a fact refutes the same pairs whenever it is read, so
     the pairs it refutes for an element whose el fact has not arrived yet
-    are kept until that element arrives.  Each copy tags each element
-    once (CopyTags).
+    are kept until that element arrives.  A placement batch's refuted
+    elements are read from the chain positions of its new elements
+    (sigma2.placement_refuting_values), without building its facts.  Each
+    copy tags each element once (CopyTags).
     """
 
     output_signature = Signature.EQUIVALENCE
@@ -341,29 +348,44 @@ class _Formula2EqStream(StreamEvaluator):
         self.copier = _CopyTracker()
         self.pending: list = []  # nothing is emitted before budget 1
 
+    def _seed(self, c: int) -> None:
+        """Element c's seeded classes, one per disjunct; a refutation read
+        before c arrived makes its class refuted now."""
+        op = self.op
+        for i in range(len(op.sentence.disjuncts)):
+            root = _member_id(c, i, 0)
+            self.pending.append(el(root))
+            if op.seed_size == 2:
+                self.pending.append(sim(root, _member_id(c, i, 1)))
+            self.members[(c, i)] = op.seed_size
+            if (c, i) in self.early:
+                self.early.remove((c, i))
+                self.refuted.add((c, i))
+
     def step(self, diagram, delta, budget):
         op = self.op
         disjuncts = op.sentence.disjuncts
         base_new = self.pending
         members, refuted, early = self.members, self.refuted, self.early
 
-        for f in delta:
-            if f[0] == "el":
-                c = f[1]
-                for i in range(len(disjuncts)):
-                    root = _member_id(c, i, 0)
-                    base_new.append(el(root))
-                    if op.seed_size == 2:
-                        base_new.append(sim(root, _member_id(c, i, 1)))
-                    members[(c, i)] = op.seed_size
-                    if (c, i) in early:
-                        early.remove((c, i))
-                        refuted.add((c, i))
-                continue
-            for i, d in enumerate(disjuncts):
-                for m in d.matrices:
-                    for c in refuting_witness_values(m.literal, f):
-                        (refuted if (c, i) in members else early).add((c, i))
+        if isinstance(delta, PlacementBatch):
+            for c in new_elements(delta):
+                self._seed(c)
+            if delta.new:
+                chain, (lo, hi) = delta.chain, delta.span()
+                for i, d in enumerate(disjuncts):
+                    for m in d.matrices:
+                        for c in placement_refuting_values(m.literal, chain, lo, hi):
+                            (refuted if (c, i) in members else early).add((c, i))
+        else:
+            for f in delta:
+                if f[0] == "el":
+                    self._seed(f[1])
+                    continue
+                for i, d in enumerate(disjuncts):
+                    for m in d.matrices:
+                        for c in refuting_witness_values(m.literal, f):
+                            (refuted if (c, i) in members else early).add((c, i))
 
         if budget < 1:
             return [], None

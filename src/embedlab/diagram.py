@@ -20,8 +20,10 @@ by each delta, so drawing a stage costs what is new at it, and a stage
 is valid for one step only.  An order grown by placement batches alone,
 such as a stream file's stages read as placements, keeps their chain and
 stores no fact; its readers read the chain, and an evaluator that needs
-only a stage's new elements takes them from the batch (new_elements).
-An order whose deltas are all known in advance is replayed by arrivals()
+only a stage's new elements takes them from the batch (new_elements),
+or their ranks in its chain (PlacementBatch.span), as formula2eq does to
+read the elements a batch refutes as a slice of its chain.  An order
+whose deltas are all known in advance is replayed by arrivals()
 instead.
 
 A diagram from outside the program arrives only as text, and is checked
@@ -42,7 +44,9 @@ An order given by fact deltas that are all known in advance (a
 phi_pair target's stages, a run log's fact records) is replayed one way,
 arrivals(), which reads the order of all the facts once (chain); the
 classifier and phi_pair's targets use it, and insert is left to
-evaluators placing a stage's new input elements.
+evaluators placing a stage's new input elements.  The classifier reads
+a log whose records are all batches, such as a stream file read as
+placements and viewed as a log (RunLog.from_stream), from their chains.
 
 One layout (_layout) orders a batch's record for both its facts and its
 text, and is computed once each time a record is expanded, written or
@@ -518,6 +522,13 @@ class PlacementBatch:
         """The same elements placed in the reversed chain."""
         return PlacementBatch(self.new, self.chain[::-1])
 
+    def span(self) -> tuple:
+        """The lowest and highest ranks of the new elements in the chain,
+        found without building the facts; the batch must place one."""
+        hit, chain = set(self.new).__contains__, self.chain
+        top = next(compress(count(), map(hit, reversed(chain))))
+        return next(compress(count(), map(hit, chain))), len(chain) - 1 - top
+
     def diagram(self) -> "FiniteDiagram":
         """The facts as a trusted diagram.  A batch that places its whole
         chain, such as a first step, is built without sorting."""
@@ -533,7 +544,8 @@ class PlacementBatch:
 
 def new_elements(delta) -> list:
     """The elements a delta's el facts declare, in the delta's order; a
-    PlacementBatch's new elements, read without building its facts."""
+    PlacementBatch's new elements ascending, read without building its
+    facts (span gives their lowest and highest ranks in its chain)."""
     if isinstance(delta, PlacementBatch):
         return sorted(delta.new)
     return [f[1] for f in delta if f[0] == "el"]

@@ -274,7 +274,9 @@ class RunLog:
 
     @staticmethod
     def from_stream(stream: StructureStream) -> "RunLog":
-        """View a generated stream as a run log (for direct classification)."""
+        """View a stream as a run log (for direct classification).  A
+        stage read as a PlacementBatch is kept as its record, so classify
+        reads its chain; any other stage's facts are sorted."""
         log = RunLog(
             operator="stream",
             signature=stream.signature,
@@ -282,7 +284,9 @@ class RunLog:
             schedule="n/a",
         )
         for s, delta in enumerate(stream.deltas):
-            log.records.append(StageRecord(stage=s, new_facts=sorted(delta)))
+            if not isinstance(delta, PlacementBatch):
+                delta = sorted(delta)
+            log.records.append(StageRecord(stage=s, new_facts=delta))
         return log
 
 

@@ -16,8 +16,12 @@ def pair(x: int, y: int) -> int:
 
 
 def tag(copy_index: int, source: int) -> int:
-    """Encode a (copy, source-element) pair as a single element id."""
-    return pair(copy_index, source)
+    """Encode a (copy, source-element) pair as a single element id:
+    pair(copy_index, source), computed here in one call."""
+    if copy_index < 0 or source < 0:
+        raise ValueError("pairing is defined on naturals")
+    s = copy_index + source
+    return s * (s + 1) // 2 + source
 
 
 def encode_tuple(items: tuple[int, ...]) -> int:

@@ -86,6 +86,16 @@ def literal_holds(diagram: FiniteDiagram, lit: Literal, xs: tuple, ys: tuple) ->
     return not present if lit.negated else present
 
 
+def _refuting_pattern(lit: Literal):
+    """The arguments of the facts that refute lit, or None: its own if it
+    is negated, reversed if it is a positive lt literal."""
+    if lit.negated:
+        return lit.args
+    if lit.rel == "lt":
+        return (lit.args[1], lit.args[0])
+    return None
+
+
 def refuting_witness_values(lit: Literal, fact) -> list:
     """Existential values x0 = c such that `fact` refutes lit(c, d) for some d.
 
@@ -93,13 +103,8 @@ def refuting_witness_values(lit: Literal, fact) -> list:
     positive lt literal is refuted when the reversed fact is enumerated.
     Positive sim literals have no enumerable refutation.
     """
-    if lit.negated:
-        pattern = lit.args
-    elif lit.rel == "lt":
-        pattern = (lit.args[1], lit.args[0])
-    else:
-        return []
-    if fact[0] != lit.rel or len(fact) - 1 != len(pattern):
+    pattern = _refuting_pattern(lit)
+    if pattern is None or fact[0] != lit.rel or len(fact) - 1 != len(pattern):
         return []
     out = []
     orders = [fact[1:]]
@@ -117,6 +122,25 @@ def refuting_witness_values(lit: Literal, fact) -> list:
         if ok and ("x", 0) in assign:
             out.append(assign[("x", 0)])
     return out
+
+
+def placement_refuting_values(lit: Literal, chain, lo: int, hi: int):
+    """refuting_witness_values over every fact of a placement batch, read
+    from its chain without building the facts: lo and hi are the lowest
+    and highest ranks of its new elements.  The batch's facts are lt
+    facts with a new element at either end, and a refuting pattern with x0
+    at one end only takes all the lower ends, chain[:hi] and chain[hi]
+    when something is above it, or all the upper ends, chain[lo+1:] and
+    chain[lo] when something is below it.  x0 at both ends or at neither
+    refutes nothing, and neither does a sim literal."""
+    pattern = _refuting_pattern(lit)
+    if pattern is None or lit.rel != "lt" or pattern[0] == pattern[1]:
+        return ()
+    if pattern[0] == ("x", 0):
+        return chain[:hi + 1] if hi < len(chain) - 1 else chain[:hi]
+    if pattern[1] == ("x", 0):
+        return chain[lo:] if lo > 0 else chain[lo + 1:]
+    return ()
 
 
 class WitnessTracker:

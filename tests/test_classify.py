@@ -4,17 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedlab import classify
 from embedlab.classify import census, consistency_verdict, fingerprint
 from embedlab.combinators import replicate
 from embedlab.diagram import (
     ClassBatch,
     InvalidSpec,
+    PlacementBatch,
     Signature,
     SignatureError,
 )
 from embedlab.kernel import RunLog, StageRecord, run
 from embedlab.registry import build_operator
-from embedlab.streams import ORDER_FAMILIES, CanonicalSpec, generate
+from embedlab.streams import (
+    ORDER_FAMILIES,
+    PARAMETRIC_FAMILIES,
+    CanonicalSpec,
+    StructureStream,
+    generate,
+)
 
 from reference_ops import census as reference_census
 from reference_ops import order_witnesses
@@ -304,6 +312,30 @@ def test_consistency_phi_sigma2_run_claims():
     v = consistency_verdict(log, CanonicalSpec("omega_star"), 5, 30)
     assert not v.consistent
     assert v.evidence["witness"]
+
+
+@pytest.mark.parametrize("family", ORDER_FAMILIES)
+@pytest.mark.parametrize("policy", ("fair", "permuted"))
+def test_a_placement_read_stream_is_classified_from_its_chain(family, policy,
+                                                               monkeypatch):
+    """A stream file read as placements keeps its batches as log records,
+    so its fingerprint and verdict read the chain and never replay the
+    facts; both equal those of the same stages as sorted fact lists."""
+    spec = CanonicalSpec(family, policy, 2 if family in PARAMETRIC_FAMILIES else 1,
+                         seed=7)
+    stream = generate(spec, 120)
+    facts_log = RunLog.from_stream(stream)
+    want = fingerprint(facts_log, 5), consistency_verdict(facts_log, spec)
+
+    def refuse(deltas):
+        raise AssertionError("a placement-read log was replayed by arrivals")
+
+    monkeypatch.setattr(classify, "arrivals", refuse)
+    log = RunLog.from_stream(StructureStream.from_text(stream.to_text()))
+    assert all(isinstance(rec.new_facts, PlacementBatch) for rec in log.records)
+    assert [list(rec.new_facts) for rec in log.records] == [
+        rec.new_facts for rec in facts_log.records]
+    assert (fingerprint(log, 5), consistency_verdict(log, spec)) == want
 
 
 def test_consistency_signature_mismatch():

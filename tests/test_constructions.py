@@ -1,12 +1,12 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_ops
 
-from embedlab import combinators, constructions, experiments
+from embedlab import combinators, constructions, diagram, experiments
 from embedlab.classify import census
 from embedlab.combinators import disjoint_union
 from embedlab.constructions import (
@@ -25,6 +25,7 @@ from embedlab.diagram import (
     PlacementBatch,
     Signature,
     diagram_from_facts,
+    format_facts,
     partition_diagram,
     total_order_diagram,
 )
@@ -38,7 +39,13 @@ from embedlab.sigma2 import (
     greatest_element_sentence,
     least_element_sentence,
 )
-from embedlab.streams import CanonicalSpec, StructureStream, generate
+from embedlab.streams import (
+    ORDER_FAMILIES,
+    PARAMETRIC_FAMILIES,
+    CanonicalSpec,
+    StructureStream,
+    generate,
+)
 
 
 # --- ord2eq -----------------------------------------------------------------
@@ -397,6 +404,125 @@ def test_formula2eq_reads_each_fact_once_per_matrix(monkeypatch):
     run(op, stream, len(stream))
     matrices = sum(len(d.matrices) for d in op.sentence.disjuncts)
     assert 0 < len(calls) <= sum(map(len, stream.deltas)) * matrices
+
+
+_VARIABLES = (("x", 0), ("y", 0), ("y", 1))
+
+
+@st.composite
+def _sentences(draw):
+    """A sentence of existential arity 1 whose literals are drawn from
+    every lt pattern, (x0, yj), (yj, x0), (x0, x0) and (yi, yj), negated
+    or positive, and from sim literals, which refute nothing in an order."""
+    literal = st.builds(
+        Literal, st.booleans(), st.sampled_from(("lt", "lt", "lt", "sim")),
+        st.tuples(st.sampled_from(_VARIABLES), st.sampled_from(_VARIABLES)))
+    disjuncts = draw(st.lists(
+        st.lists(literal, min_size=1, max_size=3), min_size=1, max_size=2))
+    sentence = Sigma2Sentence("drawn", tuple(
+        Disjunct(1, tuple(Matrix(2, lit) for lit in lits)) for lits in disjuncts))
+    assume(sentence.signature is Signature.LINEAR_ORDER)
+    return sentence
+
+
+@st.composite
+def _read_order_streams(draw):
+    """A generated order stream read from its text: as placements
+    throughout, or switched to facts (covering pairs) from a drawn stage."""
+    family = draw(st.sampled_from(ORDER_FAMILIES))
+    k = draw(st.integers(1, 3)) if family in PARAMETRIC_FAMILIES else 1
+    policy = draw(st.sampled_from(("fair", "permuted")))
+    stream = generate(CanonicalSpec(family, policy, k, draw(st.integers(0, 9))),
+                      draw(st.integers(1, 12)))
+    cut = draw(st.integers(0, len(stream)))
+    blocks = [format_facts(sorted(d)) for d in stream.deltas[:cut]]
+    blocks += map(format_facts, reference_ops.covering(stream.deltas)[cut:])
+    return StructureStream.from_text(reference_ops.stream_file(blocks))
+
+
+@st.composite
+def _free_batch_streams(draw):
+    """A hand-built order stream whose stages are fact lists or placement
+    batches of a drawn total order.  An element arrives at a drawn stage
+    or never, in a batch or by an el fact that may never come, and each
+    lt fact comes at a drawn fact stage or never, so a fact may name an
+    element before the batch that places it, or one that never arrives."""
+    n = draw(st.integers(1, 7))
+    rank = draw(st.permutations(range(n))).index
+    stages = draw(st.integers(1, 6))
+    batch = draw(st.lists(st.booleans(), min_size=stages, max_size=stages))
+    arrives = [draw(st.none() | st.integers(0, stages - 1)) for _ in range(n)]
+    fact_stages = [s for s in range(stages) if not batch[s]]
+    when = st.none() | st.sampled_from(fact_stages) if fact_stages else st.none()
+    deltas: list = [[] for _ in range(stages)]
+    for x in range(n):
+        if arrives[x] is not None and not batch[arrives[x]] and draw(st.booleans()):
+            deltas[arrives[x]].append(("el", x))
+    for a, b in combinations(sorted(range(n), key=rank), 2):
+        s = draw(when)
+        if s is not None:
+            deltas[s].append(("lt", a, b))
+    for s in range(stages):
+        if batch[s]:
+            arrived = sorted((x for x in range(n) if arrives[x] is not None
+                              and arrives[x] <= s), key=rank)
+            deltas[s] = PlacementBatch(
+                [x for x in range(n) if arrives[x] == s], tuple(arrived))
+        else:
+            deltas[s] = draw(st.permutations(deltas[s]))
+    return StructureStream(Signature.LINEAR_ORDER, deltas, "hand-built")
+
+
+@st.composite
+def _formula2eq_cases(draw):
+    """A formula2eq or pair_formula2eq operator with its rescanning
+    reference, an order stream with placement batches and a monotone
+    budget per stage."""
+    if draw(st.booleans()):
+        sentence, seed = draw(_sentences()), draw(st.sampled_from((1, 2)))
+        ops = (formula2eq(sentence, seed),
+               reference_ops.rescanning_formula2eq(sentence, seed))
+    else:
+        phi, psi = draw(_sentences()), draw(_sentences())
+        ops = (pair_formula2eq(phi, psi),
+               reference_ops.rescanning_pair_formula2eq(phi, psi))
+    stream = draw(_read_order_streams() | _free_batch_streams())
+    steps = draw(st.lists(st.integers(0, 3), min_size=len(stream),
+                          max_size=len(stream)))
+    budgets = [sum(steps[:s + 1]) for s in range(len(stream))]
+    return ops, stream, budgets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_formula2eq_cases())
+def test_formula2eq_over_placements_matches_facts_and_reference(case):
+    """Refutations read from a batch's chain positions give the records
+    of reading its facts one by one, and those of rescanning the stage
+    diagram."""
+    (op, reference), stream, budgets = case
+    as_facts = StructureStream(stream.signature, [list(d) for d in stream.deltas],
+                               stream.provenance)
+    got = _records(run(op, stream, len(stream), budgets.__getitem__))
+    assert got == _records(run(op, as_facts, len(stream), budgets.__getitem__))
+    assert got == _records(run(reference, stream, len(stream), budgets.__getitem__))
+
+
+def test_pair_formula2eq_over_a_placement_file_builds_no_facts(monkeypatch):
+    """On an order file read as placements, formula2eq reads each batch's
+    refutations from its chain: it neither expands a batch into facts nor
+    tests a fact against a literal."""
+    text = generate(CanonicalSpec("omega_k", "permuted", 2, seed=7), 64).to_text()
+    stream = StructureStream.from_text(text)
+    assert all(isinstance(d, PlacementBatch) for d in stream.deltas)
+
+    def refuse(*args):
+        raise AssertionError("a batch was read as facts")
+
+    monkeypatch.setattr(diagram, "_sorted_facts", refuse)
+    monkeypatch.setattr(constructions, "refuting_witness_values", refuse)
+    log = run(pair_formula2eq(least_element_sentence(), greatest_element_sentence()),
+              stream, 64)
+    assert log.records[-1].new_facts
 
 
 def _tag_calls(monkeypatch) -> list:

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,18 @@ def test_pair_roundtrip(x, y):
 @settings(max_examples=50, deadline=None)
 def test_tag_roundtrip(copy, source):
     assert untag(tag(copy, source)) == (copy, source)
+
+
+@given(naturals, naturals)
+@settings(max_examples=80, deadline=None)
+def test_tag_is_pair(copy, source):
+    assert tag(copy, source) == pair(copy, source)
+
+
+@pytest.mark.parametrize("copy,source", [(-1, 0), (0, -1), (-2, -3)])
+def test_tag_rejects_negatives(copy, source):
+    with pytest.raises(ValueError):
+        tag(copy, source)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=4000), max_size=12))
