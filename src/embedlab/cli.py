@@ -25,6 +25,7 @@ from .diagram import (
     SignatureError,
     format_facts,
     is_natural,
+    new_elements,
     parse_diagram,
     parse_fact,
 )
@@ -82,10 +83,8 @@ def gen(family, k, policy, seed, stages, out):
     spec = CanonicalSpec(family, policy, k, _seed_option(seed)).check_k()
     stream = generate(spec, stages)
     Path(out).write_text(stream.to_text(), encoding="utf-8")
-    final = stream.final()
-    click.echo(
-        f"{spec.label()}: {stages} stages, {len(final.domain)} elements -> {out}"
-    )
+    elements = sum(len(new_elements(delta)) for delta in stream.deltas)
+    click.echo(f"{spec.label()}: {stages} stages, {elements} elements -> {out}")
 
 
 def _load_stream(path: str) -> StructureStream:

@@ -38,7 +38,8 @@ that present a grown chain are decided here alone: a PlacementBatch (the
 elements new at one step and the chain after it) yields ``el x`` for each
 new element and one lt fact for every pair with a new element at either
 end, so a run log stores every pair while the operators that write it
-never build a pair.  place() is the same rule for one element.
+never build a pair.  A generated order stream's stages are such batches
+too, each placing one element.
 
 An order given by fact deltas that are all known in advance (a
 phi_pair target's stages, a run log's fact records) is replayed one way,
@@ -53,6 +54,13 @@ text, and is computed once each time a record is expanded, written or
 checked.  The text is rendered in blocks (format_blocks):
 the el lines, then one block per element that opens lt lines, which for
 an old element is its suffix's template with the element's id put in.
+A batch that places one element e, as each stage of an order stream,
+generated or read, and each record of phi_sigma2, phi_pair and
+replicate:1 does, is rendered with no layout: ``el e``, then ``lt y e``
+for the old elements y below e with ids below e's, then e's own block,
+``lt e z`` for the elements z above it, then ``lt y e`` for the rest of
+the elements below e, each of the three one join over a sorted slice of
+the chain.
 The same renderer writes a record (RunLog.to_jsonl) and checks one on
 read a few blocks at a time.  parse_batch is the one reader of such
 lines, a run log's records and a stream file's stages alike: it places
@@ -192,11 +200,11 @@ class FiniteDiagram:
         built empty holds a set that can grow.
 
         A PlacementBatch that grows the chain of an order grown by batches
-        alone (its old elements in the chain's order, its new ones absent)
-        replaces that chain, and its facts are not built.  Any other delta
-        first expands the batches so far into the fact set."""
+        alone (_grows) replaces that chain, and its facts are not built.
+        Any other delta first expands the batches so far into the fact
+        set."""
         if self._chain is not None:
-            if isinstance(delta, PlacementBatch) and self._grows_chain(delta):
+            if isinstance(delta, PlacementBatch) and _grows(self._chain, delta):
                 self._chain = delta.chain
                 self._deltas.append(delta)
                 self.delta = delta
@@ -213,12 +221,6 @@ class FiniteDiagram:
         self._deltas.append(delta)
         self.delta = delta
         self._facts = self._domain = self._order = self._ranks = None
-
-    def _grows_chain(self, batch: "PlacementBatch") -> bool:
-        """True iff batch's chain is the chain with its new elements, none
-        of them in the chain, inserted."""
-        new = set(batch.new)
-        return [x for x in batch.chain if x not in new] == list(self._chain)
 
     @property
     def facts(self) -> frozenset:
@@ -542,6 +544,24 @@ class PlacementBatch:
                              frozenset(chain) if self.new else frozenset())
 
 
+def _grows(chain, batch: PlacementBatch) -> bool:
+    """True iff batch's chain is chain with batch's new elements, none of
+    them in chain, inserted."""
+    new = set(batch.new)
+    return [x for x in batch.chain if x not in new] == list(chain)
+
+
+def placed_chain(deltas) -> tuple | None:
+    """The chain that deltas grow from the empty order when each is a
+    PlacementBatch that grows the chain of the one before it, else None."""
+    chain = ()
+    for delta in deltas:
+        if not (isinstance(delta, PlacementBatch) and _grows(chain, delta)):
+            return None
+        chain = delta.chain
+    return chain
+
+
 def new_elements(delta) -> list:
     """The elements a delta's el facts declare, in the delta's order; a
     PlacementBatch's new elements ascending, read without building its
@@ -655,15 +675,37 @@ def format_blocks(batch, text: dict, sep: str) -> Iterator[str]:
 
     An old element's block is its suffix's template with the element's id
     put in, one str call; a new element's block is one join.  Lines hold
-    only ASCII letters, digits and spaces, so NUL marks where the id goes."""
+    only ASCII letters, digits and spaces, so NUL marks where the id goes.
+    A batch that places one element e is written with no layout, as at
+    most four blocks: ``el e``; ``lt y e`` for the old elements y below e
+    with ids below e's; e's own block, ``lt e z`` for the elements z above
+    it; ``lt y e`` for the other old elements below e.  Each is one join
+    over a sorted slice of the chain, and an empty one is left out."""
     if isinstance(batch, ClassBatch):
         if batch.els:
             yield "el " + (sep + "el ").join(map(str, batch.els))
         if batch.members:
             yield sep.join(map("sim {} {}".format, batch.heads, batch.members))
         return
-    news, ids, index, suffixes, tops = _layout(batch.new, batch.chain)
     name = text.__getitem__
+    if len(batch.new) == 1:
+        (e,) = batch.new
+        chain = batch.chain
+        r = chain.index(e)
+        below = sorted(chain[:r])
+        k = bisect_left(below, e)  # below[:k] have ids below e's
+        tail = " " + name(e)
+        yield "el" + tail
+        joint = tail + sep + "lt "  # between two lines ``lt y e``
+        if k:
+            yield "lt " + joint.join(map(name, below[:k])) + tail
+        if r + 1 < len(chain):
+            head = "lt" + tail + " "
+            yield head + (sep + head).join(map(name, sorted(chain[r + 1:])))
+        if k < len(below):
+            yield "lt " + joint.join(map(name, below[k:])) + tail
+        return
+    news, ids, index, suffixes, tops = _layout(batch.new, batch.chain)
     if news:
         yield "el " + (sep + "el ").join(map(name, news))
     templates = ["lt \0 " + (sep + "lt \0 ").join(map(name, s)) for s in suffixes]
@@ -674,21 +716,6 @@ def format_blocks(batch, text: dict, sep: str) -> Iterator[str]:
         else:
             head = "lt " + name(x) + " "
             yield head + (sep + head).join(map(name, tops[~k]))
-
-
-def place(chain: list, x: int, rank: int) -> list:
-    """Insert x into chain, a list of elements in increasing order, at
-    index rank; returns the facts that present the grown order given the
-    old one, those of a one-element PlacementBatch: ``el x`` and one lt
-    fact between x and each element of the old chain, in chain order.
-    The counterpart of FiniteDiagram.insert for writers of fact lists."""
-    facts = [("el", x)]
-    for y in chain[:rank]:
-        facts.append(("lt", y, x))
-    for y in chain[rank:]:
-        facts.append(("lt", x, y))
-    chain.insert(rank, x)
-    return facts
 
 
 def format_facts(facts: Iterable[Fact]) -> list:

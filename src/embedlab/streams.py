@@ -18,10 +18,13 @@ update of its delta rather than a copy of every fact so far.  A stage is
 valid only until the next one is drawn; stage(s) builds a FiniteDiagram
 of stage s that can be kept.
 
-An order stream file is read as placements: each stage that is what
-to_text writes for a generated order becomes a diagram.PlacementBatch,
-and the diagram those batches grow keeps their chain instead of a set of
-every pair.
+An order stream is a sequence of placements, generated or read: generate
+gives each stage as a diagram.PlacementBatch that places the stage's one
+arrival in the chain so far, to_text writes each batch through
+format_blocks (``el e`` and three joins of lt lines, with no layout),
+and from_text reads each stage that is what to_text writes back as such
+a batch.  The diagram those batches grow keeps their chain instead of a
+set of every pair, and stage(s) builds stage s from its chain.
 """
 
 from __future__ import annotations
@@ -34,19 +37,23 @@ from typing import Iterable, Iterator
 
 from .diagram import (
     FiniteDiagram,
+    IdText,
     InvalidSpec,
     ParseError,
+    PlacementBatch,
     RELATIONS,
     Signature,
     content_lines,
     diagram_from_facts,
     el,
     file_signature,
+    format_blocks,
     format_facts,
     is_natural,
     parse_batch,
     parse_facts,
-    place,
+    placed_chain,
+    total_order_diagram,
 )
 
 ORDER_FAMILIES = ("omega", "omega_star", "omega_k", "omega_star_k",
@@ -174,19 +181,33 @@ class StructureStream:
             yield stage
 
     def stage(self, s: int) -> FiniteDiagram:
+        """Stage s as a diagram built from its facts, which can be kept.
+        When the deltas up to s are placement batches, each growing the
+        chain of the one before (diagram.placed_chain), it is built from
+        stage s's chain, and no batch is expanded into its facts."""
         if not 0 <= s < len(self.deltas):
             raise IndexError(f"stage {s} out of range")
-        return diagram_from_facts(
-            self.signature, chain.from_iterable(self.deltas[: s + 1]))
+        deltas = self.deltas[: s + 1]
+        placed = placed_chain(deltas)
+        if placed is not None:
+            return total_order_diagram(placed)
+        return diagram_from_facts(self.signature, chain.from_iterable(deltas))
 
     def final(self) -> FiniteDiagram:
         return self.stage(len(self.deltas) - 1)
 
     def to_text(self) -> str:
+        """The stream file: each stage's facts, sorted, after its
+        separator; a placement batch's lines are written in blocks
+        (format_blocks), with one IdText for the stream."""
+        text = IdText()
         lines = []
         for s, delta in enumerate(self.deltas):
             lines.append(f"-- stage {s}")
-            lines += format_facts(sorted(delta))
+            if isinstance(delta, PlacementBatch):
+                lines += format_blocks(delta, text, "\n")
+            else:
+                lines += format_facts(sorted(delta))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -357,7 +378,9 @@ def _equiv_slot_classes(spec: CanonicalSpec, stages: int) -> list:
 
 
 def generate(spec: CanonicalSpec, stages: int) -> StructureStream:
-    """Deterministic stream for a canonical structure; ≥ 1 new element/stage."""
+    """Deterministic stream for a canonical structure; ≥ 1 new element/stage.
+    An order stream's stages are PlacementBatches, each placing one
+    arrival; an equivalence stream's are fact lists."""
     if stages < 1:
         raise InvalidSpec("stages must be >= 1")
     if spec.signature is Signature.LINEAR_ORDER:
@@ -380,7 +403,8 @@ def generate(spec: CanonicalSpec, stages: int) -> StructureStream:
         for i, key in enumerate(slots):
             rank = bisect_left(placed_keys, key)
             placed_keys.insert(rank, key)
-            deltas.append(place(placed, i, rank))
+            placed.insert(rank, i)
+            deltas.append(PlacementBatch((i,), tuple(placed)))
     else:
         members: dict = {}
         next_id = 0

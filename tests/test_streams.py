@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_ops import covering, stream_file
-from embedlab import streams
+from itertools import chain
+
+from reference_ops import covering, place, stream_file
+from embedlab import diagram, streams
 from embedlab.constructions import StagePair
 from embedlab.diagram import (
     EmbedlabError,
@@ -11,6 +13,7 @@ from embedlab.diagram import (
     ParseError,
     PlacementBatch,
     Signature,
+    diagram_from_facts,
     format_facts,
 )
 from embedlab.kernel import run
@@ -21,6 +24,7 @@ from embedlab.streams import (
     CanonicalSpec,
     StructureStream,
     generate,
+    POLICIES,
     lcg_shuffle,
     restrict,
 )
@@ -306,3 +310,59 @@ def test_equivalence_files_read_as_fact_lists(monkeypatch):
     assert text.startswith("-- stage 0\nel 0\n-- stage 1\n")
     _assert_read_as_facts_from(text, 0, monkeypatch)
     assert StructureStream.from_text(text).signature is Signature.EQUIVALENCE
+
+
+ORDER_SPECS = [
+    CanonicalSpec(family, policy, k, seed=5)
+    for family in ORDER_FAMILIES for k in ((1, 2) if family in PARAMETRIC_FAMILIES else (1,))
+    for policy in POLICIES
+    if (policy != "ascending" or family == "omega" or (family, k) == ("omega_k", 1))
+    and (policy != "descending" or family == "omega_star"
+         or (family, k) == ("omega_star_k", 1))
+]
+
+
+def _placed_facts(spec: CanonicalSpec, stages: int) -> list:
+    """The order stream's stages as place() writes them: each arrival at
+    the rank of its slot key among the keys of the arrivals before it."""
+    keys = streams._order_slot_keys(spec, stages)
+    if spec.policy == "permuted":
+        prefix = min(streams.PERMUTED_PREFIX, stages)
+        keys = lcg_shuffle(keys[:prefix], spec.seed) + keys[prefix:]
+    grown: list = []
+    return [place(grown, i, sum(k < key for k in keys[:i])) for i, key in enumerate(keys)]
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=CanonicalSpec.label)
+def test_generated_order_stages_are_the_placed_facts(spec):
+    """Each stage of a generated order stream is a batch placing its one
+    arrival, and yields the facts place() gives it, at every stream
+    length from 1 to 60; the final stage, built from its chain, is the
+    diagram of all those facts."""
+    for stages in range(1, 61):
+        stream = generate(spec, stages)
+        want = _placed_facts(spec, stages)
+        assert all(isinstance(d, PlacementBatch) for d in stream.deltas)
+        assert [list(d.new) for d in stream.deltas] == [[i] for i in range(stages)]
+        assert [list(d) for d in stream.deltas] == [sorted(f) for f in want]
+        assert stream.final() == diagram_from_facts(Signature.LINEAR_ORDER,
+                                                    chain.from_iterable(want))
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=CanonicalSpec.label)
+def test_generated_order_text_is_written_and_read_without_a_layout(spec, monkeypatch):
+    """Writing a generated order stream and reading it back builds no
+    batch layout and no batch facts, and gives back batches with the
+    generated chains."""
+    def refuse(*args):
+        raise AssertionError("a batch was laid out or expanded")
+
+    stream = generate(spec, 100)
+    monkeypatch.setattr(diagram, "_layout", refuse)
+    monkeypatch.setattr(diagram, "_sorted_facts", refuse)
+    read = StructureStream.from_text(stream.to_text())
+    assert len(read) == len(stream)
+    for mine, back in zip(stream.deltas, read.deltas):
+        assert isinstance(mine, PlacementBatch) and isinstance(back, PlacementBatch)
+        assert back.chain == mine.chain and list(back.new) == list(mine.new)
+
