@@ -40,6 +40,7 @@ from .diagram import (
     arrivals,
     el,
     new_elements,
+    placed_chain,
     sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
@@ -442,10 +443,15 @@ class StagePair:
 
 
 def _entry_ranks(stream: StructureStream) -> list:
-    """A target's entry ranks, replayed in the order of all its facts.
-    Every stage s must add element s and no other."""
-    ranks = [chain.index(s) for s, new, chain in arrivals(stream.deltas)
-             if new == [s]]
+    """A target's entry ranks, read from its chains when its stages are
+    placement batches that grow one another, as a generated target's are,
+    else replayed in the order of all its facts (arrivals).  Every stage
+    s must add element s and no other."""
+    if placed_chain(stream.deltas) is not None:
+        grown = ((s, sorted(d.new), d.chain) for s, d in enumerate(stream.deltas) if d.new)
+    else:
+        grown = arrivals(stream.deltas)
+    ranks = [chain.index(s) for s, new, chain in grown if new == [s]]
     if len(ranks) < len(stream):
         raise InvalidInput("target stages must add element s at stage s")
     return ranks

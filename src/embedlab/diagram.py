@@ -47,7 +47,9 @@ arrivals(), which reads the order of all the facts once (chain); the
 classifier and phi_pair's targets use it, and insert is left to
 evaluators placing a stage's new input elements.  The classifier reads
 a log whose records are all batches, such as a stream file read as
-placements and viewed as a log (RunLog.from_stream), from their chains.
+placements and viewed as a log (RunLog.from_stream), from their chains,
+and phi_pair reads a target whose stages are batches, such as a
+generated one, from its chains too (placed_chain).
 
 One layout (_layout) orders a batch's record for both its facts and its
 text, and is computed once each time a record is expanded, written or

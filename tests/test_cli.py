@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from embedlab.cli import main
+from embedlab.streams import CanonicalSpec, StructureStream, generate
 
 
 def invoke(*args, env=None):
@@ -24,8 +25,6 @@ def test_gen_writes_stream(tmp_path):
 def test_gen_counts_elements_without_the_final_diagram(family, k, tmp_path, monkeypatch):
     """gen's element count is the final stage's domain size, counted from
     the deltas: the final diagram, which holds every pair, is not built."""
-    from embedlab.streams import CanonicalSpec, StructureStream, generate
-
     want = len(generate(CanonicalSpec(family, "permuted", k, 3), 50).final().domain)
 
     def refuse(self):

@@ -94,6 +94,23 @@ def test_stage_pair_reads_its_targets_once(monkeypatch):
             (r.new_facts, r.annotations) for r in own.records]
 
 
+@pytest.mark.parametrize("family", ["omega_k", "omega_star_k"])
+@pytest.mark.parametrize("policy", ["fair", "permuted"])
+def test_entry_ranks_of_placed_targets_are_those_of_their_facts(family, policy, monkeypatch):
+    """A generated target's entry ranks are read from its batches' chains,
+    with no replay of its facts, and equal those replayed from the same
+    stages listed as facts."""
+    target = generate(CanonicalSpec(family, policy, k=2, seed=4), 60)
+    as_facts = StructureStream(target.signature, [list(d) for d in target.deltas], "facts")
+    want = constructions._entry_ranks(as_facts)
+
+    def refuse(deltas):
+        raise AssertionError("the target's facts were replayed")
+
+    monkeypatch.setattr(constructions, "arrivals", refuse)
+    assert constructions._entry_ranks(target) == want
+
+
 def test_phi_pair_output_stays_total():
     stream = generate(CanonicalSpec("omega", "permuted", seed=9), 30)
     log = run(phi_pair(make_targets()), stream, 30)
