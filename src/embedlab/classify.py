@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from .diagram import (
     InvalidSpec,
-    PlacementBatch,
     Signature,
     SignatureError,
     _UnionFind,
@@ -107,25 +106,12 @@ class OrderFingerprint:
     stable_greatest: int | None = None
 
 
-def _order_stages(log: RunLog):
-    """Each stage at which elements arrive, as (stage, new elements, the
-    chain after the stage).  Batch records hold both: a run in memory, or
-    a decoded log whose records are all as to_jsonl writes them.  Fact
-    records (covering pairs, a fact operator such as README's Mirror, a
-    hand-written log) are replayed by arrivals, which reads the order of
-    all the log's facts once."""
-    records = log.records
-    if all(isinstance(rec.new_facts, PlacementBatch) for rec in records):
-        for rec in records:
-            if rec.new_facts.new:
-                yield rec.stage, rec.new_facts.new, rec.new_facts.chain
-        return
-    for i, new_elements, chain in arrivals(rec.new_facts for rec in records):
-        yield records[i].stage, new_elements, chain
-
-
 def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
-    """Replay an order log and count immediate-neighbour changes.
+    """Replay an order log and count immediate-neighbour changes.  The
+    log is read through one arrivals call: from its records' chains when
+    they are placement batches that grow one another, as a built-in order
+    operator's are in memory and decoded, else from the order of all its
+    facts.
 
     An element is pred-unstable when its immediate predecessor changed at
     `threshold` or more distinct stages after entry; dually for succ.  The
@@ -139,7 +125,9 @@ def fingerprint(log: RunLog, threshold: int) -> OrderFingerprint:
     traces: dict = {}
     chain: list = []
     least_change_stage = greatest_change_stage = -1
-    for stage, new_elements, chain in _order_stages(log):
+    records = log.records
+    for n, new_elements, chain in arrivals(rec.new_facts for rec in records):
+        stage = records[n].stage
         fresh = set(new_elements)
         for x in sorted(fresh):
             traces[x] = ElementTrace(entered_at=stage)

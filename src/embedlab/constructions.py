@@ -40,7 +40,6 @@ from .diagram import (
     arrivals,
     el,
     new_elements,
-    placed_chain,
     sim,
 )
 from .kernel import EnumerationOperator, StreamEvaluator, TuringConstruction
@@ -438,19 +437,16 @@ class StagePair:
     def entry_ranks(self) -> dict:
         """Each target's entry ranks by the name phi_pair builds it under,
         "A" or "B": for each stage s, the rank at which element s entered
-        the target's chain."""
+        the target's chain, each target replayed once (_entry_ranks)."""
         return {"A": _entry_ranks(self.a), "B": _entry_ranks(self.b)}
 
 
 def _entry_ranks(stream: StructureStream) -> list:
-    """A target's entry ranks, read from its chains when its stages are
-    placement batches that grow one another, as a generated target's are,
-    else replayed in the order of all its facts (arrivals).  Every stage
-    s must add element s and no other."""
-    if placed_chain(stream.deltas) is not None:
-        grown = ((s, sorted(d.new), d.chain) for s, d in enumerate(stream.deltas) if d.new)
-    else:
-        grown = arrivals(stream.deltas)
+    """A target's entry ranks, read through one arrivals call: from its
+    chains when its stages are placement batches that grow one another, as
+    a generated target's are, else from the order of all its facts.  Every
+    stage s must add element s and no other."""
+    grown = arrivals(stream.deltas)
     ranks = [chain.index(s) for s, new, chain in grown if new == [s]]
     if len(ranks) < len(stream):
         raise InvalidInput("target stages must add element s at stage s")

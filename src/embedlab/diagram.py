@@ -22,9 +22,7 @@ such as a stream file's stages read as placements, keeps their chain and
 stores no fact; its readers read the chain, and an evaluator that needs
 only a stage's new elements takes them from the batch (new_elements),
 or their ranks in its chain (PlacementBatch.span), as formula2eq does to
-read the elements a batch refutes as a slice of its chain.  An order
-whose deltas are all known in advance is replayed by arrivals()
-instead.
+read the elements a batch refutes as a slice of its chain.
 
 A diagram from outside the program arrives only as text, and is checked
 once, where parse_diagram reads it: each line's relation, arity and
@@ -41,15 +39,13 @@ end, so a run log stores every pair while the operators that write it
 never build a pair.  A generated order stream's stages are such batches
 too, each placing one element.
 
-An order given by fact deltas that are all known in advance (a
-phi_pair target's stages, a run log's fact records) is replayed one way,
-arrivals(), which reads the order of all the facts once (chain); the
-classifier and phi_pair's targets use it, and insert is left to
-evaluators placing a stage's new input elements.  The classifier reads
-a log whose records are all batches, such as a stream file read as
-placements and viewed as a log (RunLog.from_stream), from their chains,
-and phi_pair reads a target whose stages are batches, such as a
-generated one, from its chains too (placed_chain).
+An order given by deltas that are all known in advance (a run log's
+records, a phi_pair target's stages) is replayed one way, arrivals(),
+which the classifier and phi_pair's targets use; insert is left to
+evaluators placing a stage's new input elements.  One rule decides how
+it reads them, the rule grow uses (_grows): deltas that are all
+placement batches, each growing the chain before it, are read from their
+chains, and any others from the order of all their facts, read once.
 
 One layout (_layout) orders a batch's record for both its facts and its
 text, and is computed once each time a record is expanded, written or
@@ -457,11 +453,20 @@ class _UnionFind:
 
 
 def arrivals(deltas: Iterable) -> Iterator[tuple]:
-    """Replay a linear order given by fact deltas (a stream's stages, a
-    run log's records): each delta that names new elements, as (its
-    index, those elements ascending, the chain so far, one list grown in
-    place).  The order of all the facts is read once, by chain(), before
-    anything is yielded, so a cycle or an unordered pair raises first."""
+    """Replay a linear order given by deltas all known in advance (a
+    stream's stages, a run log's records): each delta that names new
+    elements, as (its index, those elements ascending, the chain so far).
+    Placement batches that each grow the chain before them (placed_chain)
+    are read from their chains.  Other deltas are read in the order of all
+    their facts, by chain() once before anything is yielded, so a cycle or
+    an unordered pair raises first; the chain so far is one list grown in
+    place."""
+    deltas = list(deltas)
+    if placed_chain(deltas) is not None:
+        for i, delta in enumerate(deltas):
+            if delta.new:
+                yield i, sorted(delta.new), delta.chain
+        return
     facts: set = set()
     seen: set = set()
     named: list = []  # (delta index, the elements it names first)

@@ -91,13 +91,18 @@ def _domain(out) -> frozenset:
 
 
 def _lt_pairs(out, wanted: set) -> set:
-    """The pairs (a, b) of elements of wanted with lt(a, b) in an _output:
-    read by position from a chain restricted to wanted, and from the
-    stored lt facts of a diagram."""
+    """The pairs (a, b) of elements of wanted with a below b in the order
+    an _output presents: read by position from a chain restricted to
+    wanted, a total diagram's included, and else from the transitive
+    closure of a diagram's lt facts, which need not be closed."""
+    if not isinstance(out, tuple) and out.is_total():
+        out = tuple(out.chain())
     if isinstance(out, tuple):
         return set(combinations([e for e in out if e in wanted], 2))
-    return {f[1:] for f in out.facts
-            if f[0] == "lt" and f[1] in wanted and f[2] in wanted}
+    pairs = {f[1:] for f in out.facts if f[0] == "lt"}
+    while grown := {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs:
+        pairs |= grown
+    return {(a, b) for a, b in pairs if a != b and a in wanted and b in wanted}
 
 
 def bounded_force(query: ForcingQuery) -> ForcingVerdict:

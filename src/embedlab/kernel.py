@@ -276,7 +276,8 @@ class RunLog:
     def from_stream(stream: StructureStream) -> "RunLog":
         """View a stream as a run log (for direct classification).  A
         stage read as a PlacementBatch is kept as its record, so classify
-        reads its chain; any other stage's facts are sorted."""
+        reads the chains of a stream of such stages (diagram.arrivals);
+        any other stage's facts are sorted."""
         log = RunLog(
             operator="stream",
             signature=stream.signature,

@@ -30,8 +30,9 @@ each step's delta and tag each element once, and must give the same run
 records.  ``fact_refuted_pairs`` and ``fact_bounded_force`` are the
 forcing search that reads every evaluated output through its stored
 facts, each order output built as an all-pairs diagram; the shipped one
-reads an order operator's output chain by position and must give the same
-refuted pairs, outcomes and certificates.  ``AxiomTableOperator`` is an
+reads an order operator's output chain by position, and a fact output
+through the closure of its lt facts, and must give the same refuted pairs,
+outcomes and certificates where the stored facts are closed.  ``AxiomTableOperator`` is an
 operator given by an explicit (premise, fact) axiom list, the forcing and
 kernel tests' fixture for operators that are not extension complete.
 ``Mirror`` is README's example of an operator that returns plain facts

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedlab import classify
+from embedlab import diagram
 from embedlab.classify import census, consistency_verdict, fingerprint
 from embedlab.combinators import replicate
 from embedlab.diagram import (
     ClassBatch,
+    InconsistentDiagram,
     InvalidSpec,
     PlacementBatch,
     Signature,
@@ -326,16 +327,42 @@ def test_a_placement_read_stream_is_classified_from_its_chain(family, policy,
     stream = generate(spec, 120)
     facts_log = RunLog.from_stream(stream)
     want = fingerprint(facts_log, 5), consistency_verdict(facts_log, spec)
-
-    def refuse(deltas):
-        raise AssertionError("a placement-read log was replayed by arrivals")
-
-    monkeypatch.setattr(classify, "arrivals", refuse)
     log = RunLog.from_stream(StructureStream.from_text(stream.to_text()))
     assert all(isinstance(rec.new_facts, PlacementBatch) for rec in log.records)
     assert [list(rec.new_facts) for rec in log.records] == [
         rec.new_facts for rec in facts_log.records]
+
+    def refuse(*args):
+        raise AssertionError("a placement-read log's facts were replayed")
+
+    monkeypatch.setattr(diagram.FiniteDiagram, "_topo", refuse)
+    monkeypatch.setattr(diagram, "_sorted_facts", refuse)
     assert (fingerprint(log, 5), consistency_verdict(log, spec)) == want
+
+
+def _batch_log(*batches) -> RunLog:
+    log = RunLog("x", Signature.LINEAR_ORDER, "", "")
+    log.records = [StageRecord(s, batch) for s, batch in enumerate(batches)]
+    return log
+
+
+def test_batch_records_that_do_not_grow_one_chain_read_as_their_facts():
+    """A log in memory whose batch records do not grow one chain is read
+    from its facts, as its JSONL round trip, which decodes such a record
+    as a fact list, is: the second batch below moves 1 under 0, but its
+    facts only place 2 above both."""
+    log = _batch_log(PlacementBatch((0, 1), (0, 1)), PlacementBatch((2,), (1, 0, 2)))
+    decoded = RunLog.from_jsonl(log.to_jsonl())
+    assert fingerprint(log, 1) == fingerprint(decoded, 1)
+    assert {x: (t.pred_changes, t.succ_changes)
+            for x, t in fingerprint(log, 1).elements.items()} == {
+        0: (0, 0), 1: (0, 1), 2: (0, 0)}
+    # Here the second batch's facts lt 1 2 and lt 2 0 close a cycle with
+    # lt 0 1.
+    cyclic = _batch_log(PlacementBatch((0, 1), (0, 1)), PlacementBatch((2,), (1, 2, 0)))
+    for each in (cyclic, RunLog.from_jsonl(cyclic.to_jsonl())):
+        with pytest.raises(InconsistentDiagram):
+            fingerprint(each, 1)
 
 
 def test_consistency_signature_mismatch():

@@ -89,6 +89,40 @@ def test_force_on_covering_alpha_evaluates_the_closure():
     assert verdict.certificate == total_order_diagram([0, 1, 2])
 
 
+class _Covering(EnumerationOperator):
+    """The input chain as its covering pairs alone, which present the
+    same order as all pairs."""
+
+    name = "covering"
+    extension_complete = True
+
+    def make_stream_evaluator(self):
+        return _CoveringStream()
+
+
+class _CoveringStream(StreamEvaluator):
+    def step(self, diagram, delta, budget):
+        line = diagram.chain()
+        facts = [("el", x) for x in line]
+        return facts + [("lt", a, b) for a, b in zip(line, line[1:])], None
+
+
+def test_force_reads_an_output_of_covering_pairs_as_its_order():
+    """An output's lt facts need not be closed: 0 < 2 holds in the output
+    of 0 < 1 < 2 though no fact stores it, so lt 2 0 is refuted by alpha
+    itself and every pair is decided one way."""
+    alpha = total_order_diagram([0, 1, 2])
+    forced = bounded_force(ForcingQuery(_Covering(), alpha, ("lt", 0, 2), 0, 1))
+    assert forced.outcome == FORCED
+    verdict = bounded_force(ForcingQuery(_Covering(), alpha, ("lt", 2, 0), 0, 1))
+    assert verdict.outcome == REFUTED
+    assert verdict.certificate == alpha
+    assert trichotomy_scan(_Covering(), 3, 1, 1).clean
+    # An output that is not total is read through the closure of its facts.
+    partial = parse_diagram("lt 0 1\nlt 1 2\nel 3\n")
+    assert forcing._lt_pairs(partial, {0, 2, 3}) == {(0, 2)}
+
+
 def test_refuted_with_alpha_itself():
     op = replicate(2)
     alpha = total_order_diagram([0, 1])
@@ -224,7 +258,8 @@ def test_verdicts_invariant_under_id_permutation():
 
 
 # Order operators whose steps return placement batches, and operators
-# whose steps return fact lists (read as stored facts).
+# whose steps return fact lists whose lt facts are closed, so that the
+# reference's reading of the stored facts is their order.
 FORCING_OPERATORS = {
     "replicate:1": lambda: replicate(1),
     "replicate:2": lambda: replicate(2),

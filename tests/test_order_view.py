@@ -6,11 +6,12 @@ way (diagram.arrivals)."""
 from itertools import chain
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference_ops
 from reference_ops import covering, covering_stream
+from test_stage_view import drawn_batch_streams
 from embedlab.classify import consistency_verdict, fingerprint
 from embedlab.combinators import replicate
 from embedlab.constructions import (
@@ -22,8 +23,10 @@ from embedlab.constructions import (
     phi_sigma2,
 )
 from embedlab.diagram import (
+    EmbedlabError,
     InconsistentDiagram,
     InvalidInput,
+    PlacementBatch,
     Signature,
     arrivals,
     diagram_from_facts,
@@ -148,11 +151,25 @@ def replayed_streams(draw):
     return stream
 
 
-@given(replayed_streams())
+@given(replayed_streams() | drawn_batch_streams())
+# The first batch's facts leave 1 and 2 unordered; the second orders them.
+@example(StructureStream(Signature.LINEAR_ORDER, [
+    PlacementBatch((0,), (1, 2, 0)), PlacementBatch((1,), (1, 2))], "drawn batches"))
 @COVERING_SETTINGS
 def test_arrivals_yield_each_prefix_order(stream):
     """At each delta that names new elements, arrivals yields those
-    elements and the order that chain() reads from the deltas so far."""
+    elements and the order that chain() reads from the deltas so far.
+    Placement batches drawn freely, most of which do not grow the chain
+    before them, are replayed from their facts: where their facts together
+    are not a total order, arrivals raises as chain() does, and a prefix
+    that leaves a pair unordered is read in the order of all of them."""
+    try:
+        order = diagram_from_facts(
+            Signature.LINEAR_ORDER, chain.from_iterable(stream.deltas)).chain()
+    except EmbedlabError as exc:
+        with pytest.raises(type(exc)):
+            list(arrivals(stream.deltas))
+        return
     got = [(i, list(new), list(line)) for i, new, line in arrivals(stream.deltas)]
     want = []
     seen: set = set()
@@ -160,7 +177,9 @@ def test_arrivals_yield_each_prefix_order(stream):
         prefix = diagram_from_facts(
             Signature.LINEAR_ORDER, chain.from_iterable(stream.deltas[:i + 1]))
         if prefix.domain - seen:
-            want.append((i, sorted(prefix.domain - seen), prefix.chain()))
+            line = (prefix.chain() if prefix.is_total()
+                    else [x for x in order if x in prefix.domain])
+            want.append((i, sorted(prefix.domain - seen), line))
             seen |= prefix.domain
     assert got == want
 

@@ -1,6 +1,6 @@
 import pytest
 
-from embedlab import constructions
+from embedlab import constructions, diagram
 from embedlab.constructions import StagePair, phi_pair, phi_sigma2
 from embedlab.diagram import InvalidSpec, Signature
 from embedlab.kernel import run
@@ -104,10 +104,11 @@ def test_entry_ranks_of_placed_targets_are_those_of_their_facts(family, policy, 
     as_facts = StructureStream(target.signature, [list(d) for d in target.deltas], "facts")
     want = constructions._entry_ranks(as_facts)
 
-    def refuse(deltas):
+    def refuse(*args):
         raise AssertionError("the target's facts were replayed")
 
-    monkeypatch.setattr(constructions, "arrivals", refuse)
+    monkeypatch.setattr(diagram.FiniteDiagram, "_topo", refuse)
+    monkeypatch.setattr(diagram, "_sorted_facts", refuse)
     assert constructions._entry_ranks(target) == want
 
 
