@@ -100,7 +100,7 @@ class _OrderBatches(StreamEvaluator):
 
     def __init__(self, inner: StreamEvaluator):
         self.inner = inner
-        self.order = FiniteDiagram(Signature.LINEAR_ORDER, set())
+        self.order = FiniteDiagram(Signature.LINEAR_ORDER)
         self.chain: list = []
 
     def step(self, diagram, delta, budget):

@@ -13,22 +13,28 @@ transitive closure of the lt facts, which must be acyclic.  Neither set
 needs to be closed: covering pairs present the same order as all pairs.
 Code that reads an order or a partition asks for it (chain, below,
 insert, holds, sim_classes) rather than reading the stored facts.
-FiniteDiagram holds the one copy of those rules.  A diagram built from
-facts never changes.  A run, which sees its input one delta at a time,
-reads its stages from one FiniteDiagram built empty and grown in place
-by each delta, so drawing a stage costs what is new at it, and a stage
-is valid for one step only.  An order grown by placement batches alone,
-such as a stream file's stages read as placements, keeps their chain and
-stores no fact; its readers read the chain, and an evaluator that needs
-only a stage's new elements takes them from the batch (new_elements),
-or their ranks in its chain (PlacementBatch.span), as formula2eq does to
-read the elements a batch refutes as a slice of its chain.
+FiniteDiagram holds the one copy of those rules.
+
+Every diagram is built empty and grown in place by deltas (grow).  A run
+reads its stages from one FiniteDiagram grown by each delta, so drawing a
+stage costs what is new at it and a stage is valid for one step only;
+diagram_from_facts grows an empty diagram once.  One rule (_grows)
+decides what a diagram keeps: an order grown by placement batches alone,
+each growing the chain before it, keeps their chain and stores no fact,
+and its readers (chain, below, is_total) run no Kahn pass; any other
+diagram keeps a fact set.  A total order built in code
+(total_order_diagram), an operator's order output and a stream file's
+stages read as placements are such chains.  An evaluator gets a chain as
+one batch (as_delta), and one that needs only a stage's new elements
+takes them from the batch (new_elements), or their ranks in its chain
+(PlacementBatch.span), as formula2eq does to read the elements a batch
+refutes as a slice of its chain.
 
 A diagram from outside the program arrives only as text, and is checked
 once, where parse_diagram reads it: each line's relation, arity and
 ASCII-natural ids and ``lt a a`` (parse_facts), a file's mix of lt and
 sim (file_signature), and lt cycles.  Diagrams built in code are trusted:
-diagram_from_facts builds one from its facts with no check.
+diagram_from_facts grows one by its facts with no check.
 
 Code that writes an order keeps it as a chain, a list of elements in
 increasing order, and inserts each new element at its rank.  The facts
@@ -42,10 +48,11 @@ too, each placing one element.
 An order given by deltas that are all known in advance (a run log's
 records, a phi_pair target's stages) is replayed one way, arrivals(),
 which the classifier and phi_pair's targets use; insert is left to
-evaluators placing a stage's new input elements.  One rule decides how
-it reads them, the rule grow uses (_grows): deltas that are all
-placement batches, each growing the chain before it, are read from their
-chains, and any others from the order of all their facts, read once.
+evaluators placing a stage's new input elements.  arrivals grows one
+diagram by all the deltas, so the rule grow uses decides how it reads
+them: deltas that are all placement batches, each growing the chain
+before it, are read from their chains, and any others from the order of
+all their facts, read once.
 
 One layout (_layout) orders a batch's record for both its facts and its
 text, and is computed once each time a record is expanded, written or
@@ -155,20 +162,17 @@ class FiniteDiagram:
     """A finite set of facts and its element domain, the elements the
     facts name.
 
-    Built from facts, it holds them in a frozenset and never changes:
-    parse_diagram builds one from a diagram file, which it checks, and
-    diagram_from_facts from facts built in code, which are trusted (the
-    constructor takes the domain too, where the caller knows it).
-
-    Built empty, FiniteDiagram(signature, set()), it is a run's input: one
-    diagram per run, grown in place by each delta (grow), so it is valid
-    for one step only.  Nothing is rebuilt at a growth.  A linear order
-    grown by placement batches alone keeps their chain, which its order
-    readers read, and stores no fact.  Any other delta is added to one
-    fact set, the batches so far expanded into it first, and the cached
-    order is reset.  The frozen facts and the domain are computed when
-    read, and the partition is a _UnionFind joined by the deltas since it
-    was last read.
+    Built empty, FiniteDiagram(signature), and grown in place by each
+    delta (grow), so a run's input is valid for one step only; a diagram
+    of known facts is one grown once (diagram_from_facts).  Nothing is
+    rebuilt at a growth.  A linear order grown by placement batches alone
+    keeps their chain, which its order readers read, and stores no fact.
+    Any other delta is added to one fact set, the batches so far expanded
+    into it first, and the cached order is reset; a frozenset that is the
+    first facts, as diagram_from_facts gives, is that set until the
+    diagram grows again, so it is not copied.  The frozen facts and the
+    domain are computed when read, and the partition is a _UnionFind
+    joined by the deltas since it was last read.
 
     Two diagrams are equal when their signatures, facts and domains are.
     A diagram can grow, so it is not hashable."""
@@ -176,26 +180,22 @@ class FiniteDiagram:
     __slots__ = ("signature", "delta", "_stored", "_deltas", "_facts", "_domain",
                  "_chain", "_order", "_ranks", "_partition", "_joined")
 
-    def __init__(self, signature: Signature, facts=frozenset(),
-                 domain: frozenset | None = None):
+    def __init__(self, signature: Signature):
         self.signature = signature
         self.delta: list = []           # the facts new at the latest growth
-        self._stored = facts            # every fact so far, unless _chain holds them
-        self._deltas = [facts] if facts else []
-        self._facts = None
-        self._domain = domain
-        # The chain of an order built empty, while every delta so far was a
-        # placement batch that grew it; else None.
-        self._chain = (() if signature is Signature.LINEAR_ORDER
-                       and type(facts) is set and not facts else None)
+        self._stored: set = set()       # every fact so far, unless _chain holds them
+        self._deltas: list = []
+        self._facts = self._domain = None
+        # The chain of an order while every delta so far was a placement
+        # batch that grew it; else None.
+        self._chain = () if signature is Signature.LINEAR_ORDER else None
         self._order = self._ranks = self._partition = None
         self._joined = 0                # the deltas _partition has joined
 
     def grow(self, delta) -> None:
         """Add a delta (a sized collection of facts), keeping as self.delta
         its facts new to the diagram: the delta itself unless one of its
-        facts was seen before, which a length check finds.  Only a diagram
-        built empty holds a set that can grow.
+        facts was seen before, which a length check finds.
 
         A PlacementBatch that grows the chain of an order grown by batches
         alone (_grows) replaces that chain, and its facts are not built.
@@ -211,11 +211,16 @@ class FiniteDiagram:
             self._stored.update(chain.from_iterable(self._deltas))
             self._chain = None
         stored = self._stored
-        size = len(stored)
-        stored.update(delta)
-        if len(stored) - size != len(delta):
-            old = set(chain.from_iterable(self._deltas))
-            delta = [f for f in dict.fromkeys(delta) if f not in old]
+        if not stored and type(delta) is frozenset:
+            self._stored = delta  # held as it is until the diagram grows again
+        else:
+            if type(stored) is frozenset:
+                stored = self._stored = set(stored)
+            size = len(stored)
+            stored.update(delta)
+            if len(stored) - size != len(delta):
+                old = set(chain.from_iterable(self._deltas))
+                delta = [f for f in dict.fromkeys(delta) if f not in old]
         self._deltas.append(delta)
         self.delta = delta
         self._facts = self._domain = self._order = self._ranks = None
@@ -223,8 +228,13 @@ class FiniteDiagram:
     @property
     def facts(self) -> frozenset:
         if self._facts is None:
-            self._facts = frozenset(self._stored if self._chain is None
-                                    else chain.from_iterable(self._deltas))
+            c = self._chain
+            if c is None:
+                self._facts = frozenset(self._stored)
+            else:  # every pair of the chain, then its el facts
+                facts = [("lt", x, y) for j, y in enumerate(c) for x in c[:j]]
+                facts += zip(_EL, c)
+                self._facts = frozenset(facts)
         return self._facts
 
     @property
@@ -235,6 +245,15 @@ class FiniteDiagram:
             else:
                 self._domain = frozenset(chain.from_iterable(self._stored)) - RELATIONS
         return self._domain
+
+    def as_delta(self):
+        """All of the diagram as one delta, sorted, with an el fact for
+        every element (diagram files may leave them implicit): the batch
+        placing the whole chain of an order that keeps one, so its facts
+        are built only if read, and else a list."""
+        if self._chain is not None:
+            return PlacementBatch(self._chain, self._chain)
+        return sorted(self._stored.union(zip(_EL, self.domain)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteDiagram):
@@ -456,33 +475,31 @@ def arrivals(deltas: Iterable) -> Iterator[tuple]:
     """Replay a linear order given by deltas all known in advance (a
     stream's stages, a run log's records): each delta that names new
     elements, as (its index, those elements ascending, the chain so far).
-    Placement batches that each grow the chain before them (placed_chain)
-    are read from their chains.  Other deltas are read in the order of all
-    their facts, by chain() once before anything is yielded, so a cycle or
-    an unordered pair raises first; the chain so far is one list grown in
-    place."""
+    One diagram is grown by all the deltas first.  When it kept their
+    chain, each being a placement batch that grew the one before it,
+    they are read from their chains.  Else they are read in the order of
+    all their facts, its chain() read once before anything is yielded, so
+    a cycle or an unordered pair raises first; the chain so far is then
+    one list grown in place."""
     deltas = list(deltas)
-    if placed_chain(deltas) is not None:
+    order = FiniteDiagram(Signature.LINEAR_ORDER)
+    for delta in deltas:
+        order.grow(delta)
+    if order._chain is not None:
         for i, delta in enumerate(deltas):
             if delta.new:
                 yield i, sorted(delta.new), delta.chain
         return
-    facts: set = set()
+    rank = dict(zip(order.chain(), count())).__getitem__
     seen: set = set()
-    named: list = []  # (delta index, the elements it names first)
+    grown: list = []
     for i, delta in enumerate(deltas):
-        delta = set(delta)
-        facts |= delta
         if new := set(chain.from_iterable(delta)) - RELATIONS - seen:
             seen |= new
-            named.append((i, sorted(new)))
-    order = FiniteDiagram(Signature.LINEAR_ORDER, frozenset(facts), frozenset(seen))
-    rank = dict(zip(order.chain(), count())).__getitem__
-    grown: list = []
-    for i, new in named:
-        for x in new:
-            insort(grown, x, key=rank)
-        yield i, new, grown
+            new = sorted(new)
+            for x in new:
+                insort(grown, x, key=rank)
+            yield i, new, grown
 
 
 _EL = repeat("el")
@@ -538,24 +555,15 @@ class PlacementBatch:
         top = next(compress(count(), map(hit, reversed(chain))))
         return next(compress(count(), map(hit, chain))), len(chain) - 1 - top
 
-    def diagram(self) -> "FiniteDiagram":
-        """The facts as a trusted diagram.  A batch that places its whole
-        chain, such as a first step, is built without sorting."""
-        chain = self.chain
-        if len(self.new) == len(chain):
-            facts = [("lt", x, y) for j, y in enumerate(chain) for x in chain[:j]]
-            facts += zip(_EL, chain)
-        else:
-            facts = list(self)
-        return FiniteDiagram(Signature.LINEAR_ORDER, frozenset(facts),
-                             frozenset(chain) if self.new else frozenset())
-
 
 def _grows(chain, batch: PlacementBatch) -> bool:
     """True iff batch's chain is chain with batch's new elements, none of
-    them in chain, inserted."""
+    them in chain, inserted once each.  That the new elements are
+    distinct and the chain grew by as many is checked by length; a batch
+    is trusted to hold its new elements in its chain."""
     new = set(batch.new)
-    return [x for x in batch.chain if x not in new] == list(chain)
+    return (len(new) == len(batch.new) == len(batch.chain) - len(chain)
+            and [x for x in batch.chain if x not in new] == list(chain))
 
 
 def placed_chain(deltas) -> tuple | None:
@@ -901,16 +909,19 @@ def parse_diagram(text: str) -> FiniteDiagram:
 
 
 def diagram_from_facts(signature: Signature, facts: Iterable[Fact]) -> FiniteDiagram:
-    """Trusted diagram whose domain is the elements its facts name."""
-    if isinstance(facts, PlacementBatch):
-        return facts.diagram()
-    return FiniteDiagram(signature, frozenset(facts))
+    """Trusted diagram whose domain is the elements its facts name: an
+    empty one grown once by them, as a frozenset.  A PlacementBatch grows
+    it as it is, so a batch placing its whole chain keeps that chain."""
+    d = FiniteDiagram(signature)
+    d.grow(facts if isinstance(facts, PlacementBatch) else frozenset(facts))
+    return d
 
 
 def total_order_diagram(chain: Iterable[int]) -> FiniteDiagram:
-    """All-pairs total order diagram for the given element sequence."""
+    """Total order diagram of the given element sequence, which it keeps
+    as its chain; its facts, every pair, are built only if read."""
     xs = tuple(chain)
-    return PlacementBatch(xs, xs).diagram()
+    return diagram_from_facts(Signature.LINEAR_ORDER, PlacementBatch(xs, xs))
 
 
 def partition_diagram(classes: Iterable[Iterable[int]]) -> FiniteDiagram:

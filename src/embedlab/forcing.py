@@ -20,7 +20,6 @@ from .diagram import (
     InvalidInput,
     InvalidSpec,
     NotInOutput,
-    PlacementBatch,
     Signature,
     diagram_from_facts,
     total_order_diagram,
@@ -74,31 +73,21 @@ def extensions(alpha: FiniteDiagram, ext_bound: int):
         frontier = new_frontier
 
 
-def _output(op: EnumerationOperator, chain: list, budget: int):
-    """op's output on the all-pairs total order of chain (operators may
-    read stored facts, so every extension is evaluated as its closure).
-    An order operator's PlacementBatch is kept as its chain, a tuple; any
-    other output is kept as a diagram of the facts it stores."""
+def _output(op: EnumerationOperator, chain: list, budget: int) -> FiniteDiagram:
+    """op's output on the total order of chain (whose facts, where an
+    operator reads them, are every pair), as a diagram: an order
+    operator's keeps its output chain."""
     out = evaluate_facts(op, total_order_diagram(chain), budget)
-    if isinstance(out, PlacementBatch):
-        return out.chain
     return diagram_from_facts(op.output_signature, out)
 
 
-def _domain(out) -> frozenset:
-    """The elements of an _output."""
-    return frozenset(out) if isinstance(out, tuple) else out.domain
-
-
-def _lt_pairs(out, wanted: set) -> set:
+def _lt_pairs(out: FiniteDiagram, wanted: set) -> set:
     """The pairs (a, b) of elements of wanted with a below b in the order
-    an _output presents: read by position from a chain restricted to
-    wanted, a total diagram's included, and else from the transitive
-    closure of a diagram's lt facts, which need not be closed."""
-    if not isinstance(out, tuple) and out.is_total():
-        out = tuple(out.chain())
-    if isinstance(out, tuple):
-        return set(combinations([e for e in out if e in wanted], 2))
+    an _output presents: read by position from its chain when it is
+    total, and else from the transitive closure of its lt facts, which
+    need not be closed."""
+    if out.is_total():
+        return set(combinations([e for e in out.chain() if e in wanted], 2))
     pairs = {f[1:] for f in out.facts if f[0] == "lt"}
     while grown := {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs:
         pairs |= grown
@@ -128,7 +117,7 @@ def bounded_force(query: ForcingQuery) -> ForcingVerdict:
         out = _output(op, chain, query.budget)
         # The first extension is alpha's own chain; its output must hold
         # the atom's elements.
-        if n == 0 and not wanted <= _domain(out):
+        if n == 0 and not wanted <= out.domain:
             raise NotInOutput(f"atom elements not in the output of alpha: {atom!r}")
         if (y, x) in _lt_pairs(out, wanted):
             return ForcingVerdict(REFUTED, certificate=total_order_diagram(chain))
@@ -233,7 +222,7 @@ def trichotomy_scan(
     permutations_by_alpha = {}
     for chain in _all_total_orders(list(range(max_alpha)), max_alpha):
         alpha = total_order_diagram(chain)
-        elements = sorted(_domain(_output(op, chain, budget)))
+        elements = sorted(_output(op, chain, budget).domain)
         order, violations = _forced_order(op, alpha, elements, ext_bound, budget)
         report.checked += 1
         report.violations.extend(violations)

@@ -12,11 +12,12 @@ defined once, by its stream evaluator: a ``step(diagram, delta, budget)``
 that emits only the facts new since the previous step, whether they are
 due to input growth (the delta) or to budget growth.
 Batch evaluation is derived from it: ``eval(alpha, n)`` takes one step of
-a fresh evaluator over all of alpha at budget n; ``budget_deltas`` and
-``eval_chain`` are that step at budget 0 followed by budget-only steps,
-so budget monotonicity holds by construction.  All three batch entry
-points first make the same checks (_check_input): the signature of alpha
-and a natural budget.
+a fresh evaluator over all of alpha (FiniteDiagram.as_delta, a total
+order built in code as one PlacementBatch) at budget n; ``budget_deltas``
+is that step at budget 0 followed by budget-only steps, so budget
+monotonicity holds by construction.  Both batch entry points first make
+the same checks (_check_input): the signature of alpha and a natural
+budget.
 
 A stage construction consumes a stream of growing input diagrams and emits
 a cumulative output stage plus bookkeeping annotations at each step, by
@@ -83,20 +84,10 @@ class EnumerationOperator:
         the steps return them.  Checks the signature and the budget first."""
         _check_input(self, alpha, max_budget)
         evaluator = self.make_stream_evaluator()
-        deltas = [evaluator.step(alpha, _as_delta(alpha), 0)[0]]
+        deltas = [evaluator.step(alpha, alpha.as_delta(), 0)[0]]
         for n in range(1, max_budget + 1):
             deltas.append(evaluator.step(alpha, [], n)[0])
         return deltas
-
-    def eval_chain(self, alpha: FiniteDiagram, max_budget: int) -> list:
-        """Cumulative fact sets at budgets 0..max_budget."""
-        chain = []
-        acc: frozenset = frozenset()
-        for delta in self.budget_deltas(alpha, max_budget):
-            if delta:
-                acc = acc | frozenset(delta)
-            chain.append(acc)
-        return chain
 
     def eval(self, alpha: FiniteDiagram, budget: int) -> FiniteDiagram:
         """Checked batch evaluation: evaluate_facts as a diagram."""
@@ -104,12 +95,6 @@ class EnumerationOperator:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
-
-
-def _as_delta(alpha: FiniteDiagram) -> list:
-    """All of alpha as one sorted delta, with an el fact for every element
-    (diagram files may leave them implicit)."""
-    return sorted(alpha.facts.union([("el", x) for x in alpha.domain]))
 
 
 def _check_input(op: EnumerationOperator, alpha: FiniteDiagram, budget: int) -> None:
@@ -132,7 +117,7 @@ def evaluate_facts(op: EnumerationOperator, alpha: FiniteDiagram, budget: int):
     places its whole chain, and the chain orders every pair of the
     output."""
     _check_input(op, alpha, budget)
-    return op.make_stream_evaluator().step(alpha, _as_delta(alpha), budget)[0]
+    return op.make_stream_evaluator().step(alpha, alpha.as_delta(), budget)[0]
 
 
 class StreamEvaluator:

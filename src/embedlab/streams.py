@@ -175,7 +175,7 @@ class StructureStream:
         delta before it is yielded again, so a stage is valid until the
         next one is drawn; its delta attribute is the stage's facts new to
         the diagram (a stage read as a PlacementBatch is the batch)."""
-        stage = FiniteDiagram(self.signature, set())
+        stage = FiniteDiagram(self.signature)
         for delta in self.deltas:
             stage.grow(delta)
             yield stage

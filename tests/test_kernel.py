@@ -108,9 +108,9 @@ def test_evaluate_signature_check():
         replicate(1).eval(total_order_diagram([0]), -1)
 
 
-@pytest.mark.parametrize("entry", ["budget_deltas", "eval_chain"])
+@pytest.mark.parametrize("entry", ["budget_deltas"])
 def test_budget_chains_are_checked_like_eval(entry):
-    """The budget chains make eval's checks: a negative budget is
+    """The budget deltas make eval's checks: a negative budget is
     InvalidSpec, and an input of the wrong signature raises the
     operator's message, not one from deep inside the evaluator."""
     from embedlab.diagram import partition_diagram
@@ -207,7 +207,8 @@ def test_covering_chain_evaluates_as_its_closure(op_factory):
     sparse = parse_diagram("lt 3 0\nlt 0 2\nlt 2 1")
     closed = total_order_diagram(sparse.chain())
     assert op.eval(sparse, 4).facts == op.eval(closed, 4).facts
-    assert op.eval_chain(sparse, 4) == op.eval_chain(closed, 4)
+    assert ([set(d) for d in op.budget_deltas(sparse, 4)]
+            == [set(d) for d in op.budget_deltas(closed, 4)])
     with pytest.raises(InvalidInput):
         op.eval(parse_diagram("lt 0 1\nel 2"), 4)
 
@@ -351,7 +352,7 @@ def test_stream_evaluator_matches_full_eval_equivalences(op_factory, presentatio
           suppress_health_check=[HealthCheck.too_slow])
 def test_budget_law_on_fresh_evaluations(op_factory, data):
     """eval(beta, n - 1) <= eval(beta, n), each a fresh one-step evaluation
-    (eval_chain is cumulative by construction, so it cannot test this)."""
+    (budget_deltas steps one evaluator, so it cannot test this)."""
     op = op_factory()
     families = (ORDER_FAMILIES if op.input_signature is Signature.LINEAR_ORDER
                 else EQUIV_FAMILIES)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import reference_ops
 from reference_ops import covering, covering_stream
 from test_stage_view import drawn_batch_streams
+from embedlab import diagram
 from embedlab.classify import consistency_verdict, fingerprint
 from embedlab.combinators import replicate
 from embedlab.constructions import (
@@ -32,8 +33,11 @@ from embedlab.diagram import (
     diagram_from_facts,
     parse_diagram,
     partition_diagram,
+    total_order_diagram,
 )
+from embedlab.forcing import trichotomy_scan
 from embedlab.kernel import RunLog, StageRecord, run
+from embedlab.pairing import tag
 from embedlab.sigma2 import (
     Literal,
     greatest_element_sentence,
@@ -293,3 +297,39 @@ def test_cycle_and_non_total_errors():
     assert both.has_lt_cycle() and not both.is_total()
     with pytest.raises(InconsistentDiagram):
         both.chain()
+
+
+def test_a_total_order_built_in_code_is_its_chain(monkeypatch):
+    """A total order built in code keeps its chain: its order readers, an
+    operator's evaluation of it and the forcing scan over such orders run
+    no Kahn pass and expand no batch into its facts."""
+    def refuse(*args):
+        raise AssertionError("an order built in code was read from its facts")
+
+    monkeypatch.setattr(diagram.FiniteDiagram, "_topo", refuse)
+    monkeypatch.setattr(diagram, "_layout", refuse)
+    assert trichotomy_scan(replicate(2), 3, 2, 8).clean
+    c = [4, 0, 3, 1]
+    d = total_order_diagram(c)
+    assert d.chain() == c and d.is_total()
+    assert d.below(4, 1) and not d.below(1, 0)
+    assert replicate(2).eval(total_order_diagram(c), 4).chain() == [
+        tag(0, x) for x in c] + [tag(1, x) for x in c]
+
+
+def test_a_batch_chain_that_repeats_a_new_element_is_not_a_growth():
+    """A placement batch whose chain holds a new element twice does not
+    grow the chain, in any reader: its facts relate the element to
+    itself."""
+    bad = PlacementBatch((1,), (1, 1))
+    stream = StructureStream(Signature.LINEAR_ORDER, [bad], "")
+    view = next(stream.iter_stages())
+    assert not view.is_total()
+    with pytest.raises(InconsistentDiagram):
+        view.chain()
+    with pytest.raises(InconsistentDiagram):
+        stream.stage(0).chain()
+    with pytest.raises(InconsistentDiagram):
+        list(arrivals([bad]))
+    with pytest.raises(InconsistentDiagram):
+        total_order_diagram([1, 1]).chain()

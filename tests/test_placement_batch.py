@@ -74,9 +74,10 @@ def test_batch_expansion_matches_naive_all_pairs(batch):
     assert list(b) == want
     assert b == want and want == b
     assert len(b) == len(want)
-    d = b.diagram()
+    d = diagram_from_facts(Signature.LINEAR_ORDER, b)
     assert d.facts == frozenset(want)
     assert d.domain == (frozenset(chain) if new else frozenset())
+    assert list(d.as_delta()) == sorted(d.facts | {("el", x) for x in d.domain})
     assert list(b.reversed()) == naive_facts(new, chain[::-1])
 
 
@@ -151,6 +152,17 @@ def test_all_new_batch_and_total_order_diagram(n):
     assert d.facts == frozenset(naive_facts(chain, chain))
     assert d.domain == frozenset(chain)
     assert d.chain() == list(chain)
+
+
+@pytest.mark.parametrize("d", [
+    parse_diagram("lt 3 0\nlt 0 2\nlt 2 1\nel 5\nlt 5 3"),
+    diagram.partition_diagram([[4, 0], [2], [1, 3, 5]]),
+], ids=["covering_pairs", "partition"])
+def test_a_fact_diagram_is_one_sorted_delta_with_its_el_facts(d):
+    """as_delta of a diagram that keeps facts, not a chain: its facts,
+    sorted, with the el facts a diagram file may leave implicit."""
+    want = sorted(d.facts | {("el", x) for x in d.domain})
+    assert list(d.as_delta()) == want
 
 
 def test_len_does_not_expand(monkeypatch):

@@ -257,6 +257,18 @@ def test_repeated_facts_reach_a_step_once(op):
     assert facts and len(facts) == len(set(facts))
 
 
+def test_a_diagram_built_from_facts_grows_like_one_built_empty():
+    """diagram_from_facts grows an empty diagram once, so its diagram can
+    grow again: the delta holds only the facts new to it, and the facts it
+    was built from are left as they were."""
+    facts = frozenset({("el", 0), ("el", 1), ("lt", 0, 1)})
+    d = diagram.diagram_from_facts(Signature.LINEAR_ORDER, facts)
+    d.grow([("el", 1), ("el", 2), ("lt", 1, 2)])
+    assert d.delta == [("el", 2), ("lt", 1, 2)]
+    assert d.chain() == [0, 1, 2]
+    assert facts == {("el", 0), ("el", 1), ("lt", 0, 1)}
+
+
 def _count_diagram_work(monkeypatch) -> list:
     """Record each FiniteDiagram construction ("init") and each read of
     its order ("topo"), which runs a Kahn pass unless one is cached."""
