@@ -22,7 +22,7 @@ from .diagram import (
     total_order_diagram,
     partition_diagram,
 )
-from .streams import CanonicalSpec, StructureStream, generate, restrict
+from .streams import CanonicalSpec, StructureStream, generate
 from .kernel import (
     EnumerationOperator,
     RunLog,

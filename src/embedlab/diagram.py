@@ -559,22 +559,12 @@ class PlacementBatch:
 def _grows(chain, batch: PlacementBatch) -> bool:
     """True iff batch's chain is chain with batch's new elements, none of
     them in chain, inserted once each.  That the new elements are
-    distinct and the chain grew by as many is checked by length; a batch
-    is trusted to hold its new elements in its chain."""
+    distinct, that the chain grew by as many and that each is in it is
+    checked by length, so each is in it once."""
     new = set(batch.new)
     return (len(new) == len(batch.new) == len(batch.chain) - len(chain)
+            == len(new.intersection(batch.chain))
             and [x for x in batch.chain if x not in new] == list(chain))
-
-
-def placed_chain(deltas) -> tuple | None:
-    """The chain that deltas grow from the empty order when each is a
-    PlacementBatch that grows the chain of the one before it, else None."""
-    chain = ()
-    for delta in deltas:
-        if not (isinstance(delta, PlacementBatch) and _grows(chain, delta)):
-            return None
-        chain = delta.chain
-    return chain
 
 
 def new_elements(delta) -> list:

@@ -15,8 +15,8 @@ reproducible across implementations.
 A stream's stages are drawn by iter_stages as one FiniteDiagram, built
 empty and grown in place by each delta, so drawing a stage costs one set
 update of its delta rather than a copy of every fact so far.  A stage is
-valid only until the next one is drawn; stage(s) builds a FiniteDiagram
-of stage s that can be kept.
+valid only until the next one is drawn; final() grows a diagram of the
+last stage that can be kept.
 
 An order stream is a sequence of placements, generated or read: generate
 gives each stage as a diagram.PlacementBatch that places the stage's one
@@ -24,7 +24,7 @@ arrival in the chain so far, to_text writes each batch through
 format_blocks (``el e`` and three joins of lt lines, with no layout),
 and from_text reads each stage that is what to_text writes back as such
 a batch.  The diagram those batches grow keeps their chain instead of a
-set of every pair, and stage(s) builds stage s from its chain.
+set of every pair, and so does final().
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .diagram import (
     FiniteDiagram,
@@ -44,7 +44,6 @@ from .diagram import (
     RELATIONS,
     Signature,
     content_lines,
-    diagram_from_facts,
     el,
     file_signature,
     format_blocks,
@@ -52,8 +51,6 @@ from .diagram import (
     is_natural,
     parse_batch,
     parse_facts,
-    placed_chain,
-    total_order_diagram,
 )
 
 ORDER_FAMILIES = ("omega", "omega_star", "omega_k", "omega_star_k",
@@ -180,21 +177,12 @@ class StructureStream:
             stage.grow(delta)
             yield stage
 
-    def stage(self, s: int) -> FiniteDiagram:
-        """Stage s as a diagram built from its facts, which can be kept.
-        When the deltas up to s are placement batches, each growing the
-        chain of the one before (diagram.placed_chain), it is built from
-        stage s's chain, and no batch is expanded into its facts."""
-        if not 0 <= s < len(self.deltas):
-            raise IndexError(f"stage {s} out of range")
-        deltas = self.deltas[: s + 1]
-        placed = placed_chain(deltas)
-        if placed is not None:
-            return total_order_diagram(placed)
-        return diagram_from_facts(self.signature, chain.from_iterable(deltas))
-
     def final(self) -> FiniteDiagram:
-        return self.stage(len(self.deltas) - 1)
+        """The last stage as a diagram of its own, grown by every delta."""
+        final = FiniteDiagram(self.signature)
+        for delta in self.deltas:
+            final.grow(delta)
+        return final
 
     def to_text(self) -> str:
         """The stream file: each stage's facts, sorted, after its
@@ -421,15 +409,3 @@ def generate(spec: CanonicalSpec, stages: int) -> StructureStream:
             deltas.append(delta)
 
     return StructureStream(spec.signature, deltas, spec.label())
-
-
-def restrict(stream: StructureStream, keep: Iterable[int]) -> StructureStream:
-    """Stage-wise restriction to the given element ids."""
-    kept = frozenset(keep)
-    deltas = [
-        [f for f in delta if all(x in kept for x in f[1:])]
-        for delta in stream.deltas
-    ]
-    return StructureStream(
-        stream.signature, deltas, f"restrict({stream.provenance})"
-    )

@@ -49,6 +49,13 @@ reads; the program needs neither direction, the tests read both.
 ``place`` is the one-element placement written as a fact list, as
 ``streams.generate`` built each order stage before its stages became
 placement batches; a one-element PlacementBatch must yield its facts.
+``stage`` is a stream's stage s as a plain fact replay: the diagram of
+every fact of its deltas up to s, which keeps no chain, so its order is
+read by a Kahn pass; the stages ``StructureStream.iter_stages`` grows,
+and ``final()``, must read as it does.  ``grows`` is the growth rule
+written element by element; ``diagram._grows`` must agree with it on any
+chain and batch.  ``restrict`` cuts a stream down to the given elements
+stage by stage, which the tests use to draw stages with nothing new.
 """
 
 from __future__ import annotations
@@ -796,3 +803,32 @@ def place(chain: list, x: int, rank: int) -> list:
         facts.append(("lt", x, y))
     chain.insert(rank, x)
     return facts
+
+
+def stage(stream: StructureStream, s: int):
+    """Stage s of stream as the diagram of all the facts of its deltas up
+    to s, built in one step, however the deltas are held."""
+    return diagram_from_facts(stream.signature,
+                              [f for delta in stream.deltas[: s + 1] for f in delta])
+
+
+def grows(old, batch) -> bool:
+    """True iff batch's chain is old with each of batch's new elements,
+    none of them in old and no two equal, inserted exactly once."""
+    new, grown = list(batch.new), list(batch.chain)
+    return (len(set(new)) == len(new)
+            and not any(x in old for x in new)
+            and all(grown.count(x) == 1 for x in new)
+            and [x for x in grown if x not in new] == list(old))
+
+
+def restrict(stream: StructureStream, keep) -> StructureStream:
+    """Stage-wise restriction to the given element ids."""
+    kept = frozenset(keep)
+    deltas = [
+        [f for f in delta if all(x in kept for x in f[1:])]
+        for delta in stream.deltas
+    ]
+    return StructureStream(
+        stream.signature, deltas, f"restrict({stream.provenance})"
+    )

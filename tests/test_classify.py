@@ -282,6 +282,19 @@ def test_consistency_canonical_streams():
         assert verdict.consistent, (spec.label(), verdict.evidence)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("family", ["omega_k", "omega_star_k"])
+def test_permuted_raw_stream_is_judged_by_its_own_block_count(family):
+    """A permuted presentation of omega.1 (omega*.1) is consistent with one
+    block and not with two.  Counting neighbour changes over the whole run
+    judges it the other way round, since the shuffled prefix gives settled
+    elements their changes early on."""
+    log = RunLog.from_stream(generate(CanonicalSpec(family, "permuted", 1, 1), 120))
+    verdicts = [consistency_verdict(log, CanonicalSpec(family, k=k)).verdict
+                for k in (1, 2)]
+    assert verdicts == ["CONSISTENT", "INCONSISTENT"]
+
+
 def test_consistency_replicate_on_omega_as_omega3():
     from embedlab.combinators import replicate
 

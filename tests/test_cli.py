@@ -31,7 +31,6 @@ def test_gen_counts_elements_without_the_final_diagram(family, k, tmp_path, monk
         raise AssertionError("gen built the final diagram")
 
     monkeypatch.setattr(StructureStream, "final", refuse)
-    monkeypatch.setattr(StructureStream, "stage", refuse)
     out = tmp_path / "s.txt"
     result = invoke("gen", "--family", family, "--k", str(k), "--policy", "permuted",
                     "--seed", "3", "--stages", "50", "--out", str(out))

@@ -32,7 +32,6 @@ from embedlab.streams import (
     CanonicalSpec,
     StructureStream,
     generate,
-    restrict,
 )
 
 CODEC_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True)
@@ -148,7 +147,7 @@ def streams(draw):
     stream = generate(spec, draw(st.integers(1, 16)))
     if draw(st.booleans()):
         domain = sorted(stream.final().domain)
-        stream = restrict(stream, draw(st.sets(st.sampled_from(domain))))
+        stream = ref.restrict(stream, draw(st.sets(st.sampled_from(domain))))
     return stream
 
 

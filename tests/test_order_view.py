@@ -50,7 +50,6 @@ from embedlab.streams import (
     CanonicalSpec,
     StructureStream,
     generate,
-    restrict,
 )
 
 TWO_VARIABLE = parse_sentence(
@@ -149,7 +148,7 @@ def replayed_streams(draw):
     elements (so some stages add nothing), possibly cut to covering pairs."""
     _, stream = draw(order_streams())
     if draw(st.booleans()):
-        stream = restrict(stream, draw(st.sets(st.integers(0, len(stream) - 1))))
+        stream = reference_ops.restrict(stream, draw(st.sets(st.integers(0, len(stream) - 1))))
     if draw(st.booleans()):
         stream = covering_stream(stream)
     return stream
@@ -328,8 +327,24 @@ def test_a_batch_chain_that_repeats_a_new_element_is_not_a_growth():
     with pytest.raises(InconsistentDiagram):
         view.chain()
     with pytest.raises(InconsistentDiagram):
-        stream.stage(0).chain()
+        reference_ops.stage(stream, 0).chain()
     with pytest.raises(InconsistentDiagram):
         list(arrivals([bad]))
     with pytest.raises(InconsistentDiagram):
         total_order_diagram([1, 1]).chain()
+
+
+def test_a_batch_chain_that_drops_a_new_element_is_not_a_growth():
+    """A placement batch whose chain holds one new element twice and the
+    other not at all is as long as a growth would be, but does not grow
+    the chain, in any reader: its facts relate the element to itself."""
+    batches = [PlacementBatch((0,), (0,)), PlacementBatch((5, 6), (0, 5, 5))]
+    stream = StructureStream(Signature.LINEAR_ORDER, batches, "")
+    *_, view = stream.iter_stages()
+    assert not view.is_total()
+    with pytest.raises(InconsistentDiagram):
+        view.chain()
+    with pytest.raises(InconsistentDiagram):
+        reference_ops.stage(stream, 1).chain()
+    with pytest.raises(InconsistentDiagram):
+        list(arrivals(batches))

@@ -1,7 +1,8 @@
 """One stage diagram per run: StructureStream.iter_stages grows one
 FiniteDiagram, built empty, by each delta, and it must read at every stage
-exactly as a FiniteDiagram built from the cumulative facts
-(StructureStream.stage) reads, errors included."""
+exactly as the diagram of the cumulative facts (reference_ops.stage, a
+plain fact replay that keeps no chain) reads, errors included, whether
+the deltas are facts or placement batches."""
 
 from itertools import permutations
 
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference_ops import Mirror, covering, covering_stream, stream_file
+from reference_ops import (
+    Mirror,
+    covering,
+    covering_stream,
+    grows,
+    restrict,
+    stage,
+    stream_file,
+)
 from embedlab import diagram
 from embedlab.combinators import replicate, reverse
 from embedlab.constructions import formula2eq, ord2eq
@@ -31,7 +40,6 @@ from embedlab.streams import (
     CanonicalSpec,
     StructureStream,
     generate,
-    restrict,
 )
 
 
@@ -137,8 +145,8 @@ def test_view_reads_like_the_cumulative_diagram(presentation):
         seen.update(fresh)
         assert view.delta == fresh
         if read[s] or s == len(stream) - 1:
-            assert _readings(view) == _readings(stream.stage(s)), f"stage {s}"
-            assert view == stream.stage(s), f"stage {s}"
+            assert _readings(view) == _readings(stage(stream, s)), f"stage {s}"
+            assert view == stage(stream, s), f"stage {s}"
 
 
 def _stream(*deltas) -> StructureStream:
@@ -202,8 +210,55 @@ def test_stages_grown_from_placements_read_like_the_cumulative_diagram(stream, d
         seen.update(fresh)
         assert view.delta == fresh
         if read[s] or s == len(stream) - 1:
-            assert _readings(view) == _readings(stream.stage(s)), f"stage {s}"
-            assert view == stream.stage(s), f"stage {s}"
+            assert _readings(view) == _readings(stage(stream, s)), f"stage {s}"
+            assert view == stage(stream, s), f"stage {s}"
+
+
+_OLD_CHAINS = st.lists(st.integers(0, 7), max_size=5, unique=True)
+_FRESH = st.lists(st.integers(8, 11), max_size=3, unique=True)
+_FAULTS = ("none", "repeated", "old", "missing", "moved", "free")
+
+
+@st.composite
+def growth_cases(draw):
+    """A chain and a batch that grows it, or the batch with one fault: a
+    new element listed twice, an old element listed as new, a new element
+    whose place another element takes, two elements swapped, or a batch
+    drawn freely."""
+    old = draw(_OLD_CHAINS)
+    new = draw(_FRESH)
+    grown = list(old)
+    for x in new:
+        grown.insert(draw(st.integers(0, len(grown))), x)
+    fault = draw(st.sampled_from(_FAULTS))
+    listed = {"repeated": new, "old": old}.get(fault)
+    if listed:
+        x = draw(st.sampled_from(listed))
+        new.append(x)
+        if draw(st.booleans()):  # placed once more, so the length still fits
+            grown.insert(draw(st.integers(0, len(grown))), x)
+    elif fault == "missing" and new:
+        x = draw(st.sampled_from(new))
+        grown[grown.index(x)] = draw(st.sampled_from(new + old))
+    elif fault == "moved" and len(grown) > 1:
+        i, j = draw(st.lists(st.integers(0, len(grown) - 1), min_size=2,
+                             max_size=2, unique=True))
+        grown[i], grown[j] = grown[j], grown[i]
+    elif fault == "free":
+        new = draw(st.lists(st.integers(0, 11), max_size=3))
+        grown = draw(st.lists(st.integers(0, 11), max_size=8))
+    return tuple(old), PlacementBatch(tuple(new), tuple(grown))
+
+
+@given(growth_cases())
+# Element 5 placed twice where 6 belongs: as long as a growth.
+@example(((0,), PlacementBatch((5, 6), (0, 5, 5))))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_growth_check_matches_its_reference(case):
+    """The growth rule a diagram keeps its chain by agrees with the rule
+    written element by element, on well-formed batches and faulty ones."""
+    old, batch = case
+    assert diagram._grows(old, batch) == grows(old, batch)
 
 
 NOT_TOTAL = _stream([("el", 0)], [("el", 1)])
@@ -326,6 +381,33 @@ def test_a_run_over_a_placement_file_reads_its_chain(op, monkeypatch):
     assert calls == ["init"] and expanded == []
 
 
+@pytest.mark.parametrize("read_back", [False, True], ids=["generated", "file"])
+def test_final_grows_the_chain_of_placements(read_back, monkeypatch):
+    """final() of an order stream of placements, generated or read back
+    from its file, keeps their chain: it builds one diagram, runs no Kahn
+    pass and expands no batch, and equals the last stage of the fact
+    replay."""
+    stream = generate(CanonicalSpec("omega_k", "permuted", 2, seed=7), 60)
+    if read_back:
+        stream = StructureStream.from_text(stream.to_text())
+    calls = _count_diagram_work(monkeypatch)
+    expanded = _count_expansions(monkeypatch)
+    final = stream.final()
+    assert final.chain() and final.is_total()
+    assert calls == ["init"] and expanded == []
+    assert final == stage(stream, len(stream) - 1)
+
+
+@given(generated_streams() | drawn_streams() | drawn_batch_streams())
+@example(covering_stream(generate(CanonicalSpec("omega_k", "permuted", 2, seed=7), 30)))
+@example(generate(CanonicalSpec("e_hat_k", "permuted", 2, seed=7), 30))
+@VIEW_SETTINGS
+def test_final_is_the_last_stage_of_the_fact_replay(stream):
+    """final() equals the diagram of all of a stream's facts, on order
+    streams of facts, placements or both and on equivalence streams."""
+    assert stream.final() == stage(stream, len(stream) - 1)
+
+
 def test_covering_stages_expand_the_batches_before_them_once(monkeypatch):
     """From the first stage read as facts, a grown diagram stores facts:
     it expands each batch before that stage once, at that stage."""
@@ -335,10 +417,11 @@ def test_covering_stages_expand_the_batches_before_them_once(monkeypatch):
     blocks += map(format_facts, covering(stream.deltas)[cut:])
     read = StructureStream.from_text(stream_file(blocks))
     assert [isinstance(d, PlacementBatch) for d in read.deltas] == [True] * cut + [False] * 20
+    want = [stage(stream, s).chain() for s in range(len(stream))]
     expanded = _count_expansions(monkeypatch)
     counts = []
     for view in read.iter_stages():
-        assert view.chain() == stream.stage(len(counts)).chain()
+        assert view.chain() == want[len(counts)]
         counts.append(len(expanded))
     assert counts == [0] * cut + [cut] * 20
     assert expanded == list(range(1, cut + 1))
