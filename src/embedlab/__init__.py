@@ -16,7 +16,6 @@ from .diagram import (
     Signature,
     SignatureError,
     el,
-    lt,
     sim,
     parse_diagram,
     total_order_diagram,

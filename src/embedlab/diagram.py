@@ -77,8 +77,14 @@ placements at about the cost of their bytes.
 ord2eq, whose output is a star (each new member joined to an element
 already named), returns a ClassBatch: the step's el ids and its sim facts
 as parallel head and member lists, in record order, rendered as two
-blocks.  A census replays records through _UnionFind.replay, which keeps
-each class's size at its root and walks one path per sim fact.
+blocks.  parse_class_batch reads an equivalence log's record back as a
+ClassBatch when its lines are el lines and then sim lines, each id ASCII
+digits one space from the token before it, as one regular expression
+over the whole record checks; its ids are then read without a fact
+built.  Any other record is left to the fact parser.  A census replays
+records through _UnionFind.replay, which reads a ClassBatch's lists as
+they are, keeps each class's size at its root and walks one path per
+sim fact.
 
 Every number in an input is a natural in ASCII digits (is_natural).
 """
@@ -86,8 +92,10 @@ Every number in an input is a natural in ASCII digits (is_natural).
 from __future__ import annotations
 
 import enum
+import re
 from bisect import bisect_left, bisect_right, insort
 from itertools import chain, combinations, compress, count, islice, repeat
+from operator import gt
 from typing import Iterable, Iterator
 
 Fact = tuple  # ("el", a) | ("lt", a, b) | ("sim", a, b)
@@ -140,12 +148,6 @@ def is_natural(token: str) -> bool:
 
 def el(a: int) -> Fact:
     return ("el", a)
-
-
-def lt(a: int, b: int) -> Fact:
-    if a == b:
-        raise InconsistentDiagram(f"lt {a} {a} relates an element to itself")
-    return ("lt", a, b)
 
 
 def sim(a: int, b: int) -> Fact:
@@ -431,20 +433,27 @@ class _UnionFind:
         element's entry or a sim fact; stage is the record's, and a merge
         keeps the later of the two classes' stages.
 
-        A sim fact walks its smaller end's path once.  When its larger end
-        is new, it joins the class under that root with no second find:
-        it is above the smaller end, so the root stays the least member.
+        The elements the other facts name are added first, then the sim
+        facts are joined; every change is at one stage, so the order
+        within a record changes neither the classes nor grew.  A
+        ClassBatch gives both as its own lists, read with no fact built;
+        a list is split into the two once.  A sim fact walks its smaller
+        end's path once.  When its larger end is new, it joins the class
+        under that root with no second find: it is above the smaller end,
+        so the root stays the least member.
         """
         parent, size = self.parent, self.size
-        for f in facts:
-            if f[0] != "sim":
-                for x in f[1:]:
-                    if x not in parent:
-                        parent[x] = x
-                        size[x] = 1
-                        grew[x] = stage
-                continue
-            a, b = f[1], f[2]
+        if isinstance(facts, ClassBatch):
+            els, sims = facts.els, zip(_SIM, facts.heads, facts.members)
+        else:
+            els = [x for f in facts if f[0] != "sim" for x in f[1:]]
+            sims = [f for f in facts if f[0] == "sim"]
+        for x in els:
+            if x not in parent:
+                parent[x] = x
+                size[x] = 1
+                grew[x] = stage
+        for _, a, b in sims:
             if a > b:
                 a, b = b, a
             if a not in parent:
@@ -625,15 +634,19 @@ _SIM = repeat("sim")
 
 
 class ClassBatch:
-    """One step of an equivalence writer: the elements its ``el`` facts
-    name (els, ascending), and its ``sim`` facts as two parallel lists,
-    each head heads[i] joined to the member members[i] above it, the
-    (head, member) pairs ascending.  Iterating yields the record's facts
-    sorted: ``el x`` for x in els, then ``sim h m`` for each pair.  Its
-    writer, ord2eq, emits stars: each member is new to the log, joined to
-    an element already named.  len() counts the facts without building
+    """One record of an equivalence log: the elements its ``el`` facts
+    name (els), and its ``sim`` facts as two parallel lists, each head
+    heads[i] joined to the member members[i], no head above its member.
+    Iterating yields the record's facts: ``el x`` for x in els, then
+    ``sim h m`` for each pair.  len() counts the facts without building
     them; RunLog.to_jsonl writes the record's lines straight from the
     lists (format_blocks).
+
+    Its writer, ord2eq, emits sorted stars: els ascending, each head below
+    its member, the pairs ascending, and each member new to the log,
+    joined to an element already named.  A batch read back from a log
+    (parse_class_batch) holds the record's facts in file order, which need
+    not be sorted, and may repeat a fact or join an element to itself.
     """
 
     __slots__ = ("els", "heads", "members")
@@ -794,7 +807,7 @@ def _parse_facts(lines: Iterable[str], signature: Signature | None) -> list:
     return out
 
 
-def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
+def parse_batch(lines: list, chain: tuple, text: dict) -> PlacementBatch | None:
     """Read a record, a run-log record's facts or a stream file stage's,
     as the placement batch that grows chain, or None when lines is not
     exactly what format_facts writes for one.
@@ -810,8 +823,6 @@ def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
     facts, and a line holding a newline is never taken for two.  text maps
     each element of chain to its id string; the new ids are added.
     """
-    if type(lines) is not list:
-        return None
     k = 0
     for line in lines:
         if type(line) is not str or not line.startswith("el "):
@@ -857,6 +868,45 @@ def parse_batch(lines, chain: tuple, text: dict) -> PlacementBatch | None:
 def _first_id(line: str) -> int:
     """The first id of an ``lt a b`` line, by which a record sorts them."""
     return int(line[3:line.index(" ", 3)])
+
+
+# An equivalence record's lines, each ended by a newline, when they are
+# el lines and then sim lines, each id ASCII digits and one space apart.
+_CLASS_RECORD = re.compile(r"(?:el [0-9]+\n)*(?:sim [0-9]+ [0-9]+\n)*")
+
+
+def parse_class_batch(lines: list) -> ClassBatch | None:
+    """Read a run-log record of an equivalence log, a list of lines, as the
+    ClassBatch of its facts in file order, or None when the fact parser
+    might read it otherwise.
+
+    The lines, each ended by a newline, must match _CLASS_RECORD, and
+    hold no newline of their own, which counting them proves.  Then every
+    line is one fact, the el lines come first, and the ids are the record's
+    tokens at fixed strides.  None is returned, for the fact parser to
+    read or reject the record, when a head is above its member, since the
+    parser swaps such a pair, or when a numeral has more digits than int()
+    converts.
+    """
+    if not lines:
+        return ClassBatch([], [], [])
+    try:
+        text = "\n".join(lines) + "\n"
+    except TypeError:  # an entry that is not a string
+        return None
+    if text.count("\n") != len(lines) or _CLASS_RECORD.fullmatch(text) is None:
+        return None
+    k = 2 * bisect_left(lines, "el!")  # "el " < "el!" < "sim "
+    tokens = text.split()
+    try:
+        els = list(map(int, tokens[1:k:2]))
+        heads = list(map(int, tokens[k + 1::3]))
+        members = list(map(int, tokens[k + 2::3]))
+    except ValueError:  # more digits than int() converts
+        return None
+    if any(map(gt, heads, members)):
+        return None
+    return ClassBatch(els, heads, members)
 
 
 def parse_fact(line: str) -> Fact:

@@ -37,7 +37,10 @@ through one template: a batch's from the blocks diagram.format_blocks
 renders, byte for byte the lines of its facts, and a fact list's from its
 lines (diagram.format_facts).  RunLog.from_jsonl reads order records back
 as placement batches, checking each against the same blocks, and
-equivalence records as fact lists.
+equivalence records as class batches when their lines are el lines and
+then sim lines, each pair's smaller id first (diagram.parse_class_batch),
+as to_jsonl writes every record of a built-in operator; any other record
+is read as a fact list.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .diagram import (
     is_natural,
     _parse_facts,
     parse_batch,
+    parse_class_batch,
 )
 from .streams import StructureStream
 
@@ -209,13 +213,17 @@ class RunLog:
 
     @staticmethod
     def from_jsonl(text: str) -> "RunLog":
-        """Read and validate a run log.  The records of an order log are
-        read as placement batches while each is byte for byte what
-        to_jsonl writes for one (diagram.parse_batch); from the first
-        record that is not, they are parsed as facts (parse_facts), and a
-        fact whose relation the header's signature does not admit raises
-        SignatureError.  Both readings give the same facts, errors and
-        messages."""
+        """Read and validate a run log.  Each record's new_facts must be
+        a JSON list.  The records of an order log are read as placement
+        batches while each is byte for byte what to_jsonl writes for one
+        (diagram.parse_batch); from the first record that is not, they are
+        parsed as facts (parse_facts).  Each record of an equivalence log
+        is read as a ClassBatch of its facts in file order when its lines
+        are el lines and then sim lines, each id ASCII digits and each
+        pair's smaller id first (diagram.parse_class_batch), and any other
+        record on its own is parsed as facts.  A fact whose relation the
+        header's signature does not admit raises SignatureError.  Every
+        reading gives the same facts, errors and messages."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParseError("empty run log")
@@ -232,7 +240,8 @@ class RunLog:
             provenance=header.get("provenance", ""),
             schedule=header.get("schedule", ""),
         )
-        batches = signature is Signature.LINEAR_ORDER
+        # An order log's chain so far, None from its first record that is
+        # not a placement batch.
         chain, text = (), {}
         for n, ln in enumerate(lines[1:], start=2):
             rec = _json_record(ln, n, ("stage", "new_facts"))
@@ -243,14 +252,18 @@ class RunLog:
                 raise ParseError(
                     f"run log line {n}: stage {stage} does not follow "
                     f"stage {log.records[-1].stage}")
-            facts = parse_batch(rec["new_facts"], chain, text) if batches else None
-            if facts is not None:
-                chain = facts.chain
+            entries = rec["new_facts"]
+            if type(entries) is not list:
+                raise ParseError(f"run log line {n}: new_facts must list facts")
+            if signature is Signature.EQUIVALENCE:
+                facts = parse_class_batch(entries)
             else:
-                batches = False
+                facts = None if chain is None else parse_batch(entries, chain, text)
+                chain = None if facts is None else facts.chain
+            if facts is None:
                 try:
-                    facts = _parse_facts(rec["new_facts"], signature)
-                except (AttributeError, TypeError):
+                    facts = _parse_facts(entries, signature)
+                except AttributeError:  # an entry that is not a string
                     raise ParseError(f"run log line {n}: new_facts must list facts") from None
             notes = rec.get("annotations")
             _check_annotations(notes, n)

@@ -135,6 +135,24 @@ def test_run_log_rejects_non_string_facts():
                 f'{{"v": 1, "stage": 0, "new_facts": {bad}}}\n')
 
 
+@pytest.mark.parametrize("signature", [s.value for s in Signature])
+@pytest.mark.parametrize("bad", ['{"el 1": 0, "el 2": 5}', '""', '"el 1"'])
+def test_run_log_rejects_new_facts_that_are_not_a_list(signature, bad, tmp_path):
+    """An object's keys or a string's characters are not read as facts:
+    the record's line is named, and the CLI exits 2."""
+    text = (f'{{"v": 1, "type": "header", "operator": "x", "signature": "{signature}"}}\n'
+            '{"v": 1, "stage": 0, "new_facts": ["el 0"]}\n'
+            f'{{"v": 1, "stage": 1, "new_facts": {bad}}}\n')
+    with pytest.raises(ParseError) as info:
+        RunLog.from_jsonl(text)
+    assert str(info.value) == "run log line 3: new_facts must list facts"
+    log = tmp_path / "r.jsonl"
+    log.write_text(text)
+    result = CliRunner().invoke(main, ["classify", "--log", str(log), "--claim", "omega"])
+    assert result.exit_code == EXIT_USAGE
+    assert result.output == "error: run log line 3: new_facts must list facts\n"
+
+
 @st.composite
 def streams(draw):
     """A canonical stream, possibly restricted to some of its elements."""
